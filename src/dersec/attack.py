@@ -10,6 +10,7 @@ everything here is built on that formula.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,16 +108,36 @@ def _impact_partitions(
     deltas: np.ndarray, nodes: np.ndarray
 ) -> list[list[int]]:
     """Group nodes into maximal equal-impact partitions, in decreasing order."""
-    order = sorted((int(j) for j in nodes), key=lambda j: (-deltas[j], j))
+    d = deltas.tolist()
+    order = sorted((int(j) for j in nodes), key=lambda j: (-d[j], j))
     groups: list[list[int]] = []
     for j in order:
-        if groups and np.isclose(
-            deltas[groups[-1][0]], deltas[j], rtol=_TIE_RTOL, atol=1e-15
-        ):
+        if groups and abs(d[groups[-1][0]] - d[j]) <= 1e-15 + _TIE_RTOL * abs(d[j]):
             groups[-1].append(j)
         else:
             groups.append([j])
     return groups
+
+
+def _partition_walk(
+    row: np.ndarray, pool: np.ndarray, budget: int
+) -> tuple[list[int], tuple[int, ...], int]:
+    """Take whole equal-impact partitions of ``row`` over ``pool`` in decreasing
+    order while they fit in ``budget``.
+
+    Returns the taken nodes, the boundary partition that no longer fits
+    (sorted; empty when the budget is used up exactly) and how many of its
+    nodes fill the rest of the budget.
+    """
+    taken: list[int] = []
+    for g in _impact_partitions(row, pool):
+        if budget <= 0:
+            break
+        if budget < len(g):
+            return taken, tuple(sorted(g)), budget
+        taken.extend(g)
+        budget -= len(g)
+    return taken, (), 0
 
 
 def pivot_optimal_attack(
@@ -139,34 +160,18 @@ def pivot_optimal_attack(
     model = model or LPF
     pool = _vulnerable_nodes(net, u)
     D = impact_matrix(net, sp_d, model)[pivot]
+    taken, boundary, fill = _partition_walk(D, pool, min(M, pool.size))
+    if rng is None:
+        taken.extend(boundary[:fill])
+    elif boundary:
+        taken.extend(rng.choice(boundary, size=fill, replace=False))
     delta = np.zeros(net.n + 1, dtype=int)
-    if M <= 0 or pool.size == 0:
-        return PivotAttack(pivot=pivot, delta=delta, impact=0.0, tied_pool=())
-
-    groups = _impact_partitions(D, pool)
-    taken: list[int] = []
-    tied: tuple[int, ...] = ()
-    remaining = min(M, pool.size)
-    for g in groups:
-        if remaining >= len(g):
-            taken.extend(g)
-            remaining -= len(g)
-            if remaining == 0:
-                break
-        else:
-            tied = tuple(g)
-            if rng is None:
-                taken.extend(sorted(g)[:remaining])
-            else:
-                taken.extend(rng.choice(sorted(g), size=remaining, replace=False))
-            remaining = 0
-            break
     delta[taken] = 1
     return PivotAttack(
         pivot=pivot,
         delta=delta,
         impact=float(D[np.flatnonzero(delta)].sum()),
-        tied_pool=tied,
+        tied_pool=boundary,
     )
 
 
@@ -197,14 +202,21 @@ def optimal_attack_fixed_response(
     else:
         base = solve_lpf(net, inj)
 
+    pool = _vulnerable_nodes(net, u)
+    budget = min(M, pool.size)
+    D = impact_matrix(net, phi.sp_d, model)
     best_score = -np.inf
-    best_delta = np.zeros(net.n + 1, dtype=int)
+    best_nodes: list[int] = []
     for pivot in net.nodes:
-        atk = pivot_optimal_attack(net, pivot, phi.sp_d, M, u, model)
-        score = W[pivot] * (net.nu_lo[pivot] - (base.nu[pivot] - atk.impact))
+        taken, boundary, fill = _partition_walk(D[pivot], pool, budget)
+        nodes = sorted(taken + list(boundary[:fill]))
+        impact = float(D[pivot, nodes].sum())
+        score = W[pivot] * (net.nu_lo[pivot] - (base.nu[pivot] - impact))
         if score > best_score + 1e-15:
             best_score = score
-            best_delta = atk.delta
+            best_nodes = nodes
+    best_delta = np.zeros(net.n + 1, dtype=int)
+    best_delta[best_nodes] = 1
     return best_delta
 
 
@@ -254,22 +266,9 @@ def candidate_attack_set(
     per_pivot: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
     total_estimate = 0
     for pivot in net.nodes:
-        groups = _impact_partitions(D[pivot], pool)
-        taken: list[int] = []
-        boundary: tuple[int, ...] = ()
-        remaining = budget
-        for g in groups:
-            if remaining >= len(g):
-                taken.extend(g)
-                remaining -= len(g)
-                if remaining == 0:
-                    break
-            else:
-                boundary = tuple(sorted(g))
-                break
-        fill = remaining if boundary else 0
+        taken, boundary, fill = _partition_walk(D[pivot], pool, budget)
         per_pivot.append((pivot, tuple(sorted(taken)), boundary, fill))
-        total_estimate += _ncomb(len(boundary), fill)
+        total_estimate += math.comb(len(boundary), fill)
         if total_estimate > cap and not collapse_on_overflow:
             raise EnumerationCapExceeded(
                 f"candidate set exceeds cap {cap} (pivot {pivot} and beyond)"
@@ -280,13 +279,13 @@ def candidate_attack_set(
     truncated: list[int] = []
     # enumerate tight boundaries first so only the combinatorial pivots collapse
     by_count = sorted(
-        per_pivot, key=lambda item: (_ncomb(len(item[2]), item[3]), item[0])
+        per_pivot, key=lambda item: (math.comb(len(item[2]), item[3]), item[0])
     )
     for pivot, taken, boundary, fill in by_count:
         if not boundary:
             vectors.add(taken)
             continue
-        count = _ncomb(len(boundary), fill)
+        count = math.comb(len(boundary), fill)
         if len(vectors) + count > cap:
             collapsed = True
             truncated.append(pivot)
@@ -299,12 +298,3 @@ def candidate_attack_set(
         collapsed=collapsed,
         truncated_pivots=tuple(sorted(truncated)),
     )
-
-
-def _ncomb(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

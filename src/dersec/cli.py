@@ -20,7 +20,7 @@ from .loss import CostParams
 from .netio import load_network, save_network, sweep_rows_to_csv
 from .powerflow import LPF, calibrate_epsilon, eps_lpf
 from .security import solve_dad
-from .sweep import SweepConfig, run_sweep, with_gamma_lo
+from .sweep import SweepConfig, _delta_string, run_sweep, with_gamma_lo
 
 _EXIT_VALIDATION = 2
 _EXIT_NONCONVERGENT = 3
@@ -32,10 +32,6 @@ def _model_tag(name: str, net):
     if name == "eps-lpf":
         return eps_lpf(calibrate_epsilon(net).eps)
     raise ValueError(f"linear model expected, got {name!r}")
-
-
-def _delta_string(net, delta) -> str:
-    return "".join(str(int(delta[i])) for i in net.nodes)
 
 
 def _result_doc(net, result) -> dict:

@@ -9,6 +9,7 @@ desk-scale; sampling fallbacks are intentionally absent.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class GridSpec:
 def _enumerate_deltas(net: Network, M: int, u: np.ndarray) -> list[tuple[int, ...]]:
     pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (np.asarray(u) == 0))]
     budget = min(M, len(pool))
-    total = sum(_ncomb(len(pool), k) for k in range(budget + 1))
+    total = sum(math.comb(len(pool), k) for k in range(budget + 1))
     if total > _ENUM_GUARD:
         raise TooLargeToEnumerate(f"{total} attack vectors exceed the oracle guard")
     out: list[tuple[int, ...]] = []
@@ -145,7 +146,7 @@ def bf_security(
 
     der = [int(i) for i in np.flatnonzero(net.der_cap > 0.0)]
     budget = min(B, len(der))
-    total = sum(_ncomb(len(der), k) for k in range(budget + 1))
+    total = sum(math.comb(len(der), k) for k in range(budget + 1))
     if total * max(len(_enumerate_deltas(net, M, np.zeros(net.n + 1))), 1) > _ENUM_GUARD:
         raise TooLargeToEnumerate("security enumeration exceeds the oracle guard")
 
@@ -271,12 +272,3 @@ def _solve_npf_batch(
         if float(resid.max()) < 1e-12:
             break
     return nu, ell, resid
-
-
-def _ncomb(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

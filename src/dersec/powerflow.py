@@ -107,9 +107,9 @@ class State:
             loss_term = np.zeros(net.n + 1, dtype=complex)
             volt_term = np.zeros(net.n + 1)
 
-        child_sum = np.zeros(net.n + 1, dtype=complex)
-        for j in net.nodes:
-            child_sum[par[j]] += self.S[j]
+        child_sum = np.bincount(
+            par[1:], weights=np.real(self.S[1:]), minlength=net.n + 1
+        ) + 1j * np.bincount(par[1:], weights=np.imag(self.S[1:]), minlength=net.n + 1)
         r_cons = np.abs(self.S[1:] - (child_sum[1:] + s[1:] + loss_term[1:]))
 
         nu_par = self.nu[par[1:]]
@@ -125,36 +125,39 @@ class State:
         return float(r_cons.max()), float(r_volt.max()), float(r_cur.max())
 
 
-def _sweep_linear(net: Network, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaf-to-root flow accumulation and root-to-leaf voltage recursion."""
-    order = net.tree.order
-    par = net.tree.parent
-    S = s.astype(complex).copy()
-    for node in order[:0:-1]:
-        S[par[node]] += S[node]
-    nu = np.full(net.n + 1, net.nu0)
-    for node in order[1:]:
-        nu[node] = nu[par[node]] - 2.0 * np.real(np.conj(net.z[node]) * S[node])
+def _sweep(
+    net: Network, s: np.ndarray, ell: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One backward/forward sweep with the losses ``ell`` held fixed.
+
+    Edge flows sum the net loads plus losses z*ell over each subtree; squared
+    voltages subtract the drops along each root path. Returns (nu, S, ell')
+    with ell' = |S|^2 / nu_parent, the losses the new flows imply.
+    """
+    mask = net.tree.subtree_mask
+    z = net.z
+    S = mask @ (s + z * ell)
+    S[0] = 0.0
+    nu = net.nu0 - mask.T @ (2.0 * np.real(np.conj(z) * S) - np.abs(z) ** 2 * ell)
     if np.any(nu <= 0.0):
         raise NegativeSquaredVoltage(
             f"nu <= 0 at nodes {list(np.flatnonzero(nu <= 0.0))}"
         )
-    ell = np.zeros(net.n + 1)
-    ell[1:] = np.abs(S[1:]) ** 2 / nu[par[1:]]
-    S[0] = 0.0
-    return nu, ell, S
+    ell_next = np.zeros(net.n + 1)
+    ell_next[1:] = np.abs(S[1:]) ** 2 / nu[net.tree.parent[1:]]
+    return nu, S, ell_next
 
 
 def solve_lpf(net: Network, inj: Injection) -> State:
     """Lossless linear model: flows accumulate net loads exactly."""
-    nu, ell, S = _sweep_linear(net, inj.net_load)
+    nu, S, ell = _sweep(net, inj.net_load, np.zeros(net.n + 1))
     return State(net=net, model=LPF, nu=nu, ell=ell, S=S, injection=inj)
 
 
 def solve_eps_lpf(net: Network, inj: Injection, eps: float) -> State:
     """LPF with net loads inflated by (1+eps); eps = 0 reproduces LPF."""
     model = eps_lpf(eps)
-    nu, ell, S = _sweep_linear(net, inj.net_load * (1.0 + eps))
+    nu, S, ell = _sweep(net, inj.net_load * (1.0 + eps), np.zeros(net.n + 1))
     return State(net=net, model=model, nu=nu, ell=ell, S=S, injection=inj)
 
 
@@ -171,33 +174,10 @@ def solve_npf(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    order = net.tree.order
-    par = net.tree.parent
-    s = inj.net_load
-    z = net.z
-    zabs2 = np.abs(z) ** 2
-
     ell = np.zeros(net.n + 1)
-    nu = np.full(net.n + 1, net.nu0)
-    S = np.zeros(net.n + 1, dtype=complex)
     residual = np.inf
     for _ in range(max_iter):
-        S = (s + z * ell).astype(complex)
-        for node in order[:0:-1]:
-            S[par[node]] += S[node]
-        S[0] = 0.0
-        for node in order[1:]:
-            nu[node] = (
-                nu[par[node]]
-                - 2.0 * np.real(np.conj(z[node]) * S[node])
-                + zabs2[node] * ell[node]
-            )
-        if np.any(nu <= 0.0):
-            raise NegativeSquaredVoltage(
-                f"nu <= 0 at nodes {list(np.flatnonzero(nu <= 0.0))}"
-            )
-        ell_new = np.zeros_like(ell)
-        ell_new[1:] = np.abs(S[1:]) ** 2 / nu[par[1:]]
+        nu, S, ell_new = _sweep(net, inj.net_load, ell)
         residual = float(np.max(np.abs(ell_new - ell)))
         ell = ell_new
         if residual < tol:
@@ -215,24 +195,29 @@ class EpsilonCalibration:
     eps: float
 
 
-def calibrate_epsilon(net: Network, tol: float = _NPF_TOL) -> EpsilonCalibration:
-    """Calibrate eps0 from the NPF solution at nominal demand, zero generation.
-
-    Edges with (numerically) zero P or Q are skipped in the max.
-    """
-    state = solve_npf(net, nominal_injection(net), tol=tol)
+def _loss_ratio(net: Network, state: State) -> float:
+    """Largest edge loss ratio max(r*ell/P, x*ell/Q) of a state, 0 if no edge
+    has both P and Q (numerically) nonzero."""
     P = np.real(state.S[1:])
     Q = np.imag(state.S[1:])
     ell = state.ell[1:]
     keep = (np.abs(P) > 1e-12) & (np.abs(Q) > 1e-12)
     if not np.any(keep):
-        eps0 = 0.0
-    else:
-        ratios = np.maximum(
+        return 0.0
+    return float(
+        np.maximum(
             net.r[1:][keep] * ell[keep] / P[keep],
             net.x[1:][keep] * ell[keep] / Q[keep],
-        )
-        eps0 = float(max(ratios.max(), 0.0))
+        ).max()
+    )
+
+
+def calibrate_epsilon(net: Network, tol: float = _NPF_TOL) -> EpsilonCalibration:
+    """Calibrate eps0 from the NPF solution at nominal demand, zero generation.
+
+    Edges with (numerically) zero P or Q are skipped in the max.
+    """
+    eps0 = max(_loss_ratio(net, solve_npf(net, nominal_injection(net), tol=tol)), 0.0)
     if eps0 >= 1.0:
         raise NegativeSquaredVoltage(f"eps0 = {eps0:.3f} >= 1; network outside regime")
     eps = (1.0 - eps0) ** (-net.tree.height) - 1.0
@@ -316,19 +301,7 @@ def validate_assumptions(
             else "path impedance, nu0, or |S| bound violated"
         )
 
-    P = np.real(S)
-    Q = np.imag(S)
-    ell = nominal.ell[1:]
-    keep = (np.abs(P) > 1e-12) & (np.abs(Q) > 1e-12)
-    if np.any(keep):
-        eps0 = float(
-            np.maximum(
-                net.r[1:][keep] * ell[keep] / P[keep],
-                net.x[1:][keep] * ell[keep] / Q[keep],
-            ).max()
-        )
-    else:
-        eps0 = 0.0
+    eps0 = _loss_ratio(net, nominal)
     ok4 = 0.0 <= eps0 < eps0_max
     if not ok4:
         failures["small_losses"] = f"eps0 = {eps0:.4f} not below {eps0_max}"

@@ -11,6 +11,7 @@ attains the optimum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,7 @@ def solve_ad_exhaustive(
 
     pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (u == 0))]
     budget = min(M, len(pool))
-    count = sum(_ncomb(len(pool), k) for k in range(budget + 1))
+    count = sum(math.comb(len(pool), k) for k in range(budget + 1))
     if count > cap:
         raise EnumerationCapExceeded(f"{count} attack vectors exceed cap {cap}")
     best = None
@@ -168,17 +169,6 @@ def solve_ad_exhaustive(
     )
 
 
-def subgame_value_exhaustive(
-    net: Network,
-    u: np.ndarray,
-    M: int,
-    params: CostParams,
-    model: ModelTag,
-    cap: int = 200_000,
-) -> float:
-    return solve_ad_exhaustive(net, u, M, params, model, cap=cap).loss.total
-
-
 def solve_dad(
     net: Network,
     B: int,
@@ -205,7 +195,7 @@ def solve_dad(
 
     der = [int(i) for i in net.der_nodes]
     budget = min(B, len(der))
-    count = sum(_ncomb(len(der), k) for k in range(budget + 1))
+    count = sum(math.comb(len(der), k) for k in range(budget + 1))
     if count > u_enum_cap:
         raise EnumerationCapExceeded(
             f"{count} security strategies exceed cap {u_enum_cap}"
@@ -258,8 +248,8 @@ def compare_strategies(
         l1 = solve_ad_oneshot(net, v1, M, params, model).loss.total
         l2 = solve_ad_oneshot(net, v2, M, params, model).loss.total
     else:
-        l1 = subgame_value_exhaustive(net, v1, M, params, model)
-        l2 = subgame_value_exhaustive(net, v2, M, params, model)
+        l1 = solve_ad_exhaustive(net, v1, M, params, model).loss.total
+        l2 = solve_ad_exhaustive(net, v2, M, params, model).loss.total
     return StrategyComparison(loss1=l1, loss2=l2)
 
 
@@ -267,12 +257,3 @@ def _as_vector(net: Network, u) -> np.ndarray:
     if isinstance(u, SecurityStrategy):
         return u.u
     return np.asarray(u, dtype=int)
-
-
-def _ncomb(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -208,6 +208,17 @@ class TestCandidateSet:
                 )
                 assert achieved == pytest.approx(best, abs=1e-9), seed
 
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_contains_every_deterministic_pivot_attack(self, fig2, M):
+        nets = [fig2] + [random_feasible_network(seed) for seed in (1, 4, 7)]
+        for net in nets:
+            u = zeros_u(net)
+            sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+            cands = set(candidate_attack_set(net, sp, M, u).vectors)
+            for pivot in net.nodes:
+                atk = pivot_optimal_attack(net, pivot, sp, M, u)
+                assert tuple(np.flatnonzero(atk.delta)) in cands, (net.n, pivot)
+
     def test_collapse_on_overflow(self, homog37):
         sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
         cands = candidate_attack_set(homog37, sp, 7, zeros_u(homog37), cap=200)

@@ -133,6 +133,25 @@ class TestNPF:
                 0, abs=1e-10
             )
 
+    def test_matches_batch_oracle(self):
+        # the oracle's per-node batch sweep is independent ground truth; its
+        # flows follow from its losses by the conservation recursion
+        from dersec.oracle import _solve_npf_batch
+
+        for seed in range(20):
+            net = random_feasible_network(seed)
+            inj = nominal_injection(net)
+            st = solve_npf(net, inj)
+            nu, ell, resid = _solve_npf_batch(net, inj.net_load[:, None])
+            assert resid[0] < 1e-10, seed
+            S = inj.net_load + net.z * ell[:, 0]
+            for j in net.tree.order[:0:-1]:
+                S[net.tree.parent[j]] += S[j]
+            S[0] = 0.0
+            assert np.allclose(st.nu, nu[:, 0], rtol=0, atol=1e-10), seed
+            assert np.allclose(st.ell, ell[:, 0], rtol=0, atol=1e-10), seed
+            assert np.allclose(st.S, S, rtol=0, atol=1e-10), seed
+
     def test_nonconvergent_outside_regime(self):
         net = two_bus(z=0.03 + 0.03j)
         with pytest.raises((NonConvergent, NegativeSquaredVoltage)):
