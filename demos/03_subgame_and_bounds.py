@@ -1,7 +1,8 @@
 """Attacker-defender sub-game with certified loss bounds.
 
 Solves the linear sub-games exactly (one-shot enumeration of candidate
-attacks plus a load-control LP each) and the nonlinear sub-game by the
+attacks, with a load-control LP only for the candidates whose pooled upper
+bound can still beat the best exact loss) and the nonlinear sub-game by the
 greedy alternation, then certifies that the linear values bracket the
 nonlinear value with the explicit line-loss slack.
 """

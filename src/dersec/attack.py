@@ -10,8 +10,7 @@ everything here is built on that formula.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,8 +224,6 @@ class CandidateAttacks:
     """Union over pivots of all budget completions of the boundary partition."""
 
     vectors: tuple[tuple[int, ...], ...]   # each a sorted tuple of attacked nodes
-    collapsed: bool = False
-    truncated_pivots: tuple[int, ...] = field(default_factory=tuple)
 
     def as_arrays(self, n: int) -> list[np.ndarray]:
         out = []
@@ -244,14 +241,12 @@ def candidate_attack_set(
     u: np.ndarray,
     model: ModelTag | None = None,
     cap: int = 10_000,
-    collapse_on_overflow: bool = True,
 ) -> CandidateAttacks:
     """Candidate optimal attack vectors for a fixed linear-model response.
 
-    The boundary partition can make the union combinatorial; past ``cap``
-    vectors the set falls back to one representative per pivot equivalence
-    class (all completions of a pivot have identical impact at that pivot),
-    unless ``collapse_on_overflow`` is cleared, in which case the op raises.
+    The boundary partition can make the union combinatorial; the enumeration
+    raises EnumerationCapExceeded as soon as it holds more than ``cap``
+    distinct vectors.
     """
     from .powerflow import LPF
 
@@ -262,39 +257,14 @@ def candidate_attack_set(
 
     D = impact_matrix(net, sp_d, model)
     budget = min(M, pool.size)
-
-    per_pivot: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
-    total_estimate = 0
+    vectors: set[tuple[int, ...]] = set()
     for pivot in net.nodes:
         taken, boundary, fill = _partition_walk(D[pivot], pool, budget)
-        per_pivot.append((pivot, tuple(sorted(taken)), boundary, fill))
-        total_estimate += math.comb(len(boundary), fill)
-        if total_estimate > cap and not collapse_on_overflow:
-            raise EnumerationCapExceeded(
-                f"candidate set exceeds cap {cap} (pivot {pivot} and beyond)"
-            )
-
-    vectors: set[tuple[int, ...]] = set()
-    collapsed = False
-    truncated: list[int] = []
-    # enumerate tight boundaries first so only the combinatorial pivots collapse
-    by_count = sorted(
-        per_pivot, key=lambda item: (math.comb(len(item[2]), item[3]), item[0])
-    )
-    for pivot, taken, boundary, fill in by_count:
-        if not boundary:
-            vectors.add(taken)
-            continue
-        count = math.comb(len(boundary), fill)
-        if len(vectors) + count > cap:
-            collapsed = True
-            truncated.append(pivot)
-            vectors.add(tuple(sorted(taken + boundary[:fill])))
-            continue
+        taken = tuple(taken)
         for combo in itertools.combinations(boundary, fill):
             vectors.add(tuple(sorted(taken + combo)))
-    return CandidateAttacks(
-        vectors=tuple(sorted(vectors)),
-        collapsed=collapsed,
-        truncated_pivots=tuple(sorted(truncated)),
-    )
+            if len(vectors) > cap:
+                raise EnumerationCapExceeded(
+                    f"candidate set exceeds cap {cap} (at pivot {pivot})"
+                )
+    return CandidateAttacks(vectors=tuple(sorted(vectors)))

@@ -2,10 +2,11 @@
 
 The one-shot engine is exact for linear models on identical-r/x networks:
 defender set-points are fixed in closed form, the candidate attack set is
-enumerated, and a small LP resolves load control per candidate. The iterative
-engine alternates the linear-model greedy attack with the exact nonlinear
-response and keeps the best incumbent; a repeated attack vector certifies
-convergence.
+enumerated, and load control is resolved by LP only for the candidates whose
+upper bound from a pool of feasible load-control vectors can still beat the
+best exact loss. The iterative engine alternates the linear-model greedy
+attack with the exact nonlinear response and keeps the best incumbent; a
+repeated attack vector certifies convergence.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .attack import (
     AttackStrategy,
     attack_strategy,
     candidate_attack_set,
+    impact_matrix,
     optimal_attack_fixed_response,
 )
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
@@ -25,6 +27,7 @@ from .network import Network
 from .powerflow import LPF, ModelTag, NPF, calibrate_epsilon, eps_lpf
 from .response import (
     DefenderResponse,
+    GammaControlLP,
     fixed_angle_setpoints,
     optimal_response,
     response_state,
@@ -41,6 +44,15 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class ADResult:
+    """Sub-game solution with one trace entry per evaluated attack.
+
+    In the one-shot engine the trace holds every candidate, and an entry's
+    loss is the candidate's final pooled value: exact where its load-control
+    LP ran or where the value is 0, otherwise an upper bound that does not
+    exceed ``loss.total``. Pooled values use the closed-form voltages and
+    ``loss`` the power-flow state, so the two agree up to rounding.
+    """
+
     delta_star: np.ndarray
     psi_star: AttackStrategy
     phi_star: DefenderResponse
@@ -49,7 +61,6 @@ class ADResult:
     trace: tuple[TraceEntry, ...]
     converged: bool
     iterations: int = 0
-    candidates_collapsed: bool = False
     attack_step_model: ModelTag = LPF
 
 
@@ -65,60 +76,54 @@ def solve_ad_oneshot(
     M: int,
     params: CostParams,
     model: ModelTag,
-    candidate_cap: int = 10_000,
 ) -> ADResult:
     """Exact linear sub-game solve for identical-r/x networks.
 
-    Candidates whose gamma = 1 state shows no soft-bound violation have loss
-    exactly zero (optimal load control is then no control), so the LP runs
-    only for the violating candidates.
+    Every load-control vector gamma in the box gamma_lo <= gamma <= 1 is
+    feasible for every candidate attack, so its loss against a candidate
+    bounds that candidate's exact loss from above. The pool starts at
+    gamma = 1, whose bound 0 is already exact (no soft-bound violation means
+    no control is optimal). The open candidate with the largest bound then
+    gets its LP solved, and its optimal gamma tightens every bound; this stops
+    once no open bound exceeds the best exact loss. The winner is the largest
+    exact loss, ties to the first candidate.
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
     u = _zero_u(net, u)
     sp_d = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
-    cands = candidate_attack_set(
-        net, sp_d, M, u, model=model, cap=candidate_cap, collapse_on_overflow=True
-    )
-
-    from .attack import impact_matrix
-    from .response import GammaControlLP
+    cands = candidate_attack_set(net, sp_d, M, u, model=model)
 
     lp = GammaControlLP(net, params, model, sp_d, u=u)
     D = impact_matrix(net, sp_d, model)[1:, :]
-    nu_all_ones = lp.nu_intercept(np.zeros(net.n + 1, dtype=int)) - lp.G.sum(axis=1)
     W = params.W[1:]
-    pc = np.real(net.sc_nom)[1:]
+    nu_lo = net.nu_lo[1:]
+    voll_rate = params.C[1:] * np.real(net.sc_nom)[1:]
 
     delta_mat = np.zeros((len(cands.vectors), net.n + 1))
     for row, nodes in enumerate(cands.vectors):
         delta_mat[row, list(nodes)] = 1.0
-    worst = np.max(
-        W[None, :] * (net.nu_lo[1:][None, :] - (nu_all_ones[None, :] - delta_mat @ D.T)),
-        axis=1,
-    )
+    c0 = lp.nu_intercept(np.zeros(net.n + 1, dtype=int)) - delta_mat @ D.T
 
-    best: tuple[float, tuple[int, ...], np.ndarray] | None = None
-    trace: list[TraceEntry] = []
-    for row, nodes in enumerate(cands.vectors):
-        if worst[row] <= 0.0:
-            total = 0.0
-            gamma = np.ones(net.n + 1)
-        else:
-            delta = delta_mat[row].astype(int)
-            gamma = lp.solve(delta)
-            nu = lp.nu_intercept(delta) - lp.G @ gamma[1 + lp.loaded]
-            lovr = float(np.max(W * np.maximum(net.nu_lo[1:] - nu, 0.0)))
-            voll = float(np.sum(params.C[1:] * (1.0 - gamma[1:]) * pc))
-            total = lovr + voll
-        trace.append(TraceEntry(delta=nodes, loss=total))
-        if best is None or total > best[0]:
-            best = (total, nodes, gamma)
+    def value(gamma: np.ndarray) -> np.ndarray:
+        nu = c0 - lp.G @ gamma[1 + lp.loaded]
+        lovr = np.max(W * np.maximum(nu_lo - nu, 0.0), axis=1)
+        return lovr + float(np.sum(voll_rate * (1.0 - gamma[1:])))
 
-    assert best is not None
-    _, best_nodes, best_gamma = best
-    delta_star = np.zeros(net.n + 1, dtype=int)
-    delta_star[list(best_nodes)] = 1
+    bound = value(np.ones(net.n + 1))
+    exact = bound <= 0.0
+    gammas: dict[int, np.ndarray] = {}
+    while not exact.all():
+        row = int(np.argmax(np.where(exact, -np.inf, bound)))
+        if exact.any() and bound[row] <= np.max(bound[exact]):
+            break
+        gammas[row] = lp.solve(delta_mat[row].astype(int))
+        bound = np.minimum(bound, value(gammas[row]))
+        exact[row] = True
+
+    best = int(np.argmax(np.where(exact, bound, -np.inf)))
+    best_gamma = gammas.get(best, np.ones(net.n + 1))
+    delta_star = delta_mat[best].astype(int)
     psi_star = attack_strategy(net, delta_star)
     phi_star = DefenderResponse(sp_d=sp_d, gamma=best_gamma)
     state = response_state(net, psi_star, phi_star, model, u=u)
@@ -128,10 +133,12 @@ def solve_ad_oneshot(
         phi_star=phi_star,
         loss=evaluate_loss(state, best_gamma, params),
         model=model,
-        trace=tuple(trace),
+        trace=tuple(
+            TraceEntry(delta=nodes, loss=float(loss))
+            for nodes, loss in zip(cands.vectors, bound)
+        ),
         converged=True,
         iterations=1,
-        candidates_collapsed=cands.collapsed,
     )
 
 

@@ -102,10 +102,8 @@ def sweep_results(feeder):
         for wc in WC_RATIOS:
             params = CostParams.from_ratio(net, wc)
             for M in M_VALUES:
-                lo = solve_ad_oneshot(net, None, M, params, LPF, candidate_cap=600)
-                hi = solve_ad_oneshot(
-                    net, None, M, params, eps_lpf(eps), candidate_cap=600
-                )
+                lo = solve_ad_oneshot(net, None, M, params, LPF)
+                hi = solve_ad_oneshot(net, None, M, params, eps_lpf(eps))
                 mid = solve_ad_iterative(
                     net, None, M, params, seed_attack=lo.delta_star
                 )

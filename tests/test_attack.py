@@ -13,7 +13,7 @@ from dersec import (
 )
 from dersec.attack import attack_strategy, impact_matrix
 from dersec.cases import random_feasible_network
-from dersec.errors import RootArgument
+from dersec.errors import EnumerationCapExceeded, RootArgument
 from dersec.network import NodeSpec, build_network
 from dersec.response import DefenderResponse, fixed_angle_setpoints
 
@@ -219,13 +219,17 @@ class TestCandidateSet:
                 atk = pivot_optimal_attack(net, pivot, sp, M, u)
                 assert tuple(np.flatnonzero(atk.delta)) in cands, (net.n, pivot)
 
-    def test_collapse_on_overflow(self, homog37):
+    def test_overflow_raises(self, homog37):
         sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
-        cands = candidate_attack_set(homog37, sp, 7, zeros_u(homog37), cap=200)
-        assert cands.collapsed
-        assert len(cands.vectors) <= 200 + len(cands.truncated_pivots)
-        full = candidate_attack_set(homog37, sp, 7, zeros_u(homog37), cap=10_000)
-        assert set(cands.vectors) <= set(full.vectors)
+        with pytest.raises(EnumerationCapExceeded):
+            candidate_attack_set(homog37, sp, 7, zeros_u(homog37), cap=200)
+
+    def test_cap_counts_distinct_vectors(self, homog37):
+        # the per-pivot completion counts sum to 24,030 here; only the 3,432
+        # distinct vectors count against the default cap of 10,000
+        sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
+        cands = candidate_attack_set(homog37, sp, 7, zeros_u(homog37))
+        assert len(cands.vectors) == 3432
 
     def test_impact_matrix_matches_state_difference(self, fig2):
         # the tabulated impact must equal the exact voltage drop

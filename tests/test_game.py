@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
+import dersec.response
 from dersec import (
     CostParams,
     LPF,
     calibrate_epsilon,
     eps_lpf,
+    evaluate_loss,
     line_loss_cap,
+    response_state,
     sandwich_bounds,
     solve_ad_iterative,
     solve_ad_oneshot,
 )
+from dersec.attack import attack_strategy, candidate_attack_set
 from dersec.cases import random_feasible_network
 from dersec.errors import HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import bf_ad
+from dersec.response import DefenderResponse, GammaControlLP, fixed_angle_setpoints
+from dersec.sweep import with_gamma_lo
 
 from conftest import params_for, zeros_u
 
@@ -74,6 +80,63 @@ class TestOneShot:
         u2[[7, 8]] = 1
         more = solve_ad_oneshot(tree32, u2, 2, params, LPF).loss.total
         assert more <= secured + 1e-9
+
+
+def _per_candidate_value(net, M, params, model):
+    """Max over the candidate set of each candidate's own load-control LP loss."""
+    u = zeros_u(net)
+    sp = fixed_angle_setpoints(net, u, u)
+    lp = GammaControlLP(net, params, model, sp, u=u)
+    cands = candidate_attack_set(net, sp, M, u, model=model)
+    best = -np.inf
+    for delta in cands.as_arrays(net.n):
+        gamma = lp.solve(delta)
+        phi = DefenderResponse(sp_d=sp, gamma=gamma)
+        state = response_state(net, attack_strategy(net, delta), phi, model, u=u)
+        best = max(best, evaluate_loss(state, gamma, params).total)
+    return best, len(cands.vectors)
+
+
+class TestOneShotPool:
+    def _check(self, net, M, params, model):
+        res = solve_ad_oneshot(net, None, M, params, model)
+        expected, n_cands = _per_candidate_value(net, M, params, model)
+        assert res.loss.total == pytest.approx(expected, abs=1e-9)
+        assert len(res.trace) == n_cands
+        # pooled bounds and the power-flow loss differ by rounding only
+        assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 4, 7, 13])
+    def test_random_networks(self, seed):
+        net = random_feasible_network(seed, identical_k=True)
+        params = params_for(net, 10.0)
+        eps = calibrate_epsilon(net).eps
+        for M in (2, 4, 6):
+            for model in (LPF, eps_lpf(eps)):
+                self._check(net, M, params, model)
+
+    @pytest.mark.parametrize("M", [7, 12])
+    def test_feeder(self, homog37, M):
+        net = with_gamma_lo(homog37, 0.5)
+        params = params_for(net, 10.0)
+        for model in (LPF, eps_lpf(calibrate_epsilon(homog37).eps)):
+            self._check(net, M, params, model)
+
+    def test_feeder_needs_few_lps(self, homog37, monkeypatch):
+        net = with_gamma_lo(homog37, 0.5)
+        params = params_for(net, 10.0)
+        model = eps_lpf(calibrate_epsilon(homog37).eps)
+        calls = []
+        solve_lp = dersec.response._solve_lp
+
+        def counted(*args):
+            calls.append(1)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(dersec.response, "_solve_lp", counted)
+        res = solve_ad_oneshot(net, None, 12, params, model)
+        assert len(res.trace) == 91
+        assert 1 <= len(calls) <= 3
 
 
 class TestIterative:
