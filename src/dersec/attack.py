@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EnumerationCapExceeded, RootArgument
 from .network import Network
-from .powerflow import ModelTag
+from .powerflow import LPF, ModelTag, injection, solve_eps_lpf, solve_lpf
 
 _TIE_RTOL = 1e-9
 
@@ -154,8 +154,6 @@ def pivot_optimal_attack(
     same impact at the pivot."""
     if pivot == 0:
         raise RootArgument("pivot must be a non-substation node")
-    from .powerflow import LPF
-
     model = model or LPF
     pool = _vulnerable_nodes(net, u)
     D = impact_matrix(net, sp_d, model)[pivot]
@@ -189,8 +187,6 @@ def optimal_attack_fixed_response(
     largest weighted soft-bound violation (ties to the lowest pivot id).
     ``W`` defaults to the network's violation weights.
     """
-    from .powerflow import LPF, injection, solve_eps_lpf, solve_lpf
-
     model = model or LPF
     if W is None:
         W = net.W
@@ -248,8 +244,6 @@ def candidate_attack_set(
     raises EnumerationCapExceeded as soon as it holds more than ``cap``
     distinct vectors.
     """
-    from .powerflow import LPF
-
     model = model or LPF
     pool = _vulnerable_nodes(net, u)
     if M <= 0 or pool.size == 0:

@@ -1,16 +1,18 @@
 """Attacker-defender sub-game engines and sandwich-bound certification.
 
-The one-shot engine is exact for linear models on identical-r/x networks:
-defender set-points are fixed in closed form, the candidate attack set is
-enumerated, and load control is resolved by LP only for the candidates whose
-upper bound from a pool of feasible load-control vectors can still beat the
-best exact loss. The iterative engine alternates the linear-model greedy
-attack with the exact nonlinear response and keeps the best incumbent; a
-repeated attack vector certifies convergence.
+The exact linear engines share one pooled best-first loop: the one-shot
+engine (identical-r/x networks, closed-form set-points, candidate attacks,
+load-control LP) and the exhaustive engine (any network, every attack vector,
+joint set-point/load-control LP). The iterative engine alternates the
+linear-model greedy attack with the exact nonlinear response and keeps the
+best incumbent; a repeated attack vector certifies convergence.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +24,22 @@ from .attack import (
     impact_matrix,
     optimal_attack_fixed_response,
 )
+from .errors import EnumerationCapExceeded
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
 from .network import Network
 from .powerflow import LPF, ModelTag, NPF, calibrate_epsilon, eps_lpf
 from .response import (
     DefenderResponse,
     GammaControlLP,
+    _facet_normals,
+    _warm_setpoints,
     fixed_angle_setpoints,
     optimal_response,
     response_state,
 )
 
 _BOUND_SLACK = 1e-9
+_EXHAUSTIVE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -46,11 +52,12 @@ class TraceEntry:
 class ADResult:
     """Sub-game solution with one trace entry per evaluated attack.
 
-    In the one-shot engine the trace holds every candidate, and an entry's
-    loss is the candidate's final pooled value: exact where its load-control
-    LP ran or where the value is 0, otherwise an upper bound that does not
-    exceed ``loss.total``. Pooled values use the closed-form voltages and
-    ``loss`` the power-flow state, so the two agree up to rounding.
+    In the exact linear engines the trace holds every enumerated vector with
+    its final pooled bound: exact where its own response was solved or the
+    value is 0, otherwise an upper bound that does not exceed ``loss.total``.
+    Pooled values use closed-form voltages and ``loss`` the power-flow state;
+    they agree up to rounding, so on exact ties the returned maximiser may
+    differ from the one a loop over exact per-vector losses would keep.
     """
 
     delta_star: np.ndarray
@@ -70,6 +77,74 @@ def _zero_u(net: Network, u: np.ndarray | None) -> np.ndarray:
     return np.asarray(u, dtype=int)
 
 
+def _pooled_best_first(
+    lp: GammaControlLP,
+    vectors: tuple[tuple[int, ...], ...],
+    respond: Callable[[np.ndarray], DefenderResponse],
+) -> ADResult:
+    """Exact linear sub-game maximum over ``vectors``, best-first.
+
+    Every pooled response (gamma, sp_d) is feasible for every vector, so its
+    closed-form loss (voltages ``nu(no attack) - delta @ D(sp_d).T``) bounds
+    each vector's exact loss from above. The pool starts at the seed
+    (``lp.sp_d``, gamma = 1), whose bound 0 is exact. The open vector with the
+    largest bound gets its exact response from ``respond``, which joins the
+    pool; this stops once no open bound exceeds the best exact loss. The
+    winner is the largest exact loss, ties to the first vector.
+    """
+    net, params, model, u = lp.net, lp.params, lp.model, lp.u
+    W = params.W[1:]
+    nu_lo = net.nu_lo[1:]
+    voll_rate = params.C[1:] * np.real(net.sc_nom)[1:]
+
+    delta_mat = np.zeros((len(vectors), net.n + 1))
+    for row, nodes in enumerate(vectors):
+        delta_mat[row, list(nodes)] = 1.0
+
+    def intercept(at: GammaControlLP) -> np.ndarray:
+        """Voltages at gamma = 0 under ``at.sp_d`` for every vector."""
+        D = impact_matrix(net, at.sp_d, model)[1:, :]
+        return at.nu_intercept(np.zeros(net.n + 1, dtype=int)) - delta_mat @ D.T
+
+    # the seed's intercept serves every response that keeps its set-points
+    seed_c0 = intercept(lp)
+
+    def value(phi: DefenderResponse) -> np.ndarray:
+        same = np.array_equal(phi.sp_d, lp.sp_d)
+        c0 = seed_c0 if same else intercept(GammaControlLP(net, params, model, phi.sp_d, u))
+        nu = c0 - lp.G @ phi.gamma[1 + lp.loaded]
+        lovr = np.max(W * np.maximum(nu_lo - nu, 0.0), axis=1)
+        return lovr + float(np.sum(voll_rate * (1.0 - phi.gamma[1:])))
+
+    seed = DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))
+    bound = value(seed)
+    exact = bound <= 0.0
+    responses: dict[int, DefenderResponse] = {}
+    while not exact.all():
+        row = int(np.argmax(np.where(exact, -np.inf, bound)))
+        if exact.any() and bound[row] <= np.max(bound[exact]):
+            break
+        responses[row] = respond(delta_mat[row].astype(int))
+        bound = np.minimum(bound, value(responses[row]))
+        exact[row] = True
+
+    best = int(np.argmax(np.where(exact, bound, -np.inf)))
+    phi_star = responses.get(best, seed)
+    delta_star = delta_mat[best].astype(int)
+    psi_star = attack_strategy(net, delta_star)
+    state = response_state(net, psi_star, phi_star, model, u=u)
+    return ADResult(
+        delta_star=delta_star,
+        psi_star=psi_star,
+        phi_star=phi_star,
+        loss=evaluate_loss(state, phi_star.gamma, params),
+        model=model,
+        trace=tuple(TraceEntry(delta=d, loss=float(v)) for d, v in zip(vectors, bound)),
+        converged=True,
+        iterations=1,
+    )
+
+
 def solve_ad_oneshot(
     net: Network,
     u: np.ndarray | None,
@@ -79,67 +154,50 @@ def solve_ad_oneshot(
 ) -> ADResult:
     """Exact linear sub-game solve for identical-r/x networks.
 
-    Every load-control vector gamma in the box gamma_lo <= gamma <= 1 is
-    feasible for every candidate attack, so its loss against a candidate
-    bounds that candidate's exact loss from above. The pool starts at
-    gamma = 1, whose bound 0 is already exact (no soft-bound violation means
-    no control is optimal). The open candidate with the largest bound then
-    gets its LP solved, and its optimal gamma tightens every bound; this stops
-    once no open bound exceeds the best exact loss. The winner is the largest
-    exact loss, ties to the first candidate.
+    Set-points are fixed in closed form, so pooled responses differ only in
+    the load-control vector gamma; a candidate's exact response is its LP.
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
     u = _zero_u(net, u)
     sp_d = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
     cands = candidate_attack_set(net, sp_d, M, u, model=model)
-
     lp = GammaControlLP(net, params, model, sp_d, u=u)
-    D = impact_matrix(net, sp_d, model)[1:, :]
-    W = params.W[1:]
-    nu_lo = net.nu_lo[1:]
-    voll_rate = params.C[1:] * np.real(net.sc_nom)[1:]
+    return _pooled_best_first(lp, cands.vectors, lambda d: DefenderResponse(lp.sp_d, lp.solve(d)))
 
-    delta_mat = np.zeros((len(cands.vectors), net.n + 1))
-    for row, nodes in enumerate(cands.vectors):
-        delta_mat[row, list(nodes)] = 1.0
-    c0 = lp.nu_intercept(np.zeros(net.n + 1, dtype=int)) - delta_mat @ D.T
 
-    def value(gamma: np.ndarray) -> np.ndarray:
-        nu = c0 - lp.G @ gamma[1 + lp.loaded]
-        lovr = np.max(W * np.maximum(nu_lo - nu, 0.0), axis=1)
-        return lovr + float(np.sum(voll_rate * (1.0 - gamma[1:])))
+def solve_ad_exhaustive(
+    net: Network,
+    u: np.ndarray | None,
+    M: int,
+    params: CostParams,
+    model: ModelTag,
+) -> ADResult:
+    """Exact linear sub-game on any network over every attack vector (all
+    combinations of vulnerable DERs up to the budget, smallest first).
 
-    bound = value(np.ones(net.n + 1))
-    exact = bound <= 0.0
-    gammas: dict[int, np.ndarray] = {}
-    while not exact.all():
-        row = int(np.argmax(np.where(exact, -np.inf, bound)))
-        if exact.any() and bound[row] <= np.max(bound[exact]):
-            break
-        gammas[row] = lp.solve(delta_mat[row].astype(int))
-        bound = np.minimum(bound, value(gammas[row]))
-        exact[row] = True
+    A vector's exact response is the joint set-point/load-control LP of
+    ``optimal_response``. The seed's set-points (full output at each DER's
+    own-edge angle) are shrunk into that LP's inner facet polygon, so that no
+    bound falls below a vector's LP value. Trace entries are pooled bounds,
+    and on exact ties the maximiser may differ from a per-vector loop's (see
+    ``ADResult``). Raises EnumerationCapExceeded above 200,000 vectors.
+    """
+    if not model.is_linear:
+        raise ValueError("exhaustive engine applies to linear models only")
+    u = _zero_u(net, u)
+    pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (u == 0))]
+    budget = min(M, len(pool))
+    count = sum(math.comb(len(pool), k) for k in range(budget + 1))
+    if count > _EXHAUSTIVE_CAP:
+        raise EnumerationCapExceeded(f"{count} attack vectors exceed cap {_EXHAUSTIVE_CAP}")
+    vectors = tuple(c for k in range(budget + 1) for c in itertools.combinations(pool, k))
+    lp = GammaControlLP(net, params, model, _warm_setpoints(net) * _facet_normals()[2], u=u)
 
-    best = int(np.argmax(np.where(exact, bound, -np.inf)))
-    best_gamma = gammas.get(best, np.ones(net.n + 1))
-    delta_star = delta_mat[best].astype(int)
-    psi_star = attack_strategy(net, delta_star)
-    phi_star = DefenderResponse(sp_d=sp_d, gamma=best_gamma)
-    state = response_state(net, psi_star, phi_star, model, u=u)
-    return ADResult(
-        delta_star=delta_star,
-        psi_star=psi_star,
-        phi_star=phi_star,
-        loss=evaluate_loss(state, best_gamma, params),
-        model=model,
-        trace=tuple(
-            TraceEntry(delta=nodes, loss=float(loss))
-            for nodes, loss in zip(cands.vectors, bound)
-        ),
-        converged=True,
-        iterations=1,
-    )
+    def respond(delta: np.ndarray) -> DefenderResponse:
+        return optimal_response(net, attack_strategy(net, delta), params, model, u=u)
+
+    return _pooled_best_first(lp, vectors, respond)
 
 
 def solve_ad_iterative(

@@ -25,7 +25,7 @@ from .attack import AttackStrategy, effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
 from .loss import CostParams, evaluate_loss
 from .network import Network
-from .powerflow import ModelTag, injection, solve_npf
+from .powerflow import ModelTag, injection, solve_eps_lpf, solve_lpf, solve_npf
 
 # facet count sets the inner-polygon radius deficit cap*(1-cos(pi/4/F)); 96
 # keeps the induced loss error beneath the 1e-3 oracle agreement tolerance
@@ -459,8 +459,6 @@ def response_state(
     u: np.ndarray | None = None,
 ):
     """Power-flow state realized by an attack/response pair under a model."""
-    from .powerflow import solve_eps_lpf, solve_lpf
-
     if u is None:
         u = np.zeros(net.n + 1, dtype=int)
     sg = effective_setpoints(net, u, psi.delta, phi.sp_d, psi.sp_a)

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import attack_strategy
 from .errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
-from .game import ADResult, solve_ad_oneshot  # noqa: F401 (ADResult re-exported for callers)
-from .loss import CostParams, evaluate_loss
+from .game import ADResult, solve_ad_exhaustive, solve_ad_oneshot
+from .loss import CostParams
 from .network import Network
 from .powerflow import ModelTag
-from .response import optimal_response, response_state
+
+_U_ENUM_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -121,52 +121,12 @@ def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
     return SecurityStrategy(u=u, budget=B)
 
 
-def solve_ad_exhaustive(
-    net: Network,
-    u: np.ndarray,
-    M: int,
-    params: CostParams,
-    model: ModelTag,
-    cap: int = 200_000,
+def _linear_subgame(
+    net: Network, u: np.ndarray, M: int, params: CostParams, model: ModelTag
 ) -> ADResult:
-    """Linear sub-game by full attack enumeration with the joint
-    (set-point, load-control) response LP per attack vector.
-
-    Works on any network; used as the Stage-2/3 engine when the one-shot
-    preconditions fail.
-    """
-    from .game import TraceEntry
-
-    pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (u == 0))]
-    budget = min(M, len(pool))
-    count = sum(math.comb(len(pool), k) for k in range(budget + 1))
-    if count > cap:
-        raise EnumerationCapExceeded(f"{count} attack vectors exceed cap {cap}")
-    best = None
-    trace = []
-    for k in range(budget + 1):
-        for combo in itertools.combinations(pool, k):
-            delta = np.zeros(net.n + 1, dtype=int)
-            delta[list(combo)] = 1
-            psi = attack_strategy(net, delta)
-            phi = optimal_response(net, psi, params, model, u=u)
-            state = response_state(net, psi, phi, model, u=u)
-            breakdown = evaluate_loss(state, phi.gamma, params)
-            trace.append(TraceEntry(delta=combo, loss=breakdown.total))
-            if best is None or breakdown.total > best[3].total:
-                best = (delta, psi, phi, breakdown)
-    assert best is not None
-    delta, psi, phi, breakdown = best
-    return ADResult(
-        delta_star=delta,
-        psi_star=psi,
-        phi_star=phi,
-        loss=breakdown,
-        model=model,
-        trace=tuple(trace),
-        converged=True,
-        iterations=1,
-    )
+    """Exact linear sub-game: one-shot on identical-r/x networks, else exhaustive."""
+    engine = solve_ad_oneshot if net.uniform_rx_ratio() is not None else solve_ad_exhaustive
+    return engine(net, u, M, params, model)
 
 
 def solve_dad(
@@ -175,7 +135,6 @@ def solve_dad(
     M: int,
     params: CostParams,
     model: ModelTag,
-    u_enum_cap: int = 20_000,
 ) -> DADResult:
     """Trilevel solve: closed-form placement when the symmetry and ratio
     preconditions hold, else exhaustive Stage-1 enumeration."""
@@ -183,29 +142,22 @@ def solve_dad(
         raise ValueError("solve_dad applies to linear models")
     if net.uniform_rx_ratio() is not None and is_symmetric(net):
         u_star = optimal_security_strategy(net, B)
-        ad = solve_ad_oneshot(net, u_star.u, M, params, model)
+        ad = _linear_subgame(net, u_star.u, M, params, model)
         return DADResult(u_star=u_star, ad=ad, loss=ad.loss.total)
-
-    fast_subgame = net.uniform_rx_ratio() is not None
-
-    def subgame(u: np.ndarray) -> ADResult:
-        if fast_subgame:
-            return solve_ad_oneshot(net, u, M, params, model)
-        return solve_ad_exhaustive(net, u, M, params, model)
 
     der = [int(i) for i in net.der_nodes]
     budget = min(B, len(der))
     count = sum(math.comb(len(der), k) for k in range(budget + 1))
-    if count > u_enum_cap:
+    if count > _U_ENUM_CAP:
         raise EnumerationCapExceeded(
-            f"{count} security strategies exceed cap {u_enum_cap}"
+            f"{count} security strategies exceed cap {_U_ENUM_CAP}"
         )
     best: tuple[ADResult, np.ndarray] | None = None
     for k in range(budget + 1):
         for combo in itertools.combinations(der, k):
             u = np.zeros(net.n + 1, dtype=int)
             u[list(combo)] = 1
-            ad = subgame(u)
+            ad = _linear_subgame(net, u, M, params, model)
             if best is None or ad.loss.total < best[0].loss.total:
                 best = (ad, u)
     assert best is not None
@@ -242,14 +194,8 @@ def compare_strategies(
     model: ModelTag,
 ) -> StrategyComparison:
     """Solve both sub-games and order the strategies by induced loss."""
-    v1 = _as_vector(net, u1)
-    v2 = _as_vector(net, u2)
-    if net.uniform_rx_ratio() is not None:
-        l1 = solve_ad_oneshot(net, v1, M, params, model).loss.total
-        l2 = solve_ad_oneshot(net, v2, M, params, model).loss.total
-    else:
-        l1 = solve_ad_exhaustive(net, v1, M, params, model).loss.total
-        l2 = solve_ad_exhaustive(net, v2, M, params, model).loss.total
+    l1 = _linear_subgame(net, _as_vector(net, u1), M, params, model).loss.total
+    l2 = _linear_subgame(net, _as_vector(net, u2), M, params, model).loss.total
     return StrategyComparison(loss1=l1, loss2=l2)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from dersec import (
     eps_lpf,
     evaluate_loss,
     line_loss_cap,
+    optimal_response,
     response_state,
     sandwich_bounds,
+    solve_ad_exhaustive,
     solve_ad_iterative,
     solve_ad_oneshot,
 )
@@ -82,6 +86,18 @@ class TestOneShot:
         assert more <= secured + 1e-9
 
 
+def _count_lps(monkeypatch):
+    calls = []
+    solve_lp = dersec.response._solve_lp
+
+    def counted(*args):
+        calls.append(1)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(dersec.response, "_solve_lp", counted)
+    return calls
+
+
 def _per_candidate_value(net, M, params, model):
     """Max over the candidate set of each candidate's own load-control LP loss."""
     u = zeros_u(net)
@@ -126,17 +142,53 @@ class TestOneShotPool:
         net = with_gamma_lo(homog37, 0.5)
         params = params_for(net, 10.0)
         model = eps_lpf(calibrate_epsilon(homog37).eps)
-        calls = []
-        solve_lp = dersec.response._solve_lp
-
-        def counted(*args):
-            calls.append(1)
-            return solve_lp(*args)
-
-        monkeypatch.setattr(dersec.response, "_solve_lp", counted)
+        calls = _count_lps(monkeypatch)
         res = solve_ad_oneshot(net, None, 12, params, model)
         assert len(res.trace) == 91
         assert 1 <= len(calls) <= 3
+
+
+def _per_vector_value(net, M, params, model):
+    """Max over every attack vector of its own joint response LP loss."""
+    u = zeros_u(net)
+    best = -np.inf
+    count = 0
+    ders = [int(i) for i in net.der_nodes]
+    for k in range(min(M, len(ders)) + 1):
+        for combo in itertools.combinations(ders, k):
+            delta = zeros_u(net)
+            delta[list(combo)] = 1
+            psi = attack_strategy(net, delta)
+            phi = optimal_response(net, psi, params, model, u=u)
+            state = response_state(net, psi, phi, model, u=u)
+            best = max(best, evaluate_loss(state, phi.gamma, params).total)
+            count += 1
+    return best, count
+
+
+class TestExhaustivePool:
+    @pytest.mark.parametrize("seed,M", [(4, 3), (9, 1), (9, 2), (9, 3)])
+    @pytest.mark.parametrize("wc", [2.0, 10.0])
+    def test_heterogeneous_matches_per_vector_max(self, seed, M, wc, monkeypatch):
+        net = random_feasible_network(seed, identical_k=False)
+        assert net.uniform_rx_ratio() is None
+        params = params_for(net, wc)
+        expected, n_vectors = _per_vector_value(net, M, params, LPF)
+        assert expected > 0.0
+        calls = _count_lps(monkeypatch)
+        res = solve_ad_exhaustive(net, None, M, params, LPF)
+        assert res.loss.total == pytest.approx(expected, abs=1e-9)
+        assert len(res.trace) == n_vectors
+        assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
+        assert len(calls) < n_vectors
+
+    def test_identical_ratio_agrees_with_oneshot(self, tree32):
+        params = params_for(tree32, 10.0)
+        for M in range(4):
+            pooled = solve_ad_exhaustive(tree32, None, M, params, LPF)
+            oneshot = solve_ad_oneshot(tree32, None, M, params, LPF)
+            # the joint LP's inner facet polygon costs up to 1e-3 of loss
+            assert pooled.loss.total == pytest.approx(oneshot.loss.total, abs=1e-3)
 
 
 class TestIterative:

@@ -9,6 +9,8 @@ from dersec import (
     fig4_strategies,
     is_symmetric,
     optimal_security_strategy,
+    random_feasible_network,
+    solve_ad_exhaustive,
     solve_ad_oneshot,
     solve_dad,
 )
@@ -132,6 +134,20 @@ class TestComparisons:
         for M in (3, 4):
             cmp = compare_strategies(tree23, u1, u2, M, params, LPF)
             assert cmp.loss2 <= cmp.loss1 + 1e-9
+
+    def test_heterogeneous_uses_exhaustive_engine(self):
+        net = random_feasible_network(9, identical_k=False)
+        assert net.uniform_rx_ratio() is None
+        params = params_for(net, 10.0)
+        ders = [int(i) for i in net.der_nodes]
+        u1 = np.zeros(net.n + 1, dtype=int)
+        u1[ders[0]] = 1
+        u2 = np.zeros(net.n + 1, dtype=int)
+        u2[ders[-1]] = 1
+        cmp = compare_strategies(net, u1, u2, 2, params, LPF)
+        assert cmp.loss1 == solve_ad_exhaustive(net, u1, 2, params, LPF).loss.total
+        assert cmp.loss2 == solve_ad_exhaustive(net, u2, 2, params, LPF).loss.total
+        assert cmp.loss1 != cmp.loss2
 
     def test_child_node_swap_never_hurts(self, tree32):
         # moving a secured bit from an ancestor to a descendant keeps the
