@@ -31,15 +31,15 @@ from .powerflow import LPF, ModelTag, NPF, calibrate_epsilon, eps_lpf
 from .response import (
     DefenderResponse,
     GammaControlLP,
-    _facet_normals,
-    _warm_setpoints,
     fixed_angle_setpoints,
     optimal_response,
+    polygon_setpoints,
     response_state,
 )
 
 _BOUND_SLACK = 1e-9
 _EXHAUSTIVE_CAP = 200_000
+_ITERATIVE_MAX_ITER = 20
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def solve_ad_exhaustive(
     if count > _EXHAUSTIVE_CAP:
         raise EnumerationCapExceeded(f"{count} attack vectors exceed cap {_EXHAUSTIVE_CAP}")
     vectors = tuple(c for k in range(budget + 1) for c in itertools.combinations(pool, k))
-    lp = GammaControlLP(net, params, model, _warm_setpoints(net) * _facet_normals()[2], u=u)
+    lp = GammaControlLP(net, params, model, polygon_setpoints(net), u=u)
 
     def respond(delta: np.ndarray) -> DefenderResponse:
         return optimal_response(net, attack_strategy(net, delta), params, model, u=u)
@@ -205,14 +205,14 @@ def solve_ad_iterative(
     u: np.ndarray | None,
     M: int,
     params: CostParams,
-    max_iter: int = 20,
     seed_attack: np.ndarray | None = None,
 ) -> ADResult:
     """Greedy alternation for the nonlinear sub-game.
 
     The attack step uses the linear-model greedy (equivalently under either
     linear model); the response step solves the exact convex-relaxed
-    nonlinear response. Terminates successfully on a repeated attack vector.
+    nonlinear response. Terminates successfully on a repeated attack vector,
+    and stops unconverged after 20 attack steps.
     ``seed_attack`` optionally injects a first candidate attack (e.g. the
     linear one-shot solution) before the alternation starts.
     """
@@ -242,7 +242,7 @@ def solve_ad_iterative(
 
     converged = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_ITERATIVE_MAX_ITER):
         iterations += 1
         delta_c = optimal_attack_fixed_response(net, phi_c, M, u, model=LPF, W=params.W)
         key = tuple(int(i) for i in np.flatnonzero(delta_c))
@@ -285,7 +285,6 @@ def sandwich_bounds(
     M: int,
     params: CostParams,
     eps: float | None = None,
-    max_iter: int = 20,
 ) -> BoundsReport:
     """Certify lower/upper bracketing of the nonlinear sub-game value.
 
@@ -297,7 +296,7 @@ def sandwich_bounds(
     u = _zero_u(net, u)
     lo = solve_ad_oneshot(net, u, M, params, LPF)
     hi = solve_ad_oneshot(net, u, M, params, eps_lpf(eps))
-    mid = solve_ad_iterative(net, u, M, params, max_iter=max_iter, seed_attack=lo.delta_star)
+    mid = solve_ad_iterative(net, u, M, params, seed_attack=lo.delta_star)
     slack = line_loss_cap(net)
     holds = (
         lo.loss.total <= mid.loss.total + _BOUND_SLACK

@@ -17,6 +17,7 @@ from .network import Network
 
 _NPF_TOL = 1e-10
 _NPF_MAX_ITER = 200
+_EPS0_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -212,12 +213,12 @@ def _loss_ratio(net: Network, state: State) -> float:
     )
 
 
-def calibrate_epsilon(net: Network, tol: float = _NPF_TOL) -> EpsilonCalibration:
+def calibrate_epsilon(net: Network) -> EpsilonCalibration:
     """Calibrate eps0 from the NPF solution at nominal demand, zero generation.
 
     Edges with (numerically) zero P or Q are skipped in the max.
     """
-    eps0 = max(_loss_ratio(net, solve_npf(net, nominal_injection(net), tol=tol)), 0.0)
+    eps0 = max(_loss_ratio(net, solve_npf(net, nominal_injection(net))), 0.0)
     if eps0 >= 1.0:
         raise NegativeSquaredVoltage(f"eps0 = {eps0:.3f} >= 1; network outside regime")
     eps = (1.0 - eps0) ** (-net.tree.height) - 1.0
@@ -235,7 +236,7 @@ class A0Report:
     safety: bool                  # hard bounds at the reference state
     no_reverse_flow: bool         # S >= 0 componentwise at the reference state
     small_impedance: bool         # r, x <= mu_lo^2/(4 mu_lo + 8); R_ii, X_ii <= 1; |S| < 1
-    small_losses: bool            # eps0 below the configured threshold
+    small_losses: bool            # eps0 below _EPS0_MAX
     eps0: float
     failures: dict[str, str]
 
@@ -250,11 +251,7 @@ class A0Report:
         )
 
 
-def validate_assumptions(
-    net: Network,
-    nominal: State,
-    eps0_max: float = 0.1,
-) -> A0Report:
+def validate_assumptions(net: Network, nominal: State) -> A0Report:
     """Check the standing assumption set against a nominal NPF state."""
     failures: dict[str, str] = {}
     tol = 1e-9
@@ -302,9 +299,9 @@ def validate_assumptions(
         )
 
     eps0 = _loss_ratio(net, nominal)
-    ok4 = 0.0 <= eps0 < eps0_max
+    ok4 = 0.0 <= eps0 < _EPS0_MAX
     if not ok4:
-        failures["small_losses"] = f"eps0 = {eps0:.4f} not below {eps0_max}"
+        failures["small_losses"] = f"eps0 = {eps0:.4f} not below {_EPS0_MAX}"
 
     return A0Report(
         voltage_quality=ok0,

@@ -1,15 +1,27 @@
 """Defender Stage-3 optimization: set-points of uncompromised DERs and the
 load-control vector.
 
-For the linear models the voltages are affine in (gamma, set-points), so the
-response is one LP; the feasible set-point half-disk is replaced by an inner
-polygon of its first quadrant written as facet half-spaces. For the nonlinear
-model the solver is sequential linear programming around exact power-flow
-re-solves: flows and voltages are frozen at the last solution's loss terms,
-the line-loss cost enters the objective through its tangent, and iteration
-stops when the true loss settles. The fixed point satisfies the optimality
-conditions of the convex-relaxed response, whose relaxation is exact here,
-and every returned state is an exact power-flow solution by construction.
+Every response LP is one affine model in x = [gamma of the loaded nodes,
+(pg, qg) per free DER, t]. The flows P, Q and the squared voltages nu are
+``offset + mat @ x``; the epigraph rows t >= W (nu_lo - nu) and, per free DER,
+the facet rows of an inner polygon of its first-quadrant disk form one
+matrix; the base objective, the variable bounds and the per-variable trust
+spans are fixed arrays. All of that is assembled once per model. A solve
+changes only the voltage offset (set by the generation the attack fixes and,
+for the nonlinear model, the loss flows ell frozen at the last power-flow
+state), which gives the right-hand side, plus the objective and the box:
+
+- the load-control LP (``GammaControlLP``) is the model with every DER fixed,
+  reused across attack vectors;
+- the linear response is one solve of the model whose free DERs are the
+  uncompromised ones;
+- the nonlinear response is sequential linear programming on one such model
+  per attack, around exact power-flow re-solves: each round freezes ell at
+  the incumbent state, adds the line-loss tangent to the objective and a
+  trust box to the bounds, and iteration stops when the true loss settles.
+  The fixed point satisfies the optimality conditions of the convex-relaxed
+  response, whose relaxation is exact here, and every returned state is an
+  exact power-flow solution by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
 
 from .attack import AttackStrategy, effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
@@ -30,6 +41,12 @@ from .powerflow import ModelTag, injection, solve_eps_lpf, solve_lpf, solve_npf
 # facet count sets the inner-polygon radius deficit cap*(1-cos(pi/4/F)); 96
 # keeps the induced loss error beneath the 1e-3 oracle agreement tolerance
 _DISK_FACETS = 96
+# the inner polygon of the quarter disk as half-spaces
+# n_p * pg + n_q * qg <= cap * support, plus pg, qg >= 0
+_FACET_STEP = (math.pi / 2.0) / _DISK_FACETS
+_FACET_P = np.cos((np.arange(_DISK_FACETS) + 0.5) * _FACET_STEP)
+_FACET_Q = np.sin((np.arange(_DISK_FACETS) + 0.5) * _FACET_STEP)
+_FACET_SUPPORT = math.cos(_FACET_STEP / 2.0)
 _LOSS_TOL = 1e-8
 _MAX_SLP_ROUNDS = 50
 
@@ -80,15 +97,113 @@ def _solve_lp(c, A_ub, b_ub, bounds):
     return res
 
 
+class _ResponseModel:
+    """Affine (P, Q, nu) = offset + mat @ x over x = [gamma of the loaded
+    nodes, (pg, qg) per free DER, t], with its LP rows assembled once.
+
+    ``free`` holds the node ids of the dispatchable DERs; every other DER's
+    generation is fixed and enters only through the offset.
+    """
+
+    def __init__(self, net: Network, params: CostParams, kappa: float, free: np.ndarray):
+        n = net.n
+        pc = np.real(net.sc_nom)[1:]
+        qc = np.imag(net.sc_nom)[1:]
+        loaded = np.flatnonzero((pc > 0.0) | (qc > 0.0))   # 0-based into nodes 1..N
+        n_gamma = loaded.size
+        p_cols = n_gamma + 2 * np.arange(free.size)         # qg columns follow
+        n_vars = n_gamma + 2 * free.size + 1
+        self.net, self.kappa, self.loaded, self.free = net, kappa, loaded, free
+        self._p_cols = p_cols
+        self._Msub = Msub = net.tree.subtree_mask[1:, 1:]
+        Mpath = Msub.T
+
+        self.P_mat = np.zeros((n, n_vars))
+        self.Q_mat = np.zeros((n, n_vars))
+        self.P_mat[:, :n_gamma] = kappa * Msub[:, loaded] * pc[loaded][None, :]
+        self.Q_mat[:, :n_gamma] = kappa * Msub[:, loaded] * qc[loaded][None, :]
+        self.P_mat[:, p_cols] = -kappa * Msub[:, free - 1]
+        self.Q_mat[:, p_cols + 1] = -kappa * Msub[:, free - 1]
+        self.nu_mat = -2.0 * (
+            (Mpath * net.r[1:][None, :]) @ self.P_mat + (Mpath * net.x[1:][None, :]) @ self.Q_mat
+        )
+
+        self._W = params.W[1:]
+        epigraph = -(self._W[:, None] * self.nu_mat)
+        epigraph[:, -1] = -1.0
+        rows = np.arange(free.size * _DISK_FACETS)
+        facets = np.zeros((rows.size, n_vars))
+        facets[rows, np.repeat(p_cols, _DISK_FACETS)] = np.tile(_FACET_P, free.size)
+        facets[rows, np.repeat(p_cols + 1, _DISK_FACETS)] = np.tile(_FACET_Q, free.size)
+        self._A = np.vstack([epigraph, facets])
+        self._b_facet = np.repeat(net.der_cap[free] * _FACET_SUPPORT, _DISK_FACETS)
+
+        self.c = np.zeros(n_vars)
+        self.c[:n_gamma] = -params.C[1:][loaded] * pc[loaded]
+        self.c[-1] = 1.0
+        caps = np.repeat(net.der_cap[free], 2)
+        self.lb = np.concatenate([net.gamma_lo[1:][loaded], np.zeros(caps.size), [0.0]])
+        self.ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
+        self._span = np.concatenate([np.ones(n_gamma), caps])
+
+    def nu_offset(self, sg: np.ndarray, ell: np.ndarray) -> np.ndarray:
+        """Voltages at x = 0, per node 1..N, under the fixed generation ``sg``
+        (nodes 0..N) with the loss flows ``ell`` (nodes 1..N) frozen."""
+        M, r, x = self._Msub, self.net.r[1:], self.net.x[1:]
+        P = -self.kappa * (M @ np.real(sg)[1:]) + M @ (r * ell)
+        Q = -self.kappa * (M @ np.imag(sg)[1:]) + M @ (x * ell)
+        return self.net.nu0 - 2.0 * (M.T @ (r * P) + M.T @ (x * Q)) + M.T @ ((r**2 + x**2) * ell)
+
+    def solve(self, nu_offset: np.ndarray, c: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        b = np.concatenate([self._W * (nu_offset - self.net.nu_lo[1:]), self._b_facet])
+        return _solve_lp(c, self._A, b, np.column_stack([lb, ub])).x
+
+    def pack(self, gamma: np.ndarray, sp_d: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.c.size)
+        x[: self.loaded.size] = gamma[1 + self.loaded]
+        x[self._p_cols] = sp_d[self.free].real
+        x[self._p_cols + 1] = sp_d[self.free].imag
+        return x
+
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        net = self.net
+        gamma = np.ones(net.n + 1)
+        gamma[1 + self.loaded] = np.clip(
+            x[: self.loaded.size], net.gamma_lo[1:][self.loaded], 1.0
+        )
+        pg = np.maximum(x[self._p_cols], 0.0)
+        qg = np.maximum(x[self._p_cols + 1], 0.0)
+        cap = net.der_cap[self.free]
+        # math.hypot is almost always correctly rounded; np.hypot can differ
+        # from it in the last bit
+        mag = np.array([math.hypot(p, q) for p, q in zip(pg, qg)])
+        out = mag > cap
+        pg[out] = pg[out] * cap[out] / mag[out]
+        qg[out] = qg[out] * cap[out] / mag[out]
+        sp_d = np.zeros(net.n + 1, dtype=complex)
+        sp_d[self.free] = pg + 1j * qg
+        return gamma, sp_d
+
+    def trust_box(self, x: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds intersected with a box of ``radius`` spans around ``x``; the
+        epigraph variable t keeps its own bounds."""
+        step = radius * self._span
+        lb, ub = self.lb.copy(), self.ub.copy()
+        lb[:-1] = np.maximum(lb[:-1], x[:-1] - step)
+        ub[:-1] = np.minimum(ub[:-1], x[:-1] + step)
+        return lb, ub
+
+
 class GammaControlLP:
     """Reusable exact LP in gamma for fixed set-points under a linear model.
 
     Minimizes t + sum C_i (1-gamma_i) pc_i with the epigraph
-    t >= W_i (nu_lo_i - nu_i(gamma)), t >= 0; voltages are affine in gamma
-    through the common-path-impedance closed form. Zero-demand nodes carry no
-    gamma variable and report gamma = 1. Only the constraint right-hand side
-    depends on the attack vector, so the matrix is assembled once and reused
-    across candidate attacks.
+    t >= W_i (nu_lo_i - nu_i(gamma)), t >= 0, where
+    nu(gamma) = nu_intercept - G gamma and
+    G = 2 kappa (Re Z[1:, 1+loaded] pc + Im Z[1:, 1+loaded] qc). Zero-demand
+    nodes carry no gamma variable and report gamma = 1. It is the response
+    model with no free DER: only the constraint right-hand side depends on the
+    attack vector, so the matrix is assembled once and reused across attacks.
     """
 
     def __init__(
@@ -106,52 +221,23 @@ class GammaControlLP:
         self.model = model
         self.sp_d = np.asarray(sp_d, dtype=complex)
         self.u = np.zeros(net.n + 1, dtype=int) if u is None else np.asarray(u)
-        kappa = model.load_scale
-
-        pc = np.real(net.sc_nom)[1:]
-        qc = np.imag(net.sc_nom)[1:]
-        self.loaded = np.flatnonzero((pc > 0.0) | (qc > 0.0))
-        self.R = np.real(net.Z)[1:, 1:]
-        self.X = np.imag(net.Z)[1:, 1:]
-        self.kappa = kappa
-        self.G = 2.0 * kappa * (
-            self.R[:, self.loaded] * pc[self.loaded][None, :]
-            + self.X[:, self.loaded] * qc[self.loaded][None, :]
-        )
-        W = params.W[1:]
-        nvar = self.loaded.size + 1
-        self.cvec = np.zeros(nvar)
-        self.cvec[:-1] = -params.C[1:][self.loaded] * pc[self.loaded]
-        self.cvec[-1] = 1.0
-        A = np.zeros((net.n, nvar))
-        A[:, :-1] = W[:, None] * self.G
-        A[:, -1] = -1.0
-        self.A = csc_matrix(A)
-        self.bounds = [
-            (float(net.gamma_lo[1:][k]), 1.0) for k in self.loaded
-        ] + [(0.0, None)]
-        self._pc = pc
-        self._W = W
+        self._lp = _ResponseModel(net, params, model.load_scale, np.zeros(0, dtype=int))
+        self.loaded = self._lp.loaded
+        self.G = -self._lp.nu_mat[:, :-1]
 
     def nu_intercept(self, delta: np.ndarray, sp_a: np.ndarray | None = None) -> np.ndarray:
         """Voltages at gamma = 0 (pure generation), per node 1..N."""
         sg = effective_setpoints(self.net, self.u, delta, self.sp_d, sp_a)
-        pg = np.real(sg)[1:]
-        qg = np.imag(sg)[1:]
-        return self.net.nu0 + 2.0 * self.kappa * (self.R @ pg + self.X @ qg)
+        return self._lp.nu_offset(sg, np.zeros(self.net.n))
 
     def solve(self, delta: np.ndarray, sp_a: np.ndarray | None = None) -> np.ndarray:
         c0 = self.nu_intercept(delta, sp_a)
-        b = self._W * (c0 - self.net.nu_lo[1:])
+        W = self.params.W[1:]
         # gamma = 1 is optimal whenever it produces no violation
-        if np.all(self._W * self.G.sum(axis=1) - b <= 0.0):
+        if np.all(W * self.G.sum(axis=1) - W * (c0 - self.net.nu_lo[1:]) <= 0.0):
             return np.ones(self.net.n + 1)
-        res = _solve_lp(self.cvec, self.A, b, self.bounds)
-        gamma = np.ones(self.net.n + 1)
-        gamma[1 + self.loaded] = np.clip(
-            res.x[:-1], self.net.gamma_lo[1:][self.loaded], 1.0
-        )
-        return gamma
+        lp = self._lp
+        return lp.unpack(lp.solve(c0, lp.c, lp.lb, lp.ub))[0]
 
 
 def optimal_load_control(
@@ -166,262 +252,6 @@ def optimal_load_control(
     return GammaControlLP(net, params, model, sp_d, u).solve(np.asarray(delta))
 
 
-def _facet_normals(facets: int = _DISK_FACETS) -> tuple[np.ndarray, np.ndarray, float]:
-    """Half-space description of the inner polygon of the quarter disk:
-    n_p * pg + n_q * qg <= cap * support, plus pg, qg >= 0."""
-    step = (math.pi / 2.0) / facets
-    mids = (np.arange(facets) + 0.5) * step
-    return np.cos(mids), np.sin(mids), math.cos(step / 2.0)
-
-
-@dataclass
-class _ActionLP:
-    """Affine model of (P, Q, nu) in the decision vector
-    x = [gamma_loaded, (pg, qg) per free DER, t]."""
-
-    net: Network
-    loaded: np.ndarray            # 0-based indices into nodes 1..N
-    free: np.ndarray              # node ids of dispatchable DERs
-    n_vars: int
-    P_mat: np.ndarray
-    Q_mat: np.ndarray
-    P_const: np.ndarray
-    Q_const: np.ndarray
-    nu_mat: np.ndarray
-    nu_const: np.ndarray
-    A_facet: np.ndarray
-    b_facet: np.ndarray
-    bounds: list
-
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        net = self.net
-        gamma = np.ones(net.n + 1)
-        gamma[1 + self.loaded] = np.clip(
-            x[: self.loaded.size], net.gamma_lo[1:][self.loaded], 1.0
-        )
-        sp_d = np.zeros(net.n + 1, dtype=complex)
-        for i, d in enumerate(self.free):
-            pg = max(x[self.loaded.size + 2 * i], 0.0)
-            qg = max(x[self.loaded.size + 2 * i + 1], 0.0)
-            cap = float(net.der_cap[d])
-            mag = math.hypot(pg, qg)
-            if mag > cap:
-                pg, qg = pg * cap / mag, qg * cap / mag
-            sp_d[d] = complex(pg, qg)
-        return gamma, sp_d
-
-
-def _build_action_lp(
-    net: Network,
-    psi: AttackStrategy,
-    u: np.ndarray,
-    kappa: float,
-    ell_bar: np.ndarray,
-) -> _ActionLP:
-    """Affine (P, Q, nu) with loss-flow terms frozen at ell_bar (zero for the
-    linear models)."""
-    n = net.n
-    pc = np.real(net.sc_nom)[1:]
-    qc = np.imag(net.sc_nom)[1:]
-    loaded = np.flatnonzero((pc > 0.0) | (qc > 0.0))
-    compromised = (psi.delta == 1) & (np.asarray(u) == 0)
-    free = np.array(
-        [d for d in np.flatnonzero((net.der_cap > 0.0) & ~compromised) if d > 0],
-        dtype=int,
-    )
-    n_vars = loaded.size + 2 * free.size + 1
-
-    Msub = net.tree.subtree_mask[1:, 1:]
-    Mpath = Msub.T
-    r = net.r[1:]
-    x = net.x[1:]
-    zabs2 = r**2 + x**2
-
-    P_mat = np.zeros((n, n_vars))
-    Q_mat = np.zeros((n, n_vars))
-    P_mat[:, : loaded.size] = kappa * Msub[:, loaded] * pc[loaded][None, :]
-    Q_mat[:, : loaded.size] = kappa * Msub[:, loaded] * qc[loaded][None, :]
-    for i, d in enumerate(free):
-        P_mat[:, loaded.size + 2 * i] = -kappa * Msub[:, d - 1]
-        Q_mat[:, loaded.size + 2 * i + 1] = -kappa * Msub[:, d - 1]
-
-    sg_fixed = np.where(compromised, psi.sp_a, 0.0 + 0.0j)[1:]
-    P_const = -kappa * (Msub @ np.real(sg_fixed)) + Msub @ (r * ell_bar)
-    Q_const = -kappa * (Msub @ np.imag(sg_fixed)) + Msub @ (x * ell_bar)
-
-    nu_mat = -2.0 * ((Mpath * r[None, :]) @ P_mat + (Mpath * x[None, :]) @ Q_mat)
-    nu_const = (
-        net.nu0
-        - 2.0 * (Mpath @ (r * P_const) + Mpath @ (x * Q_const))
-        + Mpath @ (zabs2 * ell_bar)
-    )
-
-    n_p, n_q, support = _facet_normals()
-    A_facet = np.zeros((free.size * _DISK_FACETS, n_vars))
-    b_facet = np.zeros(free.size * _DISK_FACETS)
-    for i, d in enumerate(free):
-        rows = slice(i * _DISK_FACETS, (i + 1) * _DISK_FACETS)
-        A_facet[rows, loaded.size + 2 * i] = n_p
-        A_facet[rows, loaded.size + 2 * i + 1] = n_q
-        b_facet[rows] = float(net.der_cap[d]) * support
-
-    bounds = [(float(net.gamma_lo[1:][k]), 1.0) for k in loaded]
-    for d in free:
-        cap = float(net.der_cap[d])
-        bounds += [(0.0, cap), (0.0, cap)]
-    bounds += [(0.0, None)]
-
-    return _ActionLP(
-        net=net,
-        loaded=loaded,
-        free=free,
-        n_vars=n_vars,
-        P_mat=P_mat,
-        Q_mat=Q_mat,
-        P_const=P_const,
-        Q_const=Q_const,
-        nu_mat=nu_mat,
-        nu_const=nu_const,
-        A_facet=A_facet,
-        b_facet=b_facet,
-        bounds=bounds,
-    )
-
-
-def _epigraph_rows(lp: _ActionLP, params: CostParams) -> tuple[np.ndarray, np.ndarray]:
-    W = params.W[1:]
-    A = -(W[:, None] * lp.nu_mat)
-    A[:, -1] = -1.0
-    b = W * (lp.nu_const - lp.net.nu_lo[1:])
-    return A, b
-
-
-def _base_objective(lp: _ActionLP, params: CostParams) -> np.ndarray:
-    pc = np.real(lp.net.sc_nom)[1:]
-    c = np.zeros(lp.n_vars)
-    c[: lp.loaded.size] = -params.C[1:][lp.loaded] * pc[lp.loaded]
-    c[-1] = 1.0
-    return c
-
-
-def _optimal_response_linear(
-    net: Network,
-    psi: AttackStrategy,
-    params: CostParams,
-    model: ModelTag,
-    u: np.ndarray,
-) -> DefenderResponse:
-    lp = _build_action_lp(net, psi, u, model.load_scale, np.zeros(net.n))
-    A_epi, b_epi = _epigraph_rows(lp, params)
-    A = np.vstack([A_epi, lp.A_facet])
-    b = np.concatenate([b_epi, lp.b_facet])
-    res = _solve_lp(_base_objective(lp, params), A, b, lp.bounds)
-    gamma, sp_d = lp.unpack(res.x)
-    return DefenderResponse(sp_d=sp_d, gamma=gamma, converged=True)
-
-
-def _optimal_response_npf(
-    net: Network,
-    psi: AttackStrategy,
-    params: CostParams,
-    u: np.ndarray,
-    loss_tol: float = _LOSS_TOL,
-    max_rounds: int = _MAX_SLP_ROUNDS,
-) -> DefenderResponse:
-    n = net.n
-    par = net.tree.parent
-    r = net.r[1:]
-    x = net.x[1:]
-
-    def npf_state(gamma: np.ndarray, sp_d: np.ndarray):
-        sg = effective_setpoints(net, u, psi.delta, sp_d, psi.sp_a)
-        return solve_npf(net, injection(net, gamma, sg))
-
-    gamma = np.ones(n + 1)
-    sp_d = _warm_setpoints(net)
-    state = npf_state(gamma, sp_d)
-    best_loss = evaluate_loss(state, gamma, params).total
-    best = (best_loss, gamma, sp_d)
-
-    # trust region over the decision vector, scaled per variable family;
-    # shrinking on rejected steps makes the linearization converge to the
-    # smooth optimum instead of hopping between LP vertices
-    radius = 1.0
-    converged = False
-    for _ in range(max_rounds):
-        ell_bar = state.ell[1:]
-        lp = _build_action_lp(net, psi, u, 1.0, ell_bar)
-        A_epi, b_epi = _epigraph_rows(lp, params)
-        A = np.vstack([A_epi, lp.A_facet])
-        b = np.concatenate([b_epi, lp.b_facet])
-
-        # line-loss cost through the tangent of |S|^2 / nu_up at the state
-        P_bar = np.real(state.S)[1:]
-        Q_bar = np.imag(state.S)[1:]
-        nu_up_bar = state.nu[par[1:]]
-        fP = 2.0 * P_bar / nu_up_bar
-        fQ = 2.0 * Q_bar / nu_up_bar
-        fnu = -state.ell[1:] / nu_up_bar
-        c = _base_objective(lp, params)
-        c = c + (r * fP) @ lp.P_mat + (r * fQ) @ lp.Q_mat
-        has_parent = par[1:] >= 1
-        nu_rows = np.zeros((n, lp.n_vars))
-        nu_rows[has_parent] = lp.nu_mat[par[1:][has_parent] - 1]
-        c = c + (r * fnu) @ nu_rows
-
-        x_curr = _pack_point(lp, best[1], best[2])
-        bounds = _trust_bounds(lp, x_curr, radius)
-        res = _solve_lp(c, A, b, bounds)
-        gamma, sp_d = lp.unpack(res.x)
-        try:
-            cand_state = npf_state(gamma, sp_d)
-        except (NonConvergent, NegativeSquaredVoltage):
-            radius *= 0.5
-            continue
-        loss = evaluate_loss(cand_state, gamma, params).total
-        decision = res.x[:-1]  # epigraph variable excluded from the step size
-        step = float(np.max(np.abs(decision - x_curr[:-1]))) if decision.size else 0.0
-        if loss < best[0] - loss_tol:
-            best = (loss, gamma, sp_d)
-            state = cand_state
-            radius = min(radius * 2.0, 1.0)
-        else:
-            radius *= 0.5
-        if radius < 1e-4 or (step < 1e-9 and loss <= best[0] + loss_tol):
-            converged = True
-            break
-
-    _, gamma, sp_d = best
-    return DefenderResponse(sp_d=sp_d, gamma=gamma, converged=converged)
-
-
-def _pack_point(lp: _ActionLP, gamma: np.ndarray, sp_d: np.ndarray) -> np.ndarray:
-    x = np.zeros(lp.n_vars)
-    x[: lp.loaded.size] = gamma[1 + lp.loaded]
-    for i, d in enumerate(lp.free):
-        x[lp.loaded.size + 2 * i] = sp_d[d].real
-        x[lp.loaded.size + 2 * i + 1] = sp_d[d].imag
-    return x
-
-
-def _trust_bounds(lp: _ActionLP, x_curr: np.ndarray, radius: float) -> list:
-    out = []
-    for idx, (lo, hi) in enumerate(lp.bounds):
-        if idx >= lp.loaded.size + 2 * lp.free.size:
-            out.append((lo, hi))  # epigraph variable stays free
-            continue
-        if idx < lp.loaded.size:
-            span = 1.0
-        else:
-            d = lp.free[(idx - lp.loaded.size) // 2]
-            span = float(lp.net.der_cap[d])
-        step = radius * span
-        new_lo = max(lo, x_curr[idx] - step)
-        new_hi = min(hi if hi is not None else np.inf, x_curr[idx] + step)
-        out.append((new_lo, new_hi))
-    return out
-
-
 def _warm_setpoints(net: Network) -> np.ndarray:
     """Full-output set-points at each DER's own-edge arccot K_j angle."""
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -434,6 +264,104 @@ def _warm_setpoints(net: Network) -> np.ndarray:
     )
     sp[0] = 0.0
     return sp
+
+
+def polygon_setpoints(net: Network) -> np.ndarray:
+    """The full-output set-points of ``_warm_setpoints`` shrunk by the facet
+    polygon's support radius, so they are feasible in every response LP."""
+    return _warm_setpoints(net) * _FACET_SUPPORT
+
+
+def _model_for_attack(
+    net: Network,
+    psi: AttackStrategy,
+    params: CostParams,
+    kappa: float,
+    u: np.ndarray,
+) -> tuple[_ResponseModel, np.ndarray]:
+    """The model whose free DERs are the uncompromised ones, and the
+    generation the attack fixes (its compromised DERs' set-points)."""
+    no_sp = np.zeros(net.n + 1, dtype=complex)
+    fixed = effective_setpoints(net, u, psi.delta, no_sp, psi.sp_a)
+    compromised = (psi.delta == 1) & (np.asarray(u) == 0)
+    free = 1 + np.flatnonzero((net.der_cap[1:] > 0.0) & ~compromised[1:])
+    return _ResponseModel(net, params, kappa, free), fixed
+
+
+def _optimal_response_linear(
+    net: Network,
+    psi: AttackStrategy,
+    params: CostParams,
+    model: ModelTag,
+    u: np.ndarray,
+) -> DefenderResponse:
+    lp, fixed = _model_for_attack(net, psi, params, model.load_scale, u)
+    x = lp.solve(lp.nu_offset(fixed, np.zeros(net.n)), lp.c, lp.lb, lp.ub)
+    gamma, sp_d = lp.unpack(x)
+    return DefenderResponse(sp_d=sp_d, gamma=gamma, converged=True)
+
+
+def _optimal_response_npf(
+    net: Network,
+    psi: AttackStrategy,
+    params: CostParams,
+    u: np.ndarray,
+) -> DefenderResponse:
+    par = net.tree.parent[1:]
+    r = net.r[1:]
+    lp, fixed = _model_for_attack(net, psi, params, 1.0, u)
+    # voltage rows of each edge's upstream node (zero at the substation)
+    has_parent = par >= 1
+    nu_up_mat = np.zeros_like(lp.nu_mat)
+    nu_up_mat[has_parent] = lp.nu_mat[par[has_parent] - 1]
+
+    def npf_state(gamma: np.ndarray, sp_d: np.ndarray):
+        sg = effective_setpoints(net, u, psi.delta, sp_d, psi.sp_a)
+        return solve_npf(net, injection(net, gamma, sg))
+
+    gamma = np.ones(net.n + 1)
+    sp_d = _warm_setpoints(net)
+    state = npf_state(gamma, sp_d)
+    best_loss = evaluate_loss(state, gamma, params).total
+    best = (best_loss, gamma, sp_d)
+
+    # trust region over the decision vector, scaled per variable family;
+    # shrinking on rejected steps makes the linearization converge to the
+    # smooth optimum instead of hopping between LP vertices
+    radius = 1.0
+    converged = False
+    for _ in range(_MAX_SLP_ROUNDS):
+        # line-loss cost through the tangent of |S|^2 / nu_up at the state
+        nu_up_bar = state.nu[par]
+        fP = 2.0 * np.real(state.S)[1:] / nu_up_bar
+        fQ = 2.0 * np.imag(state.S)[1:] / nu_up_bar
+        fnu = -state.ell[1:] / nu_up_bar
+        c = lp.c + (r * fP) @ lp.P_mat + (r * fQ) @ lp.Q_mat
+        c = c + (r * fnu) @ nu_up_mat
+
+        x_curr = lp.pack(best[1], best[2])
+        x = lp.solve(lp.nu_offset(fixed, state.ell[1:]), c, *lp.trust_box(x_curr, radius))
+        gamma, sp_d = lp.unpack(x)
+        try:
+            cand_state = npf_state(gamma, sp_d)
+        except (NonConvergent, NegativeSquaredVoltage):
+            radius *= 0.5
+            continue
+        loss = evaluate_loss(cand_state, gamma, params).total
+        decision = x[:-1]  # epigraph variable excluded from the step size
+        step = float(np.max(np.abs(decision - x_curr[:-1]))) if decision.size else 0.0
+        if loss < best[0] - _LOSS_TOL:
+            best = (loss, gamma, sp_d)
+            state = cand_state
+            radius = min(radius * 2.0, 1.0)
+        else:
+            radius *= 0.5
+        if radius < 1e-4 or (step < 1e-9 and loss <= best[0] + _LOSS_TOL):
+            converged = True
+            break
+
+    _, gamma, sp_d = best
+    return DefenderResponse(sp_d=sp_d, gamma=gamma, converged=converged)
 
 
 def optimal_response(

@@ -27,18 +27,25 @@ from .loss import CostParams
 from .network import Network
 from .powerflow import LPF, calibrate_epsilon, eps_lpf
 
+_MODELS = ("lpf", "eps-lpf", "npf")
+_ENGINES = ("oneshot", "iterative")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     M_values: tuple[int, ...]
     wc_ratios: tuple[float, ...]
     gamma_lo_values: tuple[float, ...]
-    model: str = "lpf"               # "lpf" | "eps-lpf" | "npf"
-    engine: str = "oneshot"          # "oneshot" | "iterative"
+    model: str = "lpf"               # one of _MODELS
+    engine: str = "oneshot"          # one of _ENGINES
 
     def __post_init__(self):
         if not (self.M_values and self.wc_ratios and self.gamma_lo_values):
             raise ValueError("sweep axes must be nonempty")
+        if self.model not in _MODELS:
+            raise ValueError(f"unknown model {self.model!r}; expected one of {_MODELS}")
+        if self.engine not in _ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; expected one of {_ENGINES}")
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,16 @@ class TestSweep:
         rows = run_sweep(tree22, cfg)
         assert rows[0].error != ""
 
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="model"):
+            SweepConfig(M_values=(1,), wc_ratios=(10.0,), gamma_lo_values=(0.5,),
+                        model="lfp")
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            SweepConfig(M_values=(1,), wc_ratios=(10.0,), gamma_lo_values=(0.5,),
+                        engine="exact")
+
 
 def _cli(*args):
     return subprocess.run(
@@ -227,6 +237,21 @@ class TestCLI:
         bad.write_text("{\"nope\": 1}")
         out = _cli("solve-ad", "--network", str(bad), "-M", "1")
         assert out.returncode == 2
+
+    def test_sweep_bad_config_exit_code(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        _cli("gen-case", "--kind", "balanced_tree", "--arity", "2", "--height", "2",
+             "--out", str(net_path))
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "M_values": [0], "wc_ratios": [10.0], "gamma_lo_values": [0.5],
+            "model": "lfp", "engine": "oneshot",
+        }))
+        out = _cli("sweep", "--config", str(cfg_path), "--network", str(net_path),
+                   "--out", str(tmp_path / "rows.csv"))
+        assert out.returncode == 2
+        assert "lfp" in out.stderr
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_npf_oneshot_rejected(self, tmp_path):
         net_path = tmp_path / "net.json"

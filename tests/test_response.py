@@ -7,16 +7,21 @@ from dersec import (
     CostParams,
     LPF,
     NPF,
+    calibrate_epsilon,
+    eps_lpf,
     evaluate_loss,
+    heterogeneous37,
     fixed_angle_setpoints,
     optimal_load_control,
     optimal_response,
     response_state,
 )
 from dersec.attack import attack_strategy
+from dersec.cases import random_feasible_network
 from dersec.errors import HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import GridSpec, _grid_min_response
+from dersec.response import DefenderResponse, GammaControlLP
 
 from conftest import chain_network, params_for, zeros_u
 
@@ -262,3 +267,42 @@ class TestOptimalResponse:
             ang = math.atan2(phi.sp_d[d].imag, phi.sp_d[d].real)
             assert lo_ang - pad <= ang <= hi_ang + pad
             assert abs(phi.sp_d[d]) == pytest.approx(net.der_cap[d], rel=2e-3)
+
+
+class TestOneModel:
+    """The load-control LP and the joint linear response are two
+    configurations of one response model."""
+
+    @pytest.mark.parametrize("seed,identical_k", [
+        (0, True), (4, True), (4, False), (7, False), (9, False), (13, True), (13, False),
+    ])
+    def test_no_free_setpoint_configurations_agree(self, seed, identical_k):
+        # every vulnerable DER compromised: the joint LP has no free set-point
+        net = random_feasible_network(seed, identical_k=identical_k)
+        params = params_for(net, 10.0)
+        delta = (net.der_cap > 0.0).astype(int)
+        psi = attack_strategy(net, delta)
+        no_sp = np.zeros(net.n + 1, dtype=complex)
+        losses = []
+        for model in (LPF, eps_lpf(calibrate_epsilon(net).eps)):
+            phi = optimal_response(net, psi, params, model)
+            joint = evaluate_loss(response_state(net, psi, phi, model), phi.gamma, params).total
+            gamma = GammaControlLP(net, params, model, no_sp).solve(delta)
+            st = response_state(net, psi, DefenderResponse(no_sp, gamma), model)
+            assert evaluate_loss(st, gamma, params).total == pytest.approx(joint, abs=1e-9)
+            losses.append(joint)
+        assert max(losses) > 0.0
+
+    @pytest.mark.parametrize("case", ["homogeneous37", "heterogeneous37"])
+    def test_gamma_block_is_common_path_form(self, case, homog37):
+        net = homog37 if case == "homogeneous37" else heterogeneous37(0)
+        pc = np.real(net.sc_nom)[1:]
+        qc = np.imag(net.sc_nom)[1:]
+        sp = np.zeros(net.n + 1, dtype=complex)
+        for model in (LPF, eps_lpf(calibrate_epsilon(net).eps)):
+            lp = GammaControlLP(net, params_for(net, 10.0), model, sp)
+            cols = 1 + lp.loaded
+            expected = 2.0 * model.load_scale * (
+                np.real(net.Z)[1:, cols] * pc[lp.loaded] + np.imag(net.Z)[1:, cols] * qc[lp.loaded]
+            )
+            assert np.max(np.abs(lp.G - expected)) <= 1e-15
