@@ -10,7 +10,6 @@ from .attack import (
     AttackStrategy,
     PivotAttack,
     attack_strategy,
-    attacker_setpoints,
     candidate_attack_set,
     effective_setpoints,
     optimal_attack_fixed_response,

@@ -33,13 +33,9 @@ class AttackStrategy:
         return int(self.delta.sum())
 
 
-def attacker_setpoints(delta: np.ndarray, caps: np.ndarray) -> dict[int, complex]:
-    """Worst-case false set-points: zero real power, full reactive withdrawal."""
-    return {int(i): complex(0.0, -float(caps[i])) for i in np.flatnonzero(delta)}
-
-
 def attack_strategy(net: Network, delta: np.ndarray) -> AttackStrategy:
-    """AttackStrategy carrying the worst-case set-points for a given vector."""
+    """AttackStrategy carrying the worst-case false set-points for a given
+    vector: zero real power, full reactive withdrawal."""
     delta = np.asarray(delta)
     sp_a = np.zeros(net.n + 1, dtype=complex)
     idx = np.flatnonzero(delta)
@@ -220,14 +216,6 @@ class CandidateAttacks:
     """Union over pivots of all budget completions of the boundary partition."""
 
     vectors: tuple[tuple[int, ...], ...]   # each a sorted tuple of attacked nodes
-
-    def as_arrays(self, n: int) -> list[np.ndarray]:
-        out = []
-        for nodes in self.vectors:
-            d = np.zeros(n + 1, dtype=int)
-            d[list(nodes)] = 1
-            out.append(d)
-        return out
 
 
 def candidate_attack_set(

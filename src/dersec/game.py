@@ -3,7 +3,8 @@
 The exact linear engines share one pooled best-first loop: the one-shot
 engine (identical-r/x networks, closed-form set-points, candidate attacks,
 load-control LP) and the exhaustive engine (any network, every attack vector,
-joint set-point/load-control LP). The iterative engine alternates the
+joint set-point/load-control LP), for one security vector or as the Stage-1
+min-max over rows of them. The iterative engine alternates the
 linear-model greedy attack with the exact nonlinear response and keeps the
 best incumbent; a repeated attack vector certifies convergence.
 """
@@ -39,6 +40,7 @@ from .response import (
 
 _BOUND_SLACK = 1e-9
 _EXHAUSTIVE_CAP = 200_000
+_TABLE_CAP = 5_000_000          # security rows x attack vectors
 _ITERATIVE_MAX_ITER = 20
 
 
@@ -52,9 +54,10 @@ class TraceEntry:
 class ADResult:
     """Sub-game solution with one trace entry per evaluated attack.
 
-    In the exact linear engines the trace holds every enumerated vector with
-    its final pooled bound: exact where its own response was solved or the
-    value is 0, otherwise an upper bound that does not exceed ``loss.total``.
+    In the exact linear engines the trace holds every enumerated vector
+    disjoint from ``u`` with its final pooled bound: exact where its own
+    response was solved or the value is 0, otherwise an upper bound that does
+    not exceed ``loss.total``.
     Pooled values use closed-form voltages and ``loss`` the power-flow state;
     they agree up to rounding, so on exact ties the returned maximiser may
     differ from the one a loop over exact per-vector losses would keep.
@@ -67,8 +70,8 @@ class ADResult:
     model: ModelTag
     trace: tuple[TraceEntry, ...]
     converged: bool
+    u: np.ndarray                # the security vector the result belongs to
     iterations: int = 0
-    attack_step_model: ModelTag = LPF
 
 
 def _zero_u(net: Network, u: np.ndarray | None) -> np.ndarray:
@@ -81,18 +84,25 @@ def _pooled_best_first(
     lp: GammaControlLP,
     vectors: tuple[tuple[int, ...], ...],
     respond: Callable[[np.ndarray], DefenderResponse],
+    secured: np.ndarray,
 ) -> ADResult:
-    """Exact linear sub-game maximum over ``vectors``, best-first.
+    """Min over the rows u of ``secured`` of the exact linear sub-game
+    maximum over the ``vectors`` disjoint from u, best-first.
 
-    Every pooled response (gamma, sp_d) is feasible for every vector, so its
-    closed-form loss (voltages ``nu(no attack) - delta @ D(sp_d).T``) bounds
-    each vector's exact loss from above. The pool starts at the seed
-    (``lp.sp_d``, gamma = 1), whose bound 0 is exact. The open vector with the
-    largest bound gets its exact response from ``respond``, which joins the
-    pool; this stops once no open bound exceeds the best exact loss. The
-    winner is the largest exact loss, ties to the first vector.
+    A vector's exact loss does not depend on u (it is read only through
+    ``delta & ~u``), so one table of bounds serves every row. Every pooled
+    response (gamma, sp_d) is feasible for every vector, so its closed-form
+    loss (voltages ``nu(no attack) - delta @ D(sp_d).T``) bounds each
+    vector's exact loss from above. The pool starts at the seed
+    (``lp.sp_d``, gamma = 1), whose bound 0 is exact. Each round takes the
+    row whose largest exact loss is smallest (ties to the first row); its
+    open vector with the largest bound gets its exact response from
+    ``respond``, which joins the pool. Once that row has no open bound above
+    its largest exact loss, it wins with that loss, ties to the first vector.
     """
-    net, params, model, u = lp.net, lp.params, lp.model, lp.u
+    if len(secured) * len(vectors) > _TABLE_CAP:
+        raise EnumerationCapExceeded(f"{len(secured)} x {len(vectors)} table exceeds cap {_TABLE_CAP}")
+    net, params, model = lp.net, lp.params, lp.model
     W = params.W[1:]
     nu_lo = net.nu_lo[1:]
     voll_rate = params.C[1:] * np.real(net.sc_nom)[1:]
@@ -100,6 +110,7 @@ def _pooled_best_first(
     delta_mat = np.zeros((len(vectors), net.n + 1))
     for row, nodes in enumerate(vectors):
         delta_mat[row, list(nodes)] = 1.0
+    disjoint = secured @ delta_mat.T == 0.0
 
     def intercept(at: GammaControlLP) -> np.ndarray:
         """Voltages at gamma = 0 under ``at.sp_d`` for every vector."""
@@ -111,7 +122,7 @@ def _pooled_best_first(
 
     def value(phi: DefenderResponse) -> np.ndarray:
         same = np.array_equal(phi.sp_d, lp.sp_d)
-        c0 = seed_c0 if same else intercept(GammaControlLP(net, params, model, phi.sp_d, u))
+        c0 = seed_c0 if same else intercept(GammaControlLP(net, params, model, phi.sp_d))
         nu = c0 - lp.G @ phi.gamma[1 + lp.loaded]
         lovr = np.max(W * np.maximum(nu_lo - nu, 0.0), axis=1)
         return lovr + float(np.sum(voll_rate * (1.0 - phi.gamma[1:])))
@@ -120,27 +131,31 @@ def _pooled_best_first(
     bound = value(seed)
     exact = bound <= 0.0
     responses: dict[int, DefenderResponse] = {}
-    while not exact.all():
-        row = int(np.argmax(np.where(exact, -np.inf, bound)))
-        if exact.any() and bound[row] <= np.max(bound[exact]):
+    while True:
+        top = np.max(np.where(disjoint & exact, bound, -np.inf), axis=1)
+        u_row = int(np.argmin(top))
+        open_bound = np.where(disjoint[u_row] & ~exact, bound, -np.inf)
+        row = int(np.argmax(open_bound))
+        if open_bound[row] <= top[u_row]:
             break
         responses[row] = respond(delta_mat[row].astype(int))
         bound = np.minimum(bound, value(responses[row]))
         exact[row] = True
 
-    best = int(np.argmax(np.where(exact, bound, -np.inf)))
+    best = int(np.argmax(np.where(disjoint[u_row] & exact, bound, -np.inf)))
     phi_star = responses.get(best, seed)
     delta_star = delta_mat[best].astype(int)
     psi_star = attack_strategy(net, delta_star)
-    state = response_state(net, psi_star, phi_star, model, u=u)
+    state = response_state(net, psi_star, phi_star, model)
     return ADResult(
         delta_star=delta_star,
         psi_star=psi_star,
         phi_star=phi_star,
         loss=evaluate_loss(state, phi_star.gamma, params),
         model=model,
-        trace=tuple(TraceEntry(delta=d, loss=float(v)) for d, v in zip(vectors, bound)),
+        trace=tuple(TraceEntry(vectors[k], float(bound[k])) for k in np.flatnonzero(disjoint[u_row])),
         converged=True,
+        u=secured[u_row].copy(),
         iterations=1,
     )
 
@@ -156,14 +171,18 @@ def solve_ad_oneshot(
 
     Set-points are fixed in closed form, so pooled responses differ only in
     the load-control vector gamma; a candidate's exact response is its LP.
+    A 2-D ``u`` holds rows of alternative security vectors, whose candidate
+    sets are pooled; the result is the least row's (``_pooled_best_first``).
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
-    u = _zero_u(net, u)
-    sp_d = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
-    cands = candidate_attack_set(net, sp_d, M, u, model=model)
-    lp = GammaControlLP(net, params, model, sp_d, u=u)
-    return _pooled_best_first(lp, cands.vectors, lambda d: DefenderResponse(lp.sp_d, lp.solve(d)))
+    secured = np.atleast_2d(_zero_u(net, u))
+    zero = np.zeros(net.n + 1, dtype=int)
+    sp_d = fixed_angle_setpoints(net, zero, zero)
+    sets = [candidate_attack_set(net, sp_d, M, row, model=model).vectors for row in secured]
+    vectors = sets[0] if len(sets) == 1 else tuple(sorted(set().union(*sets)))
+    lp = GammaControlLP(net, params, model, sp_d)
+    return _pooled_best_first(lp, vectors, lambda d: DefenderResponse(sp_d, lp.solve(d)), secured)
 
 
 def solve_ad_exhaustive(
@@ -181,23 +200,25 @@ def solve_ad_exhaustive(
     own-edge angle) are shrunk into that LP's inner facet polygon, so that no
     bound falls below a vector's LP value. Trace entries are pooled bounds,
     and on exact ties the maximiser may differ from a per-vector loop's (see
-    ``ADResult``). Raises EnumerationCapExceeded above 200,000 vectors.
+    ``ADResult``). With rows of security vectors in ``u``, the vectors range
+    over the DERs some row leaves vulnerable; the result is the least row's.
+    Raises EnumerationCapExceeded above 200,000 vectors.
     """
     if not model.is_linear:
         raise ValueError("exhaustive engine applies to linear models only")
-    u = _zero_u(net, u)
-    pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (u == 0))]
+    secured = np.atleast_2d(_zero_u(net, u))
+    pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (secured == 0).any(axis=0))]
     budget = min(M, len(pool))
     count = sum(math.comb(len(pool), k) for k in range(budget + 1))
     if count > _EXHAUSTIVE_CAP:
         raise EnumerationCapExceeded(f"{count} attack vectors exceed cap {_EXHAUSTIVE_CAP}")
     vectors = tuple(c for k in range(budget + 1) for c in itertools.combinations(pool, k))
-    lp = GammaControlLP(net, params, model, polygon_setpoints(net), u=u)
+    lp = GammaControlLP(net, params, model, polygon_setpoints(net))
 
     def respond(delta: np.ndarray) -> DefenderResponse:
-        return optimal_response(net, attack_strategy(net, delta), params, model, u=u)
+        return optimal_response(net, attack_strategy(net, delta), params, model)
 
-    return _pooled_best_first(lp, vectors, respond)
+    return _pooled_best_first(lp, vectors, respond, secured)
 
 
 def solve_ad_iterative(
@@ -264,6 +285,7 @@ def solve_ad_iterative(
         model=NPF,
         trace=tuple(trace),
         converged=converged,
+        u=u,
         iterations=iterations,
     )
 

@@ -118,13 +118,6 @@ class Network:
     def der_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.der_cap > 0.0)
 
-    @property
-    def rx_ratio(self) -> np.ndarray:
-        """Per-edge r/x ratio, keyed by downstream node (index 0 is nan)."""
-        out = np.full(self.n + 1, np.nan)
-        out[1:] = self.r[1:] / self.x[1:]
-        return out
-
     def uniform_rx_ratio(self, rtol: float = 1e-9) -> float | None:
         """The common r/x ratio K, or None if the ratios differ beyond rtol."""
         k = self.r[1:] / self.x[1:]

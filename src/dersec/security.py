@@ -6,6 +6,9 @@ DER levels whole from the deepest level upward and spreads the partial
 top-most secured level uniformly across sibling groups; any uniform choice is
 equivalent up to a tree automorphism, so the deterministic round-robin here
 attains the optimum.
+
+Elsewhere Stage 1 is one pooled min-max over the full-budget security vectors
+(securing more never raises the loss); ties go to the first in enumeration order.
 """
 
 from __future__ import annotations
@@ -137,32 +140,26 @@ def solve_dad(
     model: ModelTag,
 ) -> DADResult:
     """Trilevel solve: closed-form placement when the symmetry and ratio
-    preconditions hold, else exhaustive Stage-1 enumeration."""
+    preconditions hold, else one pooled Stage-1 min-max whose rows are the
+    full-budget vectors in ``itertools.combinations`` order (at most 20,000);
+    u* is the first of them with the least sub-game value."""
     if not model.is_linear:
         raise ValueError("solve_dad applies to linear models")
     if net.uniform_rx_ratio() is not None and is_symmetric(net):
-        u_star = optimal_security_strategy(net, B)
-        ad = _linear_subgame(net, u_star.u, M, params, model)
-        return DADResult(u_star=u_star, ad=ad, loss=ad.loss.total)
-
-    der = [int(i) for i in net.der_nodes]
-    budget = min(B, len(der))
-    count = sum(math.comb(len(der), k) for k in range(budget + 1))
-    if count > _U_ENUM_CAP:
-        raise EnumerationCapExceeded(
-            f"{count} security strategies exceed cap {_U_ENUM_CAP}"
-        )
-    best: tuple[ADResult, np.ndarray] | None = None
-    for k in range(budget + 1):
-        for combo in itertools.combinations(der, k):
-            u = np.zeros(net.n + 1, dtype=int)
-            u[list(combo)] = 1
-            ad = _linear_subgame(net, u, M, params, model)
-            if best is None or ad.loss.total < best[0].loss.total:
-                best = (ad, u)
-    assert best is not None
-    ad, u = best
-    return DADResult(u_star=SecurityStrategy(u=u, budget=B), ad=ad, loss=ad.loss.total)
+        secured = optimal_security_strategy(net, B).u
+    else:
+        der = [int(i) for i in net.der_nodes]
+        budget = min(B, len(der))
+        count = math.comb(len(der), budget)
+        if count > _U_ENUM_CAP:
+            raise EnumerationCapExceeded(
+                f"{count} security strategies exceed cap {_U_ENUM_CAP}"
+            )
+        secured = np.zeros((count, net.n + 1), dtype=int)
+        for row, combo in enumerate(itertools.combinations(der, budget)):
+            secured[row, list(combo)] = 1
+    ad = _linear_subgame(net, secured, M, params, model)
+    return DADResult(u_star=SecurityStrategy(u=ad.u, budget=B), ad=ad, loss=ad.loss.total)
 
 
 @dataclass(frozen=True)

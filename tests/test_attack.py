@@ -4,7 +4,6 @@ import pytest
 from dersec import (
     CostParams,
     LPF,
-    attacker_setpoints,
     candidate_attack_set,
     eps_lpf,
     optimal_attack_fixed_response,
@@ -33,14 +32,14 @@ def _fig2_fixed_response(fig2):
 
 
 class TestAttackerSetpoints:
-    def test_capability_value(self):
-        caps = np.array([0.0, 0.01155])
-        delta = np.array([0, 1])
-        got = attacker_setpoints(delta, caps)
-        assert got == {1: -0.01155j}
+    def test_capability_value(self, fig2):
+        delta = _to_delta(fig2, [2])
+        got = attack_strategy(fig2, delta).sp_a
+        assert got[2] == -1j * fig2.der_cap[2]
+        assert not np.delete(got, 2).any()
 
-    def test_empty_when_no_targets(self):
-        assert attacker_setpoints(np.zeros(5, dtype=int), np.ones(5)) == {}
+    def test_empty_when_no_targets(self, fig2):
+        assert not attack_strategy(fig2, zeros_u(fig2)).sp_a.any()
 
     def test_on_disk_boundary(self, fig2):
         delta = np.zeros(fig2.n + 1, dtype=int)

@@ -19,7 +19,7 @@ from dersec import (
     solve_ad_oneshot,
 )
 from dersec.attack import attack_strategy, candidate_attack_set
-from dersec.cases import random_feasible_network
+from dersec.cases import heterogeneous37, random_feasible_network
 from dersec.errors import HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import bf_ad
@@ -105,7 +105,9 @@ def _per_candidate_value(net, M, params, model):
     lp = GammaControlLP(net, params, model, sp, u=u)
     cands = candidate_attack_set(net, sp, M, u, model=model)
     best = -np.inf
-    for delta in cands.as_arrays(net.n):
+    for nodes in cands.vectors:
+        delta = zeros_u(net)
+        delta[list(nodes)] = 1
         gamma = lp.solve(delta)
         phi = DefenderResponse(sp_d=sp, gamma=gamma)
         state = response_state(net, attack_strategy(net, delta), phi, model, u=u)
@@ -189,6 +191,52 @@ class TestExhaustivePool:
             oneshot = solve_ad_oneshot(tree32, None, M, params, LPF)
             # the joint LP's inner facet polygon costs up to 1e-3 of loss
             assert pooled.loss.total == pytest.approx(oneshot.loss.total, abs=1e-3)
+
+
+def _single_der_rows(net, ders):
+    rows = np.zeros((len(ders), net.n + 1), dtype=int)
+    rows[np.arange(len(ders)), ders] = 1
+    return rows
+
+
+class TestSecurityRows:
+    """A 2-D ``u`` holds rows of alternative security vectors."""
+
+    @pytest.fixture(scope="class")
+    def feeder(self, homog37):
+        net = with_gamma_lo(homog37, 0.5)
+        return net, params_for(net, 10.0), solve_ad_oneshot, 9, [int(i) for i in net.der_nodes]
+
+    @pytest.fixture(scope="class")
+    def heterogeneous(self):
+        net = with_gamma_lo(heterogeneous37(0), 0.5)
+        return net, params_for(net, 10.0), solve_ad_exhaustive, 6, list(range(12, 23))
+
+    @pytest.mark.parametrize("case", ["feeder", "heterogeneous"])
+    def test_one_row_is_the_one_vector_call(self, case, request):
+        net, params, engine, M, ders = request.getfixturevalue(case)
+        u = zeros_u(net)
+        u[ders[0]] = 1
+        flat = engine(net, u, M, params, LPF)
+        rows = engine(net, u[None, :], M, params, LPF)
+        assert rows.loss.total == flat.loss.total
+        assert np.array_equal(rows.delta_star, flat.delta_star)
+        assert rows.trace == flat.trace
+        assert np.array_equal(rows.u, u) and np.array_equal(flat.u, u)
+
+    @pytest.mark.parametrize("case", ["feeder", "heterogeneous"])
+    def test_rows_give_the_least_row_value(self, case, request):
+        net, params, engine, M, ders = request.getfixturevalue(case)
+        rows = _single_der_rows(net, ders)
+        per_row = [engine(net, row, M, params, LPF).loss.total for row in rows]
+        assert min(per_row) > 0.0
+        res = engine(net, rows, M, params, LPF)
+        assert res.loss.total == pytest.approx(min(per_row), abs=1e-9)
+        picked = next(k for k, row in enumerate(rows) if np.array_equal(row, res.u))
+        assert per_row[picked] == pytest.approx(min(per_row), abs=1e-9)
+        # the trace is the winning row's sub-game: attacks disjoint from it
+        assert all(not res.u[list(e.delta)].any() for e in res.trace)
+        assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
 
 
 class TestIterative:

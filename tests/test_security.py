@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dersec import (
     LPF,
     compare_strategies,
     fig4_strategies,
+    heterogeneous37,
     is_symmetric,
     optimal_security_strategy,
     random_feasible_network,
@@ -14,11 +16,13 @@ from dersec import (
     solve_ad_oneshot,
     solve_dad,
 )
-from dersec.errors import AsymmetricNetwork, HeterogeneousRxRatio
+from dersec.errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import bf_security
+from dersec.sweep import with_gamma_lo
 
 from conftest import params_for
+from test_game import _count_lps
 
 
 class TestPlacement:
@@ -118,6 +122,63 @@ class TestDAD:
                 val = solve_ad_oneshot(net, u, 2, params, LPF).loss.total
                 best = val if best is None else min(best, val)
         assert dad.loss == pytest.approx(best, abs=1e-9)
+
+
+class TestStage1Pool:
+    """The enumerated Stage 1 is one pooled min-max over full-budget vectors."""
+
+    @pytest.fixture(scope="class")
+    def het_stage1(self):
+        # heterogeneous r/x with a nonzero Stage-1 value; the parent loop ran
+        # one exhaustive sub-game per security vector
+        net = with_gamma_lo(heterogeneous37(0), 0.5)
+        params = params_for(net, 10.0)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_lps(mp)
+            per_u = []
+            for j in net.der_nodes:
+                u = np.zeros(net.n + 1, dtype=int)
+                u[j] = 1
+                per_u.append(solve_ad_exhaustive(net, u, 7, params, LPF).loss.total)
+            loop_lps = len(calls)
+            del calls[:]
+            dad = solve_dad(net, 1, 7, params, LPF)
+            dad_lps = len(calls)
+        return net, params, per_u, loop_lps, dad, dad_lps
+
+    def test_heterogeneous_value_is_least_per_u_value(self, het_stage1):
+        net, params, per_u, _, dad, _ = het_stage1
+        assert min(per_u) > 0.0
+        assert dad.loss == pytest.approx(min(per_u), abs=1e-9)
+        assert len(dad.u_star.secured) == 1
+        direct = solve_ad_exhaustive(net, dad.u_star.u, 7, params, LPF)
+        assert dad.ad.loss.total == direct.loss.total
+        assert np.array_equal(dad.ad.u, dad.u_star.u)
+
+    def test_fewer_lps_than_per_u_loop(self, het_stage1):
+        *_, loop_lps, _, dad_lps = het_stage1
+        assert dad_lps < loop_lps
+
+    @pytest.mark.parametrize("B", [0, 1, 2, 99])
+    def test_full_budget_vectors(self, B):
+        for net in (random_feasible_network(4), random_feasible_network(9, identical_k=False)):
+            assert not is_symmetric(net)
+            dad = solve_dad(net, B, 2, params_for(net, 10.0), LPF)
+            assert len(dad.u_star.secured) == min(B, len(net.der_nodes))
+            assert set(dad.u_star.secured) <= {int(i) for i in net.der_nodes}
+
+    def test_table_cap_raises_before_allocating(self):
+        # 3,432 security vectors x 9,908 attack vectors
+        net = heterogeneous37(0)
+        params = params_for(net, 10.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapExceeded):
+                solve_dad(net, 7, 7, params, LPF)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3432 * 9908 // 4
 
 
 class TestComparisons:
