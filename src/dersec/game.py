@@ -3,17 +3,17 @@
 The exact linear engines share one pooled best-first loop: the one-shot
 engine (identical-r/x networks, closed-form set-points, candidate attacks,
 load-control LP) and the exhaustive engine (any network, every attack vector,
-joint set-point/load-control LP), for one security vector or as the Stage-1
-min-max over rows of them. The iterative engine alternates the
-linear-model greedy attack with the exact nonlinear response and keeps the
-best incumbent; a repeated attack vector certifies convergence.
+joint set-point/load-control LP), for one security vector or the Stage-1
+min-max over rows of them. The iterative engine alternates the linear-model
+greedy attack with the exact nonlinear response and keeps the best
+incumbent; a repeated attack vector certifies convergence.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ from .response import (
 
 _BOUND_SLACK = 1e-9
 _EXHAUSTIVE_CAP = 200_000
-_TABLE_CAP = 5_000_000          # security rows x attack vectors
+_TABLE_CAP = 5_000_000          # attack vectors summed over security rows
 _ITERATIVE_MAX_ITER = 20
 
 
@@ -54,10 +54,9 @@ class TraceEntry:
 class ADResult:
     """Sub-game solution with one trace entry per evaluated attack.
 
-    In the exact linear engines the trace holds every enumerated vector
-    disjoint from ``u`` with its final pooled bound: exact where its own
-    response was solved or the value is 0, otherwise an upper bound that does
-    not exceed ``loss.total``.
+    In the exact linear engines the trace holds every vector enumerated for
+    ``u`` with its final pooled bound: exact where its own response was solved
+    or the value is 0, otherwise an upper bound not above ``loss.total``.
     Pooled values use closed-form voltages and ``loss`` the power-flow state;
     they agree up to rounding, so on exact ties the returned maximiser may
     differ from the one a loop over exact per-vector losses would keep.
@@ -82,26 +81,35 @@ def _zero_u(net: Network, u: np.ndarray | None) -> np.ndarray:
 
 def _pooled_best_first(
     lp: GammaControlLP,
-    vectors: tuple[tuple[int, ...], ...],
-    respond: Callable[[np.ndarray], DefenderResponse],
     secured: np.ndarray,
+    row_vectors: Iterable[Iterable[tuple[int, ...]]],
+    respond: Callable[[np.ndarray], DefenderResponse],
 ) -> ADResult:
-    """Min over the rows u of ``secured`` of the exact linear sub-game
-    maximum over the ``vectors`` disjoint from u, best-first.
+    """Min over the rows u of ``secured`` of the exact linear sub-game maximum
+    over each row's own attack vectors, best-first.
 
-    A vector's exact loss does not depend on u (it is read only through
-    ``delta & ~u``), so one table of bounds serves every row. Every pooled
-    response (gamma, sp_d) is feasible for every vector, so its closed-form
-    loss (voltages ``nu(no attack) - delta @ D(sp_d).T``) bounds each
-    vector's exact loss from above. The pool starts at the seed
-    (``lp.sp_d``, gamma = 1), whose bound 0 is exact. Each round takes the
-    row whose largest exact loss is smallest (ties to the first row); its
-    open vector with the largest bound gets its exact response from
-    ``respond``, which joins the pool. Once that row has no open bound above
-    its largest exact loss, it wins with that loss, ties to the first vector.
+    A vector's exact loss reads u only through ``delta & ~u``, so one table of
+    bounds serves every row. Every pooled response (gamma, sp_d) is feasible
+    for every vector, so its closed-form loss (voltages ``nu(no attack) -
+    delta @ D(sp_d).T``) bounds each vector's exact loss from above. The pool
+    starts at the seed (``lp.sp_d``, gamma = 1), whose bound 0 is exact. Each
+    round takes the row whose largest exact loss is smallest (ties to the
+    first row) and solves its open vector with the largest bound through
+    ``respond``; that response joins the pool. The row wins once none of its
+    open bounds exceeds its largest exact loss (ties to its first vector).
+    Raises EnumerationCapExceeded once the rows hold over 5,000,000 vectors.
     """
-    if len(secured) * len(vectors) > _TABLE_CAP:
-        raise EnumerationCapExceeded(f"{len(secured)} x {len(vectors)} table exceeds cap {_TABLE_CAP}")
+    index: dict[tuple[int, ...], int] = {}
+    members: list[np.ndarray] = []
+    cells = 0
+    for row_vecs in row_vectors:
+        members.append(np.fromiter((index.setdefault(v, len(index)) for v in row_vecs), dtype=np.intp))
+        if (cells := cells + members[-1].size) > _TABLE_CAP:
+            raise EnumerationCapExceeded(f"security rows hold over {_TABLE_CAP} attack vectors")
+    vectors = tuple(index)
+    flat = np.concatenate(members)
+    starts = np.cumsum([0] + [m.size for m in members[:-1]])
+
     net, params, model = lp.net, lp.params, lp.model
     W = params.W[1:]
     nu_lo = net.nu_lo[1:]
@@ -110,7 +118,6 @@ def _pooled_best_first(
     delta_mat = np.zeros((len(vectors), net.n + 1))
     for row, nodes in enumerate(vectors):
         delta_mat[row, list(nodes)] = 1.0
-    disjoint = secured @ delta_mat.T == 0.0
 
     def intercept(at: GammaControlLP) -> np.ndarray:
         """Voltages at gamma = 0 under ``at.sp_d`` for every vector."""
@@ -132,17 +139,19 @@ def _pooled_best_first(
     exact = bound <= 0.0
     responses: dict[int, DefenderResponse] = {}
     while True:
-        top = np.max(np.where(disjoint & exact, bound, -np.inf), axis=1)
+        top = np.maximum.reduceat(np.where(exact[flat], bound[flat], -np.inf), starts)
         u_row = int(np.argmin(top))
-        open_bound = np.where(disjoint[u_row] & ~exact, bound, -np.inf)
-        row = int(np.argmax(open_bound))
-        if open_bound[row] <= top[u_row]:
+        mine = members[u_row]
+        open_bound = np.where(exact[mine], -np.inf, bound[mine])
+        pick = int(np.argmax(open_bound))
+        if open_bound[pick] <= top[u_row]:
             break
+        row = int(mine[pick])
         responses[row] = respond(delta_mat[row].astype(int))
         bound = np.minimum(bound, value(responses[row]))
         exact[row] = True
 
-    best = int(np.argmax(np.where(disjoint[u_row] & exact, bound, -np.inf)))
+    best = int(mine[np.argmax(np.where(exact[mine], bound[mine], -np.inf))])
     phi_star = responses.get(best, seed)
     delta_star = delta_mat[best].astype(int)
     psi_star = attack_strategy(net, delta_star)
@@ -153,7 +162,7 @@ def _pooled_best_first(
         phi_star=phi_star,
         loss=evaluate_loss(state, phi_star.gamma, params),
         model=model,
-        trace=tuple(TraceEntry(vectors[k], float(bound[k])) for k in np.flatnonzero(disjoint[u_row])),
+        trace=tuple(TraceEntry(vectors[k], float(bound[k])) for k in mine),
         converged=True,
         u=secured[u_row].copy(),
         iterations=1,
@@ -171,18 +180,17 @@ def solve_ad_oneshot(
 
     Set-points are fixed in closed form, so pooled responses differ only in
     the load-control vector gamma; a candidate's exact response is its LP.
-    A 2-D ``u`` holds rows of alternative security vectors, whose candidate
-    sets are pooled; the result is the least row's (``_pooled_best_first``).
+    A 2-D ``u`` holds rows of alternative security vectors, each with its
+    own candidate set; the result is the least row's (``_pooled_best_first``).
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
     secured = np.atleast_2d(_zero_u(net, u))
     zero = np.zeros(net.n + 1, dtype=int)
     sp_d = fixed_angle_setpoints(net, zero, zero)
-    sets = [candidate_attack_set(net, sp_d, M, row, model=model).vectors for row in secured]
-    vectors = sets[0] if len(sets) == 1 else tuple(sorted(set().union(*sets)))
     lp = GammaControlLP(net, params, model, sp_d)
-    return _pooled_best_first(lp, vectors, lambda d: DefenderResponse(sp_d, lp.solve(d)), secured)
+    rows = (candidate_attack_set(net, sp_d, M, row, model=model).vectors for row in secured)
+    return _pooled_best_first(lp, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)))
 
 
 def solve_ad_exhaustive(
@@ -200,25 +208,25 @@ def solve_ad_exhaustive(
     own-edge angle) are shrunk into that LP's inner facet polygon, so that no
     bound falls below a vector's LP value. Trace entries are pooled bounds,
     and on exact ties the maximiser may differ from a per-vector loop's (see
-    ``ADResult``). With rows of security vectors in ``u``, the vectors range
-    over the DERs some row leaves vulnerable; the result is the least row's.
-    Raises EnumerationCapExceeded above 200,000 vectors.
+    ``ADResult``). Rows of security vectors in ``u`` each range over the DERs
+    they leave vulnerable; the result is the least row's. Raises
+    EnumerationCapExceeded, before enumerating, above 200,000 vectors in a
+    row or 5,000,000 in all.
     """
     if not model.is_linear:
         raise ValueError("exhaustive engine applies to linear models only")
     secured = np.atleast_2d(_zero_u(net, u))
-    pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (secured == 0).any(axis=0))]
-    budget = min(M, len(pool))
-    count = sum(math.comb(len(pool), k) for k in range(budget + 1))
-    if count > _EXHAUSTIVE_CAP:
-        raise EnumerationCapExceeded(f"{count} attack vectors exceed cap {_EXHAUSTIVE_CAP}")
-    vectors = tuple(c for k in range(budget + 1) for c in itertools.combinations(pool, k))
+    pools = [np.flatnonzero(row).tolist() for row in (net.der_cap > 0.0) & (secured == 0)]
+    counts = [sum(math.comb(len(p), k) for k in range(min(M, len(p)) + 1)) for p in pools]
+    if max(counts) > _EXHAUSTIVE_CAP or sum(counts) > _TABLE_CAP:
+        raise EnumerationCapExceeded(f"{max(counts)} vectors in a row or {sum(counts)} in all exceed cap")
+    rows = ([c for k in range(min(M, len(p)) + 1) for c in itertools.combinations(p, k)] for p in pools)
     lp = GammaControlLP(net, params, model, polygon_setpoints(net))
 
     def respond(delta: np.ndarray) -> DefenderResponse:
         return optimal_response(net, attack_strategy(net, delta), params, model)
 
-    return _pooled_best_first(lp, vectors, respond, secured)
+    return _pooled_best_first(lp, secured, rows, respond)
 
 
 def solve_ad_iterative(

@@ -152,12 +152,8 @@ def solve_dad(
         budget = min(B, len(der))
         count = math.comb(len(der), budget)
         if count > _U_ENUM_CAP:
-            raise EnumerationCapExceeded(
-                f"{count} security strategies exceed cap {_U_ENUM_CAP}"
-            )
-        secured = np.zeros((count, net.n + 1), dtype=int)
-        for row, combo in enumerate(itertools.combinations(der, budget)):
-            secured[row, list(combo)] = 1
+            raise EnumerationCapExceeded(f"{count} security strategies exceed cap {_U_ENUM_CAP}")
+        secured = np.array([np.isin(np.arange(net.n + 1), c) for c in itertools.combinations(der, budget)], dtype=int)
     ad = _linear_subgame(net, secured, M, params, model)
     return DADResult(u_star=SecurityStrategy(u=ad.u, budget=B), ad=ad, loss=ad.loss.total)
 
@@ -191,12 +187,8 @@ def compare_strategies(
     model: ModelTag,
 ) -> StrategyComparison:
     """Solve both sub-games and order the strategies by induced loss."""
-    l1 = _linear_subgame(net, _as_vector(net, u1), M, params, model).loss.total
-    l2 = _linear_subgame(net, _as_vector(net, u2), M, params, model).loss.total
+    l1, l2 = (
+        _linear_subgame(net, u.u if isinstance(u, SecurityStrategy) else u, M, params, model).loss.total
+        for u in (u1, u2)
+    )
     return StrategyComparison(loss1=l1, loss2=l2)
-
-
-def _as_vector(net: Network, u) -> np.ndarray:
-    if isinstance(u, SecurityStrategy):
-        return u.u
-    return np.asarray(u, dtype=int)

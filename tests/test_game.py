@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import dersec.game
 import dersec.response
 from dersec import (
     CostParams,
@@ -20,7 +21,7 @@ from dersec import (
 )
 from dersec.attack import attack_strategy, candidate_attack_set
 from dersec.cases import heterogeneous37, random_feasible_network
-from dersec.errors import HeterogeneousRxRatio
+from dersec.errors import EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import bf_ad
 from dersec.response import DefenderResponse, GammaControlLP, fixed_angle_setpoints
@@ -234,9 +235,28 @@ class TestSecurityRows:
         assert res.loss.total == pytest.approx(min(per_row), abs=1e-9)
         picked = next(k for k, row in enumerate(rows) if np.array_equal(row, res.u))
         assert per_row[picked] == pytest.approx(min(per_row), abs=1e-9)
-        # the trace is the winning row's sub-game: attacks disjoint from it
+        # the trace is the winning row's sub-game: its own attack vectors
+        own = engine(net, res.u, M, params, LPF)
+        assert [e.delta for e in res.trace] == [e.delta for e in own.trace]
         assert all(not res.u[list(e.delta)].any() for e in res.trace)
         assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
+
+    def test_candidate_rows_stop_at_the_table_cap(self, feeder, monkeypatch):
+        net, params, _, M, ders = feeder
+        rows = _single_der_rows(net, ders)
+        sp = fixed_angle_setpoints(net, zeros_u(net), zeros_u(net))
+        first = len(candidate_attack_set(net, sp, M, rows[0], model=LPF).vectors)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return candidate_attack_set(*args, **kwargs)
+
+        monkeypatch.setattr(dersec.game, "candidate_attack_set", counted)
+        monkeypatch.setattr(dersec.game, "_TABLE_CAP", first + 1)
+        with pytest.raises(EnumerationCapExceeded):
+            solve_ad_oneshot(net, rows, M, params, LPF)
+        assert len(calls) == 2
 
 
 class TestIterative:

@@ -167,18 +167,27 @@ class TestStage1Pool:
             assert len(dad.u_star.secured) == min(B, len(net.der_nodes))
             assert set(dad.u_star.secured) <= {int(i) for i in net.der_nodes}
 
-    def test_table_cap_raises_before_allocating(self):
-        # 3,432 security vectors x 9,908 attack vectors
+    def test_many_rows_with_small_pools_solve(self):
+        # 3,432 security vectors, each leaving 7 DERs with 128 attack vectors
         net = heterogeneous37(0)
+        params = params_for(net, 10.0)
+        dad = solve_dad(net, 7, 7, params, LPF)
+        assert len(dad.u_star.secured) == 7
+        assert dad.loss == 0.0
+        assert solve_ad_exhaustive(net, dad.u_star.u, 7, params, LPF).loss.total == 0.0
+
+    def test_table_cap_raises_before_allocating(self):
+        # 253 security vectors x 82,160 attack vectors each (23 DERs, B=2, M=6)
+        net = random_feasible_network(0, n_max=40, identical_k=False)
         params = params_for(net, 10.0)
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationCapExceeded):
-                solve_dad(net, 7, 7, params, LPF)
+                solve_dad(net, 2, 6, params, LPF)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3432 * 9908 // 4
+        assert peak < 253 * 82160 // 4
 
 
 class TestComparisons:
