@@ -16,7 +16,6 @@ cfg = SweepConfig(
     wc_ratios=(2.0, 10.0, 18.0),
     gamma_lo_values=(0.5,),
     model="lpf",
-    engine="oneshot",
 )
 rows = run_sweep(net, cfg, workers=4)
 

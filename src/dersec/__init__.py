@@ -25,7 +25,15 @@ from .cases import (
     precedence_example,
     random_feasible_network,
 )
-from .game import ADResult, BoundsReport, sandwich_bounds, solve_ad_iterative, solve_ad_oneshot
+from .game import (
+    ADResult,
+    BoundsReport,
+    sandwich_bounds,
+    solve_ad,
+    solve_ad_exhaustive,
+    solve_ad_iterative,
+    solve_ad_oneshot,
+)
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
 from .netio import load_network, network_from_json, network_to_json, save_network
 from .network import (
@@ -67,7 +75,6 @@ from .security import (
     compare_strategies,
     is_symmetric,
     optimal_security_strategy,
-    solve_ad_exhaustive,
     solve_dad,
 )
 from .sweep import SweepConfig, SweepRow, run_sweep, with_gamma_lo

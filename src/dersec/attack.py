@@ -92,7 +92,6 @@ class PivotAttack:
     pivot: int
     delta: np.ndarray
     impact: float
-    tied_pool: tuple[int, ...]    # boundary partition with equal marginal impact
 
 
 def _vulnerable_nodes(net: Network, u: np.ndarray) -> np.ndarray:
@@ -164,7 +163,6 @@ def pivot_optimal_attack(
         pivot=pivot,
         delta=delta,
         impact=float(D[np.flatnonzero(delta)].sum()),
-        tied_pool=boundary,
     )
 
 

@@ -15,23 +15,14 @@ import numpy as np
 
 from .cases import gen_case
 from .errors import DersecError, NonConvergent, SolverNotConverged
-from .game import sandwich_bounds, solve_ad_iterative, solve_ad_oneshot
+from .game import sandwich_bounds, solve_ad
 from .loss import CostParams
 from .netio import load_network, save_network, sweep_rows_to_csv
-from .powerflow import LPF, calibrate_epsilon, eps_lpf
 from .security import solve_dad
-from .sweep import SweepConfig, _delta_string, run_sweep, with_gamma_lo
+from .sweep import _MODELS, SweepConfig, _delta_string, model_tag, run_sweep, with_gamma_lo
 
 _EXIT_VALIDATION = 2
 _EXIT_NONCONVERGENT = 3
-
-
-def _model_tag(name: str, net):
-    if name == "lpf":
-        return LPF
-    if name == "eps-lpf":
-        return eps_lpf(calibrate_epsilon(net).eps)
-    raise ValueError(f"linear model expected, got {name!r}")
 
 
 def _result_doc(net, result) -> dict:
@@ -73,13 +64,7 @@ def _prepared(args):
 
 def _cmd_solve_ad(args) -> int:
     net, params = _prepared(args)
-    if args.engine == "oneshot":
-        if args.model == "npf":
-            print("one-shot engine solves linear models only", file=sys.stderr)
-            return _EXIT_VALIDATION
-        result = solve_ad_oneshot(net, None, args.M, params, _model_tag(args.model, net))
-    else:
-        result = solve_ad_iterative(net, None, args.M, params)
+    result = solve_ad(net, None, args.M, params, model_tag(args.model, net))
     doc = _result_doc(net, result)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -92,7 +77,7 @@ def _cmd_solve_ad(args) -> int:
 
 def _cmd_solve_dad(args) -> int:
     net, params = _prepared(args)
-    result = solve_dad(net, args.budget, args.M, params, _model_tag(args.model, net))
+    result = solve_dad(net, args.budget, args.M, params, model_tag(args.model, net))
     doc = {
         "budget": args.budget,
         "secured_nodes": [int(i) for i in np.flatnonzero(result.u_star.u)],
@@ -117,7 +102,6 @@ def _cmd_sweep(args) -> int:
         wc_ratios=tuple(cfg_doc["wc_ratios"]),
         gamma_lo_values=tuple(cfg_doc["gamma_lo_values"]),
         model=cfg_doc.get("model", "lpf"),
-        engine=cfg_doc.get("engine", "oneshot"),
     )
     net = load_network(network_path)
     rows = run_sweep(net, cfg, workers=args.workers)
@@ -167,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-ad", help="solve the attacker-defender sub-game")
     common(p)
-    p.add_argument("--model", choices=["lpf", "eps-lpf", "npf"], default="lpf")
-    p.add_argument("--engine", choices=["oneshot", "iterative"], default="oneshot")
+    p.add_argument("--model", choices=_MODELS, default="lpf")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve_ad)
 

@@ -6,7 +6,8 @@ load-control LP) and the exhaustive engine (any network, every attack vector,
 joint set-point/load-control LP), for one security vector or the Stage-1
 min-max over rows of them. The iterative engine alternates the linear-model
 greedy attack with the exact nonlinear response and keeps the best
-incumbent; a repeated attack vector certifies convergence.
+incumbent; a repeated attack vector certifies convergence. ``solve_ad`` picks
+the engine from the model and the network.
 """
 
 from __future__ import annotations
@@ -119,17 +120,16 @@ def _pooled_best_first(
     for row, nodes in enumerate(vectors):
         delta_mat[row, list(nodes)] = 1.0
 
-    def intercept(at: GammaControlLP) -> np.ndarray:
-        """Voltages at gamma = 0 under ``at.sp_d`` for every vector."""
-        D = impact_matrix(net, at.sp_d, model)[1:, :]
-        return at.nu_intercept(np.zeros(net.n + 1, dtype=int)) - delta_mat @ D.T
+    def intercept(sp_d: np.ndarray) -> np.ndarray:
+        """Voltages at gamma = 0 under ``sp_d`` for every vector."""
+        D = impact_matrix(net, sp_d, model)[1:, :]
+        return lp.nu_intercept(np.zeros(net.n + 1, dtype=int), sp_d=sp_d) - delta_mat @ D.T
 
     # the seed's intercept serves every response that keeps its set-points
-    seed_c0 = intercept(lp)
+    seed_c0 = intercept(lp.sp_d)
 
     def value(phi: DefenderResponse) -> np.ndarray:
-        same = np.array_equal(phi.sp_d, lp.sp_d)
-        c0 = seed_c0 if same else intercept(GammaControlLP(net, params, model, phi.sp_d))
+        c0 = seed_c0 if np.array_equal(phi.sp_d, lp.sp_d) else intercept(phi.sp_d)
         nu = c0 - lp.G @ phi.gamma[1 + lp.loaded]
         lovr = np.max(W * np.maximum(nu_lo - nu, 0.0), axis=1)
         return lovr + float(np.sum(voll_rate * (1.0 - phi.gamma[1:])))
@@ -246,7 +246,6 @@ def solve_ad_iterative(
     linear one-shot solution) before the alternation starts.
     """
     u = _zero_u(net, u)
-    zero = np.zeros(net.n + 1, dtype=int)
 
     def respond(delta: np.ndarray) -> tuple[DefenderResponse, LossBreakdown]:
         psi = attack_strategy(net, delta)
@@ -254,35 +253,35 @@ def solve_ad_iterative(
         state = response_state(net, psi, phi, NPF, u=u)
         return phi, evaluate_loss(state, phi.gamma, params)
 
-    visited: set[tuple[int, ...]] = {tuple()}
-    phi_c, loss0 = respond(zero)
-    best = (loss0.total, zero, phi_c, loss0)
-    trace = [TraceEntry(delta=(), loss=loss0.total)]
+    visited: set[tuple[int, ...]] = set()
+    trace: list[TraceEntry] = []
+    best: tuple | None = None
+    phi_c: DefenderResponse
 
-    if seed_attack is not None and int(np.asarray(seed_attack).sum()) > 0:
-        delta_seed = np.asarray(seed_attack, dtype=int)
-        key = tuple(int(i) for i in np.flatnonzero(delta_seed))
-        if key not in visited:
-            visited.add(key)
-            phi_c, loss_c = respond(delta_seed)
-            trace.append(TraceEntry(delta=key, loss=loss_c.total))
-            if loss_c.total > best[0]:
-                best = (loss_c.total, delta_seed, phi_c, loss_c)
+    def visit(delta: np.ndarray) -> bool:
+        """Respond to ``delta`` unless it was visited; False if it was."""
+        nonlocal best, phi_c
+        key = tuple(int(i) for i in np.flatnonzero(delta))
+        if key in visited:
+            return False
+        visited.add(key)
+        phi_c, loss_c = respond(delta)
+        trace.append(TraceEntry(delta=key, loss=loss_c.total))
+        if best is None or loss_c.total > best[0]:
+            best = (loss_c.total, delta, phi_c, loss_c)
+        return True
+
+    visit(np.zeros(net.n + 1, dtype=int))
+    if seed_attack is not None:
+        visit(np.asarray(seed_attack, dtype=int))
 
     converged = False
     iterations = 0
     for _ in range(_ITERATIVE_MAX_ITER):
         iterations += 1
-        delta_c = optimal_attack_fixed_response(net, phi_c, M, u, model=LPF, W=params.W)
-        key = tuple(int(i) for i in np.flatnonzero(delta_c))
-        if key in visited:
+        if not visit(optimal_attack_fixed_response(net, phi_c, M, u, model=LPF, W=params.W)):
             converged = True
             break
-        visited.add(key)
-        phi_c, loss_c = respond(delta_c)
-        trace.append(TraceEntry(delta=key, loss=loss_c.total))
-        if loss_c.total > best[0]:
-            best = (loss_c.total, delta_c, phi_c, loss_c)
 
     _, delta_star, phi_star, loss_star = best
     return ADResult(
@@ -296,6 +295,22 @@ def solve_ad_iterative(
         u=u,
         iterations=iterations,
     )
+
+
+def solve_ad(
+    net: Network,
+    u: np.ndarray | None,
+    M: int,
+    params: CostParams,
+    model: ModelTag,
+) -> ADResult:
+    """The sub-game solve for ``model``: the iterative engine (unseeded) for
+    NPF, else the exact one-shot engine on an identical-r/x network and the
+    exact exhaustive engine on any other."""
+    if not model.is_linear:
+        return solve_ad_iterative(net, u, M, params)
+    engine = solve_ad_oneshot if net.uniform_rx_ratio() is not None else solve_ad_exhaustive
+    return engine(net, u, M, params, model)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,6 @@ _NODE_FIELDS = {
     "der_cap", "nu_lo", "nu_hi", "W", "C", "gamma_lo",
 }
 
-CSV_HEADER = (
-    "M,wc_ratio,gamma_lo,model,lovr,voll,ll,total,"
-    "iterations,converged,delta_star,runtime_ms,error"
-)
-
 
 def network_to_json(
     net: Network,
@@ -115,27 +110,30 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+# (column, formatter, blank on error rows), in SweepRow field order
+_CSV_COLUMNS = (
+    ("M", str, False),
+    ("wc_ratio", _fmt, False),
+    ("gamma_lo", _fmt, False),
+    ("model", str, False),
+    ("lovr", _fmt, True),
+    ("voll", _fmt, True),
+    ("ll", _fmt, True),
+    ("total", _fmt, True),
+    ("iterations", str, True),
+    ("converged", lambda v: str(v).lower(), True),
+    ("delta_star", str, False),
+    ("runtime_ms", _fmt, False),
+    ("error", str, False),
+)
+CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
+
+
 def sweep_rows_to_csv(rows) -> str:
     """Render sweep rows with the fixed header and 9-significant-digit floats."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.M),
-                    _fmt(row.wc_ratio),
-                    _fmt(row.gamma_lo),
-                    row.model,
-                    _fmt(row.lovr) if row.error == "" else "",
-                    _fmt(row.voll) if row.error == "" else "",
-                    _fmt(row.ll) if row.error == "" else "",
-                    _fmt(row.total) if row.error == "" else "",
-                    str(row.iterations) if row.error == "" else "",
-                    str(row.converged).lower() if row.error == "" else "",
-                    row.delta_star,
-                    _fmt(row.runtime_ms),
-                    row.error,
-                ]
-            )
-        )
+        lines.append(",".join(
+            "" if blank and row.error else fmt(getattr(row, name)) for name, fmt, blank in _CSV_COLUMNS
+        ))
     return "\n".join(lines) + "\n"

@@ -60,7 +60,6 @@ class TreeIndex:
     order: np.ndarray             # (N+1,) BFS order, root first
     children: tuple[tuple[int, ...], ...]
     paths: tuple[tuple[int, ...], ...]
-    leaves: tuple[int, ...]
     subtree_mask: np.ndarray      # (N+1, N+1) float
     shared_depth: np.ndarray      # (N+1, N+1) int, |P_i ∩ P_j|
 
@@ -186,7 +185,6 @@ def _build_tree_index(parent: np.ndarray) -> TreeIndex:
     path_mask[0, :] = 0.0
     shared = (path_mask @ path_mask.T).astype(int)
 
-    leaves = tuple(i for i in range(1, n_total) if not children[i])
     return TreeIndex(
         parent=parent,
         depth=depth,
@@ -194,7 +192,6 @@ def _build_tree_index(parent: np.ndarray) -> TreeIndex:
         order=np.array(order, dtype=int),
         children=tuple(tuple(c) for c in children),
         paths=tuple(paths),
-        leaves=leaves,
         subtree_mask=subtree_mask,
         shared_depth=shared,
     )

@@ -225,9 +225,13 @@ class GammaControlLP:
         self.loaded = self._lp.loaded
         self.G = -self._lp.nu_mat[:, :-1]
 
-    def nu_intercept(self, delta: np.ndarray, sp_a: np.ndarray | None = None) -> np.ndarray:
-        """Voltages at gamma = 0 (pure generation), per node 1..N."""
-        sg = effective_setpoints(self.net, self.u, delta, self.sp_d, sp_a)
+    def nu_intercept(
+        self, delta: np.ndarray, sp_a: np.ndarray | None = None, sp_d: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Voltages at gamma = 0 (pure generation), per node 1..N, under the
+        defender set-points ``sp_d`` (default: the model's own)."""
+        sp_d = self.sp_d if sp_d is None else sp_d
+        sg = effective_setpoints(self.net, self.u, delta, sp_d, sp_a)
         return self._lp.nu_offset(sg, np.zeros(self.net.n))
 
     def solve(self, delta: np.ndarray, sp_a: np.ndarray | None = None) -> np.ndarray:

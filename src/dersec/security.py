@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
-from .game import ADResult, solve_ad_exhaustive, solve_ad_oneshot
+from .game import ADResult, solve_ad
+from .game import solve_ad_exhaustive  # noqa: F401  (public as dersec.security.solve_ad_exhaustive)
 from .loss import CostParams
 from .network import Network
 from .powerflow import ModelTag
@@ -124,14 +125,6 @@ def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
     return SecurityStrategy(u=u, budget=B)
 
 
-def _linear_subgame(
-    net: Network, u: np.ndarray, M: int, params: CostParams, model: ModelTag
-) -> ADResult:
-    """Exact linear sub-game: one-shot on identical-r/x networks, else exhaustive."""
-    engine = solve_ad_oneshot if net.uniform_rx_ratio() is not None else solve_ad_exhaustive
-    return engine(net, u, M, params, model)
-
-
 def solve_dad(
     net: Network,
     B: int,
@@ -154,7 +147,7 @@ def solve_dad(
         if count > _U_ENUM_CAP:
             raise EnumerationCapExceeded(f"{count} security strategies exceed cap {_U_ENUM_CAP}")
         secured = np.array([np.isin(np.arange(net.n + 1), c) for c in itertools.combinations(der, budget)], dtype=int)
-    ad = _linear_subgame(net, secured, M, params, model)
+    ad = solve_ad(net, secured, M, params, model)
     return DADResult(u_star=SecurityStrategy(u=ad.u, budget=B), ad=ad, loss=ad.loss.total)
 
 
@@ -188,7 +181,7 @@ def compare_strategies(
 ) -> StrategyComparison:
     """Solve both sub-games and order the strategies by induced loss."""
     l1, l2 = (
-        _linear_subgame(net, u.u if isinstance(u, SecurityStrategy) else u, M, params, model).loss.total
+        solve_ad(net, u.u if isinstance(u, SecurityStrategy) else u, M, params, model).loss.total
         for u in (u1, u2)
     )
     return StrategyComparison(loss1=l1, loss2=l2)

@@ -1,5 +1,9 @@
 """Sweep driver: evaluate the sub-game over a grid of (M, W/C, gamma_lo).
 
+Each row is one ``solve_ad`` call, so the model and the network pick the
+engine: iterative for NPF, one-shot for a linear model on an identical-r/x
+network, exhaustive on any other.
+
 Rows are computed independently, optionally on a thread pool, and always
 emitted in sorted grid order, so output is deterministic regardless of
 scheduling. Threads overlap only the time a row spends in native code that
@@ -22,13 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DersecError
-from .game import solve_ad_iterative, solve_ad_oneshot
+from .game import solve_ad
 from .loss import CostParams
 from .network import Network
-from .powerflow import LPF, calibrate_epsilon, eps_lpf
+from .powerflow import LPF, NPF, ModelTag, calibrate_epsilon, eps_lpf
 
 _MODELS = ("lpf", "eps-lpf", "npf")
-_ENGINES = ("oneshot", "iterative")
+
+
+def model_tag(name: str, net: Network) -> ModelTag:
+    """The model named ``name`` (one of ``_MODELS``); eps-LPF is calibrated on ``net``."""
+    if name == "eps-lpf":
+        return eps_lpf(calibrate_epsilon(net).eps)
+    return {"lpf": LPF, "npf": NPF}[name]
 
 
 @dataclass(frozen=True)
@@ -37,15 +47,12 @@ class SweepConfig:
     wc_ratios: tuple[float, ...]
     gamma_lo_values: tuple[float, ...]
     model: str = "lpf"               # one of _MODELS
-    engine: str = "oneshot"          # one of _ENGINES
 
     def __post_init__(self):
         if not (self.M_values and self.wc_ratios and self.gamma_lo_values):
             raise ValueError("sweep axes must be nonempty")
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {_MODELS}")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; expected one of {_ENGINES}")
 
 
 @dataclass(frozen=True)
@@ -79,27 +86,15 @@ def _delta_string(net: Network, delta: np.ndarray) -> str:
 
 def run_sweep(net: Network, cfg: SweepConfig, workers: int | None = None) -> list[SweepRow]:
     points = sorted(itertools.product(cfg.M_values, cfg.wc_ratios, cfg.gamma_lo_values))
-    eps = calibrate_epsilon(net).eps if cfg.model == "eps-lpf" else 0.0
+    model = model_tag(cfg.model, net)
 
     def evaluate(point) -> SweepRow:
         M, wc, gl = point
         start = time.perf_counter()
         try:
             net_gl = with_gamma_lo(net, gl)
-            params = CostParams.from_ratio(net_gl, wc)
-            if cfg.engine == "oneshot":
-                model = eps_lpf(eps) if cfg.model == "eps-lpf" else LPF
-                if cfg.model == "npf":
-                    raise DersecError("one-shot engine does not solve the npf model")
-                result = solve_ad_oneshot(net_gl, None, M, params, model)
-            else:
-                result = solve_ad_iterative(net_gl, None, M, params)
-            elapsed = (time.perf_counter() - start) * 1e3
-            return SweepRow(
-                M=M,
-                wc_ratio=wc,
-                gamma_lo=gl,
-                model=cfg.model,
+            result = solve_ad(net_gl, None, M, CostParams.from_ratio(net_gl, wc), model)
+            solved = dict(
                 lovr=result.loss.lovr,
                 voll=result.loss.voll,
                 ll=result.loss.ll,
@@ -107,18 +102,11 @@ def run_sweep(net: Network, cfg: SweepConfig, workers: int | None = None) -> lis
                 iterations=result.iterations,
                 converged=result.converged,
                 delta_star=_delta_string(net, result.delta_star),
-                runtime_ms=elapsed,
             )
         except DersecError as exc:
-            elapsed = (time.perf_counter() - start) * 1e3
-            return SweepRow(
-                M=M,
-                wc_ratio=wc,
-                gamma_lo=gl,
-                model=cfg.model,
-                runtime_ms=elapsed,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            solved = dict(error=f"{type(exc).__name__}: {exc}")
+        elapsed = (time.perf_counter() - start) * 1e3
+        return SweepRow(M=M, wc_ratio=wc, gamma_lo=gl, model=cfg.model, runtime_ms=elapsed, **solved)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -15,6 +15,7 @@ from dersec import (
     optimal_response,
     response_state,
     sandwich_bounds,
+    solve_ad,
     solve_ad_exhaustive,
     solve_ad_iterative,
     solve_ad_oneshot,
@@ -185,6 +186,28 @@ class TestExhaustivePool:
         assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
         assert len(calls) < n_vectors
 
+    @pytest.mark.parametrize("seed,M", [(9, 2), (4, 3)])
+    def test_pooled_bounds_build_one_model(self, seed, M, monkeypatch):
+        # one load-control model for the pool, one per solved response; a
+        # response's pooled bound reuses the pool's model
+        net = random_feasible_network(seed, identical_k=False)
+        builds, responses = [], []
+        build = dersec.response._ResponseModel.__init__
+        respond = dersec.game.optimal_response
+
+        def counted_build(self, *args, **kwargs):
+            builds.append(1)
+            build(self, *args, **kwargs)
+
+        def counted_respond(*args, **kwargs):
+            responses.append(1)
+            return respond(*args, **kwargs)
+
+        monkeypatch.setattr(dersec.response._ResponseModel, "__init__", counted_build)
+        monkeypatch.setattr(dersec.game, "optimal_response", counted_respond)
+        solve_ad_exhaustive(net, None, M, params_for(net, 10.0), LPF)
+        assert responses and len(builds) == 1 + len(responses)
+
     def test_identical_ratio_agrees_with_oneshot(self, tree32):
         params = params_for(tree32, 10.0)
         for M in range(4):
@@ -259,6 +282,40 @@ class TestSecurityRows:
         assert len(calls) == 2
 
 
+def _same_result(a, b):
+    assert a.loss == b.loss
+    assert np.array_equal(a.delta_star, b.delta_star)
+    assert a.trace == b.trace
+    assert (a.model, a.iterations, a.converged) == (b.model, b.iterations, b.converged)
+
+
+class TestSolveAd:
+    """``solve_ad`` takes the engine from the model and the network."""
+
+    def test_identical_ratio_linear_is_oneshot(self, tree22):
+        params = params_for(tree22, 10.0)
+        for model in (LPF, eps_lpf(calibrate_epsilon(tree22).eps)):
+            _same_result(solve_ad(tree22, None, 2, params, model),
+                         solve_ad_oneshot(tree22, None, 2, params, model))
+
+    @pytest.mark.parametrize("M,value", [(1, 5.619094742784498), (2, 13.463519101430073)])
+    def test_heterogeneous_linear_is_exhaustive(self, M, value):
+        net = random_feasible_network(9, identical_k=False)
+        assert net.uniform_rx_ratio() is None
+        params = params_for(net, 10.0)
+        res = solve_ad(net, None, M, params, LPF)
+        _same_result(res, solve_ad_exhaustive(net, None, M, params, LPF))
+        assert res.loss.total == pytest.approx(value, abs=1e-9)
+
+    def test_npf_is_unseeded_iterative(self, tree22):
+        from dersec import NPF
+
+        params = params_for(tree22, 10.0)
+        res = solve_ad(tree22, None, 2, params, NPF)
+        _same_result(res, solve_ad_iterative(tree22, None, 2, params))
+        assert res.model == NPF
+
+
 class TestIterative:
     def test_budget_zero_single_iteration(self, tree22):
         params = params_for(tree22)
@@ -273,6 +330,12 @@ class TestIterative:
             res = solve_ad_iterative(homog37, None, M, params)
             assert res.converged
             assert res.iterations <= 3
+
+    def test_visited_seed_adds_no_step(self, tree22):
+        # a seed equal to the no-attack vector is already visited
+        params = params_for(tree22, 10.0)
+        seeded = solve_ad_iterative(tree22, None, 2, params, seed_attack=zeros_u(tree22))
+        _same_result(seeded, solve_ad_iterative(tree22, None, 2, params))
 
     def test_trace_best_sequence_nondecreasing(self, homog37):
         params = params_for(homog37, 10.0)

@@ -1,18 +1,26 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dersec import (
+    LPF,
+    CostParams,
     gen_case,
     heterogeneous37,
     load_network,
     network_from_json,
     network_to_json,
     nominal_injection,
+    random_feasible_network,
     save_network,
+    solve_ad_exhaustive,
+    solve_ad_iterative,
     solve_npf,
     validate_assumptions,
 )
@@ -26,7 +34,7 @@ from dersec.cases import (
 )
 from dersec.errors import InvalidNetwork
 from dersec.netio import CSV_HEADER, sweep_rows_to_csv
-from dersec.sweep import SweepConfig, SweepRow, run_sweep
+from dersec.sweep import SweepConfig, SweepRow, run_sweep, with_gamma_lo
 
 
 class TestCases:
@@ -149,21 +157,35 @@ class TestSweep:
             (r.M, r.wc_ratio, r.gamma_lo, r.total) for r in rows_seq
         ] == [(r.M, r.wc_ratio, r.gamma_lo, r.total) for r in rows_par]
 
-    def test_bad_engine_recorded_as_error(self, tree22):
-        cfg = SweepConfig(M_values=(1,), wc_ratios=(10.0,), gamma_lo_values=(0.5,),
-                          model="npf", engine="oneshot")
-        rows = run_sweep(tree22, cfg)
-        assert rows[0].error != ""
+    def test_config_has_no_engine(self):
+        names = [f.name for f in dataclasses.fields(SweepConfig)]
+        assert names == ["M_values", "wc_ratios", "gamma_lo_values", "model"]
+
+    def test_heterogeneous_lpf_rows_are_exhaustive(self):
+        net = random_feasible_network(9, identical_k=False)
+        cfg = SweepConfig(M_values=(1, 2), wc_ratios=(10.0,), gamma_lo_values=(0.5,))
+        net_gl = with_gamma_lo(net, 0.5)
+        for row in run_sweep(net, cfg):
+            assert row.error == ""
+            expected = solve_ad_exhaustive(net_gl, None, row.M, CostParams.from_ratio(net_gl, 10.0), LPF)
+            assert row.total == expected.loss.total
+            assert row.ll == 0.0
+
+    def test_npf_rows_are_iterative(self, tree22):
+        cfg = SweepConfig(M_values=(0, 2), wc_ratios=(10.0,), gamma_lo_values=(0.5,), model="npf")
+        net = with_gamma_lo(tree22, 0.5)
+        for row in run_sweep(tree22, cfg):
+            expected = solve_ad_iterative(net, None, row.M, CostParams.from_ratio(net, 10.0))
+            assert row.error == ""
+            assert (row.total, row.ll, row.iterations) == (
+                expected.loss.total, expected.loss.ll, expected.iterations)
+        # the linear rows of the same grid carry no line loss
+        assert all(r.ll == 0.0 for r in run_sweep(tree22, dataclasses.replace(cfg, model="lpf")))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="model"):
             SweepConfig(M_values=(1,), wc_ratios=(10.0,), gamma_lo_values=(0.5,),
                         model="lfp")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            SweepConfig(M_values=(1,), wc_ratios=(10.0,), gamma_lo_values=(0.5,),
-                        engine="exact")
 
 
 def _cli(*args):
@@ -182,7 +204,7 @@ class TestCLI:
 
         res_path = tmp_path / "result.json"
         out = _cli("solve-ad", "--network", str(net_path), "-M", "2",
-                   "--wc-ratio", "10", "--engine", "oneshot", "--model", "lpf",
+                   "--wc-ratio", "10", "--model", "lpf",
                    "--out", str(res_path))
         assert out.returncode == 0, out.stderr
         doc = json.loads(res_path.read_text())
@@ -199,11 +221,28 @@ class TestCLI:
         _cli("gen-case", "--kind", "balanced_tree", "--arity", "2", "--height", "2",
              "--out", str(net_path))
         out = _cli("solve-ad", "--network", str(net_path), "-M", "2",
-                   "--wc-ratio", "10", "--engine", "iterative", "--model", "npf")
+                   "--wc-ratio", "10", "--model", "npf")
         assert out.returncode == 0, out.stderr
         doc = json.loads(out.stdout)
         assert doc["model"] == "npf"
         assert doc["converged"] is True
+
+    def test_solve_ad_heterogeneous_lpf(self, tmp_path):
+        net = random_feasible_network(9, identical_k=False)
+        net_path = tmp_path / "net.json"
+        save_network(net, net_path)
+        out = _cli("solve-ad", "--network", str(net_path), "-M", "2",
+                   "--wc-ratio", "10", "--model", "lpf")
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        expected = solve_ad_exhaustive(net, None, 2, CostParams.from_ratio(net, 10.0), LPF)
+        assert doc["loss"]["total"] == pytest.approx(expected.loss.total, abs=1e-12)
+        assert doc["model"] == "lpf"
+
+    def test_solve_ad_help_lists_no_engine(self):
+        out = _cli("solve-ad", "--help")
+        assert out.returncode == 0
+        assert "--model" in out.stdout and "--engine" not in out.stdout
 
     def test_solve_dad(self, tmp_path):
         net_path = tmp_path / "net.json"
@@ -253,10 +292,33 @@ class TestCLI:
         assert "lfp" in out.stderr
         assert not (tmp_path / "rows.csv").exists()
 
-    def test_npf_oneshot_rejected(self, tmp_path):
+    def test_sweep_config_engine_key_ignored(self, tmp_path):
         net_path = tmp_path / "net.json"
         _cli("gen-case", "--kind", "balanced_tree", "--arity", "2", "--height", "2",
              "--out", str(net_path))
-        out = _cli("solve-ad", "--network", str(net_path), "-M", "1",
-                   "--model", "npf", "--engine", "oneshot")
-        assert out.returncode == 2
+        grid = {"M_values": [0, 2], "wc_ratios": [10.0], "gamma_lo_values": [0.5], "model": "npf"}
+        tables = []
+        for extra in ({"engine": "iterative"}, {}):
+            cfg_path = tmp_path / "sweep.json"
+            cfg_path.write_text(json.dumps({**grid, **extra}))
+            csv_path = tmp_path / "rows.csv"
+            out = _cli("sweep", "--config", str(cfg_path), "--network", str(net_path),
+                       "--out", str(csv_path))
+            assert out.returncode == 0, out.stderr
+            header, *rows = csv_path.read_text().strip().split("\n")
+            skip = header.split(",").index("runtime_ms")
+            tables.append([[c for k, c in enumerate(r.split(",")) if k != skip] for r in rows])
+        assert tables[0] == tables[1]
+        assert all(row[-1] == "" and row[3] == "npf" for row in tables[0])
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
