@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import EnumerationCapExceeded, RootArgument
 from .network import Network
-from .powerflow import LPF, ModelTag, injection, solve_eps_lpf, solve_lpf
+from .powerflow import LPF, ModelTag, injection, solve_lpf
 
 _TIE_RTOL = 1e-9
+_CANDIDATE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -140,18 +141,16 @@ def pivot_optimal_attack(
     sp_d: np.ndarray,
     M: int,
     u: np.ndarray,
-    model: ModelTag | None = None,
     rng: np.random.Generator | None = None,
 ) -> PivotAttack:
     """Take whole equal-impact partitions in decreasing order until the budget
     cut, then fill from the boundary partition deterministically (lowest id),
     or uniformly at random when ``rng`` is given; either completion has the
-    same impact at the pivot."""
+    same impact at the pivot (LPF impacts)."""
     if pivot == 0:
         raise RootArgument("pivot must be a non-substation node")
-    model = model or LPF
     pool = _vulnerable_nodes(net, u)
-    D = impact_matrix(net, sp_d, model)[pivot]
+    D = impact_matrix(net, sp_d, LPF)[pivot]
     taken, boundary, fill = _partition_walk(D, pool, min(M, pool.size))
     if rng is None:
         taken.extend(boundary[:fill])
@@ -171,29 +170,23 @@ def optimal_attack_fixed_response(
     phi,
     M: int,
     u: np.ndarray,
-    model: ModelTag | None = None,
     W: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal attack vector against a fixed defender response.
 
     Evaluates every node as pivot, applies its greedy pivot attack to the
-    no-attack linear state, and returns the attack of the pivot with the
+    no-attack LPF state, and returns the attack of the pivot with the
     largest weighted soft-bound violation (ties to the lowest pivot id).
     ``W`` defaults to the network's violation weights.
     """
-    model = model or LPF
     if W is None:
         W = net.W
     sg0 = effective_setpoints(net, np.asarray(u), np.zeros(net.n + 1, dtype=int), phi.sp_d)
-    inj = injection(net, phi.gamma, sg0)
-    if model.kind == "eps_lpf":
-        base = solve_eps_lpf(net, inj, model.eps)
-    else:
-        base = solve_lpf(net, inj)
+    base = solve_lpf(net, injection(net, phi.gamma, sg0))
 
     pool = _vulnerable_nodes(net, u)
     budget = min(M, pool.size)
-    D = impact_matrix(net, phi.sp_d, model)
+    D = impact_matrix(net, phi.sp_d, LPF)
     best_score = -np.inf
     best_nodes: list[int] = []
     for pivot in net.nodes:
@@ -209,33 +202,27 @@ def optimal_attack_fixed_response(
     return best_delta
 
 
-@dataclass(frozen=True)
-class CandidateAttacks:
-    """Union over pivots of all budget completions of the boundary partition."""
-
-    vectors: tuple[tuple[int, ...], ...]   # each a sorted tuple of attacked nodes
-
-
 def candidate_attack_set(
     net: Network,
     sp_d: np.ndarray,
     M: int,
     u: np.ndarray,
-    model: ModelTag | None = None,
-    cap: int = 10_000,
-) -> CandidateAttacks:
-    """Candidate optimal attack vectors for a fixed linear-model response.
+) -> tuple[tuple[int, ...], ...]:
+    """Candidate optimal attack vectors for a fixed linear-model response:
+    the union over pivots of all budget completions of the boundary partition,
+    each a sorted tuple of attacked nodes, in sorted order.
 
-    The boundary partition can make the union combinatorial; the enumeration
-    raises EnumerationCapExceeded as soon as it holds more than ``cap``
-    distinct vectors.
+    eps-LPF scales every impact by the same factor 1 + eps, so the LPF
+    impacts give the set for both linear models. The boundary partition can
+    make the union combinatorial; the enumeration raises
+    EnumerationCapExceeded as soon as it holds more than 10,000 distinct
+    vectors.
     """
-    model = model or LPF
     pool = _vulnerable_nodes(net, u)
     if M <= 0 or pool.size == 0:
-        return CandidateAttacks(vectors=((),))
+        return ((),)
 
-    D = impact_matrix(net, sp_d, model)
+    D = impact_matrix(net, sp_d, LPF)
     budget = min(M, pool.size)
     vectors: set[tuple[int, ...]] = set()
     for pivot in net.nodes:
@@ -243,8 +230,8 @@ def candidate_attack_set(
         taken = tuple(taken)
         for combo in itertools.combinations(boundary, fill):
             vectors.add(tuple(sorted(taken + combo)))
-            if len(vectors) > cap:
+            if len(vectors) > _CANDIDATE_CAP:
                 raise EnumerationCapExceeded(
-                    f"candidate set exceeds cap {cap} (at pivot {pivot})"
+                    f"candidate set exceeds cap {_CANDIDATE_CAP} (at pivot {pivot})"
                 )
-    return CandidateAttacks(vectors=tuple(sorted(vectors)))
+    return tuple(sorted(vectors))

@@ -60,7 +60,6 @@ def _feeder37_nodes(
     load_scale: np.ndarray | None = None,
     x_scale: np.ndarray | None = None,
     caps: dict[int, float] | None = None,
-    wc_ratio: float = DEFAULT_WC_RATIO,
 ) -> list[NodeSpec]:
     n_total = 37
     parent: dict[int, int | None] = {0: None, 1: 0}
@@ -94,7 +93,7 @@ def _feeder37_nodes(
                 der_cap=der.get(i, 0.0),
                 nu_lo=NU_LO_DEFAULT,
                 nu_hi=NU_HI_DEFAULT,
-                W=wc_ratio * C_PER_PU,
+                W=DEFAULT_WC_RATIO * C_PER_PU,
                 C=C_PER_PU,
                 gamma_lo=0.5,
             )
@@ -163,20 +162,19 @@ def precedence_example() -> Network:
     return build_network(nodes, nu0=1.0, mu_lo=MU_LO_DEFAULT, mu_hi=MU_HI_DEFAULT)
 
 
-def balanced_tree(
-    arity: int,
-    height: int,
-    der_cap: float = 0.02,
-    z: complex = 0.005 + 0.025j,
-    sc_nom: complex = complex(PC_PU, QC_PU),
-    gamma_lo: float = 0.5,
-    wc_ratio: float = DEFAULT_WC_RATIO,
-    nu_lo_margin: float = 5e-4,
-) -> Network:
+_TREE_DER_CAP = 0.02
+_TREE_Z = 0.005 + 0.025j
+_TREE_NU_LO_MARGIN = 5e-4
+
+
+def balanced_tree(arity: int, height: int) -> Network:
     """Symmetric tree with identical loads and a DER at every node.
 
-    The soft lower bound sits just below the no-generation nominal voltage so
-    that attacks produce violations while the nominal state stays compliant.
+    Every line has z = 0.005+0.025j pu, every node the study feeder's load
+    (PC_PU + j*QC_PU) and a 0.02 pu DER, with gamma_lo = 0.5 and W/C =
+    DEFAULT_WC_RATIO. The soft lower bound sits 5e-4 below the lowest
+    no-generation nominal voltage, so that attacks produce violations while
+    the nominal state stays compliant.
     """
     if arity < 2 or height < 1:
         raise ValueError("balanced tree needs arity >= 2 and height >= 1")
@@ -197,16 +195,16 @@ def balanced_tree(
                 NodeSpec(
                     id=i,
                     parent=parents[i],
-                    r_pu=z.real,
-                    x_pu=z.imag,
-                    pc_nom=sc_nom.real,
-                    qc_nom=sc_nom.imag,
-                    der_cap=der_cap,
+                    r_pu=_TREE_Z.real,
+                    x_pu=_TREE_Z.imag,
+                    pc_nom=PC_PU,
+                    qc_nom=QC_PU,
+                    der_cap=_TREE_DER_CAP,
                     nu_lo=nu_lo,
                     nu_hi=NU_HI_DEFAULT,
-                    W=wc_ratio * C_PER_PU,
+                    W=DEFAULT_WC_RATIO * C_PER_PU,
                     C=C_PER_PU,
-                    gamma_lo=gamma_lo,
+                    gamma_lo=0.5,
                 )
             )
         return out
@@ -214,7 +212,7 @@ def balanced_tree(
     probe = build_network(specs(MU_LO_DEFAULT + 1e-6), nu0=1.0,
                           mu_lo=MU_LO_DEFAULT, mu_hi=MU_HI_DEFAULT)
     state = solve_npf(probe, nominal_injection(probe))
-    nu_lo = float(state.nu[1:].min()) - nu_lo_margin
+    nu_lo = float(state.nu[1:].min()) - _TREE_NU_LO_MARGIN
     return build_network(specs(round(nu_lo, 9)), nu0=1.0,
                          mu_lo=MU_LO_DEFAULT, mu_hi=MU_HI_DEFAULT)
 
@@ -249,7 +247,6 @@ def random_feasible_network(
     seed: int,
     n_max: int = 12,
     identical_k: bool = True,
-    uniform_bounds: bool = True,
 ) -> Network:
     """Random small tree with DER capabilities bounded so that net demand
     stays nonnegative under every feasible strategy profile (keeps the
@@ -269,8 +266,7 @@ def random_feasible_network(
     else:
         x = r / rng.uniform(0.6, 1.4, size=n + 1)
     pc = rng.uniform(0.006, 0.02, size=n + 1)
-    qr = rng.uniform(0.25, 0.35, size=n + 1) if not uniform_bounds else np.full(n + 1, 0.3)
-    qc = pc * qr
+    qc = pc * 0.3
     has_der = rng.random(n + 1) < 0.6
     has_der[0] = False
     cap = np.where(

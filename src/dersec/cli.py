@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cases import gen_case
-from .errors import DersecError, NonConvergent, SolverNotConverged
+from .errors import DersecError, NonConvergent
 from .game import sandwich_bounds, solve_ad
 from .loss import CostParams
 from .netio import load_network, save_network, sweep_rows_to_csv
@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NonConvergent, SolverNotConverged) as exc:
+    except NonConvergent as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return _EXIT_NONCONVERGENT
     except (DersecError, ValueError, OSError, KeyError) as exc:

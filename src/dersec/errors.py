@@ -62,10 +62,6 @@ class InfeasibleLP(DersecError):
     signals an internal bug, not a modelling condition."""
 
 
-class SolverNotConverged(DersecError):
-    """An iterative response solver exhausted its round budget."""
-
-
 class EnumerationCapExceeded(DersecError):
     """A combinatorial enumeration would exceed its configured cap."""
 

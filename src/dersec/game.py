@@ -4,10 +4,10 @@ The exact linear engines share one pooled best-first loop: the one-shot
 engine (identical-r/x networks, closed-form set-points, candidate attacks,
 load-control LP) and the exhaustive engine (any network, every attack vector,
 joint set-point/load-control LP), for one security vector or the Stage-1
-min-max over rows of them. The iterative engine alternates the linear-model
-greedy attack with the exact nonlinear response and keeps the best
-incumbent; a repeated attack vector certifies convergence. ``solve_ad`` picks
-the engine from the model and the network.
+min-max over rows of them. The iterative engine alternates the LPF greedy
+attack with the exact nonlinear response and keeps the best incumbent; a
+repeated attack vector certifies convergence. ``solve_ad`` picks the engine
+from the model and the network.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def solve_ad_oneshot(
     zero = np.zeros(net.n + 1, dtype=int)
     sp_d = fixed_angle_setpoints(net, zero, zero)
     lp = GammaControlLP(net, params, model, sp_d)
-    rows = (candidate_attack_set(net, sp_d, M, row, model=model).vectors for row in secured)
+    rows = (candidate_attack_set(net, sp_d, M, row) for row in secured)
     return _pooled_best_first(lp, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)))
 
 
@@ -238,10 +238,10 @@ def solve_ad_iterative(
 ) -> ADResult:
     """Greedy alternation for the nonlinear sub-game.
 
-    The attack step uses the linear-model greedy (equivalently under either
-    linear model); the response step solves the exact convex-relaxed
-    nonlinear response. Terminates successfully on a repeated attack vector,
-    and stops unconverged after 20 attack steps.
+    The attack step is the LPF greedy of ``optimal_attack_fixed_response``;
+    the response step solves the exact convex-relaxed nonlinear response.
+    Terminates successfully on a repeated attack vector, and stops
+    unconverged after 20 attack steps.
     ``seed_attack`` optionally injects a first candidate attack (e.g. the
     linear one-shot solution) before the alternation starts.
     """
@@ -279,7 +279,7 @@ def solve_ad_iterative(
     iterations = 0
     for _ in range(_ITERATIVE_MAX_ITER):
         iterations += 1
-        if not visit(optimal_attack_fixed_response(net, phi_c, M, u, model=LPF, W=params.W)):
+        if not visit(optimal_attack_fixed_response(net, phi_c, M, u, W=params.W)):
             converged = True
             break
 

@@ -57,24 +57,21 @@ def evaluate_loss(
     state: State,
     gamma: np.ndarray,
     params: CostParams,
-    include_ll: bool | None = None,
 ) -> LossBreakdown:
     """Monetary loss of a state under a load-control vector.
 
-    ``include_ll`` defaults by model: line losses are part of the nonlinear
-    game's loss but not of the linear games' losses.
+    Line losses are part of the nonlinear game's loss but not of the linear
+    games' losses.
     """
     net = state.net
     check_gamma(net, gamma)
-    if include_ll is None:
-        include_ll = state.model.kind == "npf"
 
     shortfall = np.maximum(net.nu_lo[1:] - state.nu[1:], 0.0)
     lovr = float(np.max(params.W[1:] * shortfall)) if net.n else 0.0
     voll = float(
         np.sum(params.C[1:] * (1.0 - gamma[1:]) * np.real(net.sc_nom[1:]))
     )
-    ll = float(np.sum(net.r[1:] * state.ell[1:])) if include_ll else 0.0
+    ll = float(np.sum(net.r[1:] * state.ell[1:])) if state.model.kind == "npf" else 0.0
     return LossBreakdown(lovr=lovr, voll=voll, ll=ll)
 
 

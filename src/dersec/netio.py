@@ -20,14 +20,11 @@ _NODE_FIELDS = {
 }
 
 
-def network_to_json(
-    net: Network,
-    s_base_mva: float = 1.0,
-    v_base_kv: float = 4.0,
-) -> str:
+def network_to_json(net: Network) -> str:
+    """The network as a JSON document, declaring the study bases 1 MVA, 4 kV."""
     doc = {
-        "s_base_mva": s_base_mva,
-        "v_base_kv": v_base_kv,
+        "s_base_mva": 1.0,
+        "v_base_kv": 4.0,
         "mu_lo": net.mu_lo,
         "mu_hi": net.mu_hi,
         "nu0": net.nu0,
@@ -98,8 +95,8 @@ def network_from_json(text: str) -> Network:
     )
 
 
-def save_network(net: Network, path: str | Path, **bases) -> None:
-    Path(path).write_text(network_to_json(net, **bases), encoding="utf-8")
+def save_network(net: Network, path: str | Path) -> None:
+    Path(path).write_text(network_to_json(net), encoding="utf-8")
 
 
 def load_network(path: str | Path) -> Network:

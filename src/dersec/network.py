@@ -24,6 +24,8 @@ from .errors import (
 
 NodeId = int
 
+_RX_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -117,11 +119,12 @@ class Network:
     def der_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.der_cap > 0.0)
 
-    def uniform_rx_ratio(self, rtol: float = 1e-9) -> float | None:
-        """The common r/x ratio K, or None if the ratios differ beyond rtol."""
+    def uniform_rx_ratio(self) -> float | None:
+        """The common r/x ratio K, or None if the ratios differ by more than
+        1e-9 relative."""
         k = self.r[1:] / self.x[1:]
         k0 = float(k[0])
-        if np.all(np.abs(k - k0) <= rtol * max(1.0, abs(k0))):
+        if np.all(np.abs(k - k0) <= _RX_RTOL * max(1.0, abs(k0))):
             return k0
         return None
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dersec.attack
 from dersec import (
     CostParams,
     LPF,
@@ -8,6 +9,7 @@ from dersec import (
     eps_lpf,
     optimal_attack_fixed_response,
     pivot_optimal_attack,
+    solve_ad_oneshot,
     voltage_impact,
 )
 from dersec.attack import attack_strategy, impact_matrix
@@ -132,8 +134,7 @@ class TestOptimalAttackFixedResponse:
 class TestCandidateSet:
     def test_budget_zero_single_empty_vector(self, fig2):
         sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
-        cands = candidate_attack_set(fig2, sp, 0, zeros_u(fig2))
-        assert cands.vectors == ((),)
+        assert candidate_attack_set(fig2, sp, 0, zeros_u(fig2)) == ((),)
 
     def test_generic_instance_is_small(self):
         # a chain with distinct impedances makes every impact distinct
@@ -156,17 +157,21 @@ class TestCandidateSet:
             vals = D[pivot][net.der_cap > 0]
             assert len(np.unique(np.round(vals, 14))) == len(vals)
         cands = candidate_attack_set(net, sp, 3, np.zeros(9, dtype=int))
-        assert len(cands.vectors) <= len(net.der_nodes)
+        assert len(cands) <= len(net.der_nodes)
 
     def test_lpf_and_eps_sets_identical(self):
         for seed in range(15):
             net = random_feasible_network(seed)
             sp = fixed_angle_setpoints(net, np.zeros(net.n + 1, dtype=int),
                                        np.zeros(net.n + 1, dtype=int))
-            u = np.zeros(net.n + 1, dtype=int)
-            a = candidate_attack_set(net, sp, 2, u, model=LPF)
-            b = candidate_attack_set(net, sp, 2, u, model=eps_lpf(0.3))
-            assert a.vectors == b.vectors
+            # eps-LPF scales every impact by 1 + eps, so one candidate set
+            # serves both linear models
+            lpf = impact_matrix(net, sp, LPF)
+            assert np.allclose(impact_matrix(net, sp, eps_lpf(0.3)), 1.3 * lpf, rtol=1e-15, atol=0.0)
+            params = CostParams.from_ratio(net, 2.0)
+            a = solve_ad_oneshot(net, None, 2, params, LPF)
+            b = solve_ad_oneshot(net, None, 2, params, eps_lpf(0.3))
+            assert [e.delta for e in a.trace] == [e.delta for e in b.trace]
 
     def test_gamma_independent(self):
         # the candidate set is computed without gamma; the substance is that
@@ -182,8 +187,7 @@ class TestCandidateSet:
                 continue
             u = np.zeros(net.n + 1, dtype=int)
             sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
-            cands = candidate_attack_set(net, sp, 2, u)
-            cand_set = set(cands.vectors)
+            cand_set = set(candidate_attack_set(net, sp, 2, u))
             rng = np.random.default_rng(seed)
             params = CostParams.from_network(net)
             for _ in range(2):
@@ -201,7 +205,6 @@ class TestCandidateSet:
                         ),
                         gamma,
                         params,
-                        include_ll=False,
                     ).total
                     for nodes in cand_set
                 )
@@ -213,22 +216,22 @@ class TestCandidateSet:
         for net in nets:
             u = zeros_u(net)
             sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
-            cands = set(candidate_attack_set(net, sp, M, u).vectors)
+            cands = set(candidate_attack_set(net, sp, M, u))
             for pivot in net.nodes:
                 atk = pivot_optimal_attack(net, pivot, sp, M, u)
                 assert tuple(np.flatnonzero(atk.delta)) in cands, (net.n, pivot)
 
-    def test_overflow_raises(self, homog37):
+    def test_overflow_raises(self, homog37, monkeypatch):
         sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
+        monkeypatch.setattr(dersec.attack, "_CANDIDATE_CAP", 200)
         with pytest.raises(EnumerationCapExceeded):
-            candidate_attack_set(homog37, sp, 7, zeros_u(homog37), cap=200)
+            candidate_attack_set(homog37, sp, 7, zeros_u(homog37))
 
     def test_cap_counts_distinct_vectors(self, homog37):
         # the per-pivot completion counts sum to 24,030 here; only the 3,432
         # distinct vectors count against the default cap of 10,000
         sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
-        cands = candidate_attack_set(homog37, sp, 7, zeros_u(homog37))
-        assert len(cands.vectors) == 3432
+        assert len(candidate_attack_set(homog37, sp, 7, zeros_u(homog37))) == 3432
 
     def test_impact_matrix_matches_state_difference(self, fig2):
         # the tabulated impact must equal the exact voltage drop

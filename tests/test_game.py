@@ -105,16 +105,16 @@ def _per_candidate_value(net, M, params, model):
     u = zeros_u(net)
     sp = fixed_angle_setpoints(net, u, u)
     lp = GammaControlLP(net, params, model, sp, u=u)
-    cands = candidate_attack_set(net, sp, M, u, model=model)
+    cands = candidate_attack_set(net, sp, M, u)
     best = -np.inf
-    for nodes in cands.vectors:
+    for nodes in cands:
         delta = zeros_u(net)
         delta[list(nodes)] = 1
         gamma = lp.solve(delta)
         phi = DefenderResponse(sp_d=sp, gamma=gamma)
         state = response_state(net, attack_strategy(net, delta), phi, model, u=u)
         best = max(best, evaluate_loss(state, gamma, params).total)
-    return best, len(cands.vectors)
+    return best, len(cands)
 
 
 class TestOneShotPool:
@@ -268,7 +268,7 @@ class TestSecurityRows:
         net, params, _, M, ders = feeder
         rows = _single_der_rows(net, ders)
         sp = fixed_angle_setpoints(net, zeros_u(net), zeros_u(net))
-        first = len(candidate_attack_set(net, sp, M, rows[0], model=LPF).vectors)
+        first = len(candidate_attack_set(net, sp, M, rows[0]))
         calls = []
 
         def counted(*args, **kwargs):

@@ -10,6 +10,7 @@ import pytest
 
 from dersec import (
     LPF,
+    NPF,
     CostParams,
     gen_case,
     heterogeneous37,
@@ -19,8 +20,10 @@ from dersec import (
     nominal_injection,
     random_feasible_network,
     save_network,
+    solve_ad,
     solve_ad_exhaustive,
     solve_ad_iterative,
+    solve_dad,
     solve_npf,
     validate_assumptions,
 )
@@ -310,6 +313,25 @@ class TestCLI:
             tables.append([[c for k, c in enumerate(r.split(",")) if k != skip] for r in rows])
         assert tables[0] == tables[1]
         assert all(row[-1] == "" and row[3] == "npf" for row in tables[0])
+
+
+def test_solvers_write_nothing_and_solve_ad_prints_one_document(capfd, tmp_path, tree22):
+    # the CLI's stdout must stay one parseable document, so no solver may
+    # write to fd 1 or 2 (capfd also captures writes from compiled code)
+    params = CostParams.from_ratio(tree22, 10.0)
+    het = random_feasible_network(9, identical_k=False)
+    capfd.readouterr()
+    assert solve_ad(tree22, None, 2, params, LPF).iterations == 1        # one-shot
+    solve_ad(het, None, 2, CostParams.from_ratio(het, 10.0), LPF)         # exhaustive
+    assert solve_ad(tree22, None, 2, params, NPF).model == NPF           # iterative
+    solve_dad(tree22, 2, 2, params, LPF)
+    assert capfd.readouterr() == ("", "")
+
+    net_path = tmp_path / "net.json"
+    save_network(tree22, net_path)
+    out = _cli("solve-ad", "--network", str(net_path), "-M", "2", "--wc-ratio", "10")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["model"] == "lpf"
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -27,7 +27,7 @@ def test_hand_computed_breakdown():
         net=net, model=state.model,
         nu=np.array([1.0, 0.89]), ell=state.ell, S=state.S, injection=inj,
     )
-    got = evaluate_loss(state, np.array([1.0, 0.8]), params, include_ll=False)
+    got = evaluate_loss(state, np.array([1.0, 0.8]), params)
     assert got.lovr == pytest.approx(0.025, abs=1e-12)
     assert got.voll == pytest.approx(0.03, abs=1e-12)
     assert got.total == pytest.approx(0.055, abs=1e-12)
@@ -68,7 +68,6 @@ def test_include_ll_defaults_by_model(homog37):
     ones = np.ones(homog37.n + 1)
     assert evaluate_loss(npf, ones, params).ll > 0.0
     assert evaluate_loss(lpf, ones, params).ll == 0.0
-    assert evaluate_loss(lpf, ones, params, include_ll=True).ll > 0.0
 
 
 def test_monotone_in_voltage_and_gamma():
@@ -82,13 +81,13 @@ def test_monotone_in_voltage_and_gamma():
     )
     ones = np.ones(2)
     assert (
-        evaluate_loss(lowered, ones, params, include_ll=False).lovr
-        >= evaluate_loss(base, ones, params, include_ll=False).lovr
+        evaluate_loss(lowered, ones, params).lovr
+        >= evaluate_loss(base, ones, params).lovr
     )
     shed = np.array([1.0, 0.9])
     assert (
-        evaluate_loss(base, shed, params, include_ll=False).voll
-        > evaluate_loss(base, ones, params, include_ll=False).voll
+        evaluate_loss(base, shed, params).voll
+        > evaluate_loss(base, ones, params).voll
     )
 
 

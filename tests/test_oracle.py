@@ -54,7 +54,7 @@ class TestBFAttack:
                 from dersec import evaluate_loss, response_state
 
                 st = response_state(net, psi, phi, LPF)
-                g_loss = evaluate_loss(st, phi.gamma, params, include_ll=False).total
+                g_loss = evaluate_loss(st, phi.gamma, params).total
                 _, bf_loss = bf_attack_fixed_response(
                     net, phi, M, zeros_u(net), params=params
                 )
