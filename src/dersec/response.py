@@ -22,6 +22,15 @@ state), which gives the right-hand side, plus the objective and the box:
   The fixed point satisfies the optimality conditions of the convex-relaxed
   response, whose relaxation is exact here, and every returned state is an
   exact power-flow solution by construction.
+
+Each LP goes straight to HiGHS through ``scipy.optimize._highspy._core``, a
+private scipy module (scipy >= 1.15), with the column-wise matrix, bounds,
+rows and options that ``scipy.optimize.linprog(method="highs")`` would pass,
+so it returns the same solution bit for bit. The public wrapper would redo
+its input cleaning, the dense-to-CSC conversion of a matrix that never
+changes and its option validation on every call, which costs about as much
+as the solve itself on these LPs. The model converts its matrix once, on its
+first solve.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as _highs
+from scipy.sparse import csc_array
 
 from .attack import AttackStrategy, effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
@@ -49,6 +59,17 @@ _FACET_Q = np.sin((np.arange(_DISK_FACETS) + 0.5) * _FACET_STEP)
 _FACET_SUPPORT = math.cos(_FACET_STEP / 2.0)
 _LOSS_TOL = 1e-8
 _MAX_SLP_ROUNDS = 50
+
+# the options ``linprog(method="highs")`` sets: presolve on, dual simplex,
+# no debug checks, no output
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+# linprog's feasibility check on the returned solution, at its default tol 1e-9
+_FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 
 
 @dataclass(frozen=True)
@@ -88,13 +109,53 @@ def fixed_angle_setpoints(
     return sp
 
 
-def _solve_lp(c, A_ub, b_ub, bounds):
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status == 2:
+def _columnwise(A: np.ndarray) -> tuple[list, list, list]:
+    """CSC (start, index, value) lists of a dense constraint matrix; Python
+    lists because HiGHS copies them faster than numpy arrays."""
+    if not np.isfinite(A).all():
+        raise ValueError("LP constraint matrix must be finite")
+    csc = csc_array(A)
+    return csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+
+
+def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
+    """Minimize c @ x subject to A_ub @ x <= b_ub and lb <= x <= ub.
+
+    ``A_ub`` is the column-wise (start, index, value) of ``_columnwise``.
+    HiGHS gets the model and options ``scipy.optimize.linprog(method="highs")``
+    would give it and returns the same x; linprog's checks on the objective,
+    the right-hand side and the returned solution are kept.
+    """
+    if not (np.isfinite(c).all() and np.isfinite(b_ub).all()):
+        raise ValueError("LP objective and right-hand side must be finite")
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = b_ub.size
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A_ub
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = lb.tolist()
+    lp.col_upper_ = ub.tolist()
+    lp.row_lower_ = [-math.inf] * b_ub.size
+    lp.row_upper_ = b_ub.tolist()
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise InfeasibleLP("LP solver rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
         raise InfeasibleLP("box-constrained response LP reported infeasible")
-    if not res.success:
-        raise InfeasibleLP(f"LP solver failure: {res.message}")
-    return res
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise InfeasibleLP(f"LP solver failure: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = b_ub - np.array(solution.row_value)
+    tol = _FEASIBILITY_TOL
+    # written so that a NaN fails
+    if not (np.all(x >= lb - tol) and np.all(x <= ub + tol) and np.all(slack >= -tol)):
+        raise InfeasibleLP("LP solution violates its bounds or rows beyond tolerance")
+    return x
 
 
 class _ResponseModel:
@@ -136,6 +197,7 @@ class _ResponseModel:
         facets[rows, np.repeat(p_cols, _DISK_FACETS)] = np.tile(_FACET_P, free.size)
         facets[rows, np.repeat(p_cols + 1, _DISK_FACETS)] = np.tile(_FACET_Q, free.size)
         self._A = np.vstack([epigraph, facets])
+        self._A_csc = None   # built on the first solve; many models never solve
         self._b_facet = np.repeat(net.der_cap[free] * _FACET_SUPPORT, _DISK_FACETS)
 
         self.c = np.zeros(n_vars)
@@ -156,7 +218,9 @@ class _ResponseModel:
 
     def solve(self, nu_offset: np.ndarray, c: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
         b = np.concatenate([self._W * (nu_offset - self.net.nu_lo[1:]), self._b_facet])
-        return _solve_lp(c, self._A, b, np.column_stack([lb, ub])).x
+        if self._A_csc is None:
+            self._A_csc = _columnwise(self._A)
+        return linprog(c, self._A_csc, b, lb, ub)
 
     def pack(self, gamma: np.ndarray, sp_d: np.ndarray) -> np.ndarray:
         x = np.zeros(self.c.size)

@@ -7,7 +7,7 @@ network, exhaustive on any other.
 Rows are computed independently, optionally on a thread pool, and always
 emitted in sorted grid order, so output is deterministic regardless of
 scheduling. Threads overlap only the time a row spends in native code that
-releases the GIL (mainly HiGHS inside ``linprog``); candidate enumeration,
+releases the GIL (mainly the HiGHS solve of a response LP); candidate enumeration,
 partition walks, LP assembly and the small power-flow sweeps run one thread
 at a time. Extra workers therefore help grids whose rows are LP-bound and can
 slow grids whose rows are Python-bound: on 2 cores, 2 workers made a 48-row

@@ -90,13 +90,13 @@ class TestOneShot:
 
 def _count_lps(monkeypatch):
     calls = []
-    solve_lp = dersec.response._solve_lp
+    solve_lp = dersec.response.linprog
 
     def counted(*args):
         calls.append(1)
         return solve_lp(*args)
 
-    monkeypatch.setattr(dersec.response, "_solve_lp", counted)
+    monkeypatch.setattr(dersec.response, "linprog", counted)
     return calls
 
 

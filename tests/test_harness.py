@@ -334,6 +334,18 @@ def test_solvers_write_nothing_and_solve_ad_prints_one_document(capfd, tmp_path,
     assert json.loads(out.stdout)["model"] == "lpf"
 
 
+def test_solve_ad_npf_process_prints_one_document_and_nothing_else(tmp_path, tree22):
+    # a fresh process with pipes also sees what compiled code flushes to fd 1
+    # or 2 only at exit
+    net_path = tmp_path / "net.json"
+    save_network(tree22, net_path)
+    out = _cli("solve-ad", "--network", str(net_path), "-M", "2", "--wc-ratio", "10",
+               "--model", "npf")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["model"] == "npf"
+
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.sparse import csc_array
 
+import dersec.response
 from dersec import (
     CostParams,
     LPF,
@@ -18,10 +21,12 @@ from dersec import (
 )
 from dersec.attack import attack_strategy
 from dersec.cases import random_feasible_network
-from dersec.errors import HeterogeneousRxRatio
+from dersec.errors import HeterogeneousRxRatio, InfeasibleLP
+from dersec.game import solve_ad_oneshot
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import GridSpec, _grid_min_response
-from dersec.response import DefenderResponse, GammaControlLP
+from dersec.response import DefenderResponse, GammaControlLP, _columnwise, linprog
+from dersec.sweep import with_gamma_lo
 
 from conftest import chain_network, params_for, zeros_u
 
@@ -306,3 +311,68 @@ class TestOneModel:
                 np.real(net.Z)[1:, cols] * pc[lp.loaded] + np.imag(net.Z)[1:, cols] * qc[lp.loaded]
             )
             assert np.max(np.abs(lp.G - expected)) <= 1e-15
+
+
+def _captured_lps(monkeypatch, run) -> list[tuple]:
+    """The arguments of every LP the response module solves inside ``run()``."""
+    lps = []
+
+    def capture(c, A_ub, b_ub, lb, ub):
+        lps.append((c.copy(), A_ub, b_ub.copy(), lb.copy(), ub.copy()))
+        return linprog(c, A_ub, b_ub, lb, ub)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dersec.response, "linprog", capture)
+        run()
+    return lps
+
+
+def _scipy_x(c, A_ub, b_ub, lb, ub) -> np.ndarray:
+    start, index, value = A_ub
+    A = csc_array((value, index, start), shape=(b_ub.size, c.size)).toarray()
+    res = scipy.optimize.linprog(c, A_ub=A, b_ub=b_ub, bounds=np.column_stack([lb, ub]),
+                                 method="highs")
+    assert res.success, res.message
+    return res.x
+
+
+class TestLinprog:
+    """The direct HiGHS call returns scipy's ``linprog`` solution bit for bit."""
+
+    def test_gamma_lp_matches_scipy(self, homog37, monkeypatch):
+        net = with_gamma_lo(homog37, 0.5)
+        params = params_for(net, 10.0)
+        u = zeros_u(net)
+        delta = zeros_u(net)
+        delta[list(net.der_nodes[:12])] = 1
+        lp = GammaControlLP(net, params, LPF, fixed_angle_setpoints(net, u, u), u=u)
+        lps = _captured_lps(monkeypatch, lambda: lp.solve(delta))
+        assert len(lps) == 1
+        assert np.array_equal(linprog(*lps[0]), _scipy_x(*lps[0]))
+
+    def test_slp_rounds_match_scipy(self, homog37, monkeypatch):
+        net = with_gamma_lo(homog37, 0.5)
+        params = params_for(net, 10.0)
+        psi = attack_strategy(net, solve_ad_oneshot(net, None, 8, params, LPF).delta_star)
+        lps = _captured_lps(monkeypatch, lambda: optimal_response(net, psi, params, NPF))
+        assert len(lps) > 1
+        for args in lps:
+            assert np.array_equal(linprog(*args), _scipy_x(*args))
+
+    def test_infeasible_raises(self):
+        # x <= -1 with 0 <= x <= 1
+        A = _columnwise(np.array([[1.0]]))
+        with pytest.raises(InfeasibleLP):
+            linprog(np.array([1.0]), A, np.array([-1.0]), np.zeros(1), np.ones(1))
+
+    @pytest.mark.parametrize("nan_in", ["c", "b_ub"])
+    def test_nan_input_raises(self, nan_in):
+        args = {"c": np.array([1.0, 1.0]), "b_ub": np.array([1.0])}
+        args[nan_in][0] = np.nan
+        A = _columnwise(np.array([[1.0, 1.0]]))
+        with pytest.raises(ValueError):
+            linprog(args["c"], A, args["b_ub"], np.zeros(2), np.ones(2))
+
+    def test_nonfinite_matrix_raises(self):
+        with pytest.raises(ValueError):
+            _columnwise(np.array([[1.0, np.inf]]))
