@@ -1,10 +1,11 @@
 """Attacker-defender sub-game with certified loss bounds.
 
-Solves the linear sub-games exactly (one-shot enumeration of candidate
-attacks, with a load-control LP only for the candidates whose pooled upper
-bound can still beat the best exact loss) and the nonlinear sub-game by the
-greedy alternation, then certifies that the linear values bracket the
-nonlinear value with the explicit line-loss slack.
+Solves the linear sub-games exactly (a branch-and-bound over the pivot
+families of candidate attacks, with a load-control LP only for a family's
+worst member while the family's pooled upper bound can still beat the best
+exact loss) and the nonlinear sub-game by the greedy alternation, then
+certifies that the linear values bracket the nonlinear value with the
+explicit line-loss slack.
 """
 
 import numpy as np

@@ -1,5 +1,6 @@
 """Attacker-side computations: optimal false set-points, voltage-impact
-algebra, pivot-node greedy attacks, and candidate optimal attack sets.
+algebra, pivot-node greedy attacks, and their families (the candidate optimal
+attack sets).
 
 Compromising a DER moves its set-point from the defender's value to the
 worst-case false set-point 0 - j*cap, which lowers the squared voltage at a
@@ -10,7 +11,9 @@ everything here is built on that formula.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,40 +102,77 @@ def _vulnerable_nodes(net: Network, u: np.ndarray) -> np.ndarray:
     return np.flatnonzero((net.der_cap > 0.0) & (np.asarray(u) == 0))
 
 
-def _impact_partitions(
-    deltas: np.ndarray, nodes: np.ndarray
-) -> list[list[int]]:
-    """Group nodes into maximal equal-impact partitions, in decreasing order."""
-    d = deltas.tolist()
-    order = sorted((int(j) for j in nodes), key=lambda j: (-d[j], j))
-    groups: list[list[int]] = []
-    for j in order:
-        if groups and abs(d[groups[-1][0]] - d[j]) <= 1e-15 + _TIE_RTOL * abs(d[j]):
-            groups[-1].append(j)
-        else:
-            groups.append([j])
-    return groups
+class PivotFamily(NamedTuple):
+    """The attack vectors that take every node of ``taken`` and ``fill`` nodes
+    of the ``boundary`` partition (sorted node ids). An empty boundary makes a
+    single vector, ``taken``."""
+
+    taken: tuple[int, ...]
+    boundary: tuple[int, ...] = ()
+    fill: int = 0
+
+    def first(self) -> tuple[int, ...]:
+        """The least member in sorted order: the fill takes the lowest ids."""
+        return tuple(sorted(self.taken + self.boundary[: self.fill]))
+
+    def rank(self) -> tuple:
+        """Sort key of families: the least member's size, then the least
+        member (vectors sort by size first, then as tuples)."""
+        first = self.first()
+        return len(first), first, self
+
+    def members(self) -> Iterator[tuple[int, ...]]:
+        """Every member as a sorted tuple, in sorted order."""
+        for combo in itertools.combinations(self.boundary, self.fill):
+            yield tuple(sorted(self.taken + combo))
+
+    def holds(self, vector: tuple[int, ...]) -> bool:
+        """Whether ``vector`` (distinct node ids) is a member."""
+        rest = set(vector).difference(self.taken)
+        return len(rest) == self.fill == len(vector) - len(self.taken) and rest <= set(self.boundary)
+
+    def split(self, node: int) -> tuple[PivotFamily, PivotFamily]:
+        """The members that take boundary ``node`` and those that do not; a
+        fill of none or all of the rest of the boundary is a single vector."""
+        rest = tuple(j for j in self.boundary if j != node)
+
+        def family(taken: tuple[int, ...], fill: int) -> PivotFamily:
+            if fill in (0, len(rest)):
+                return PivotFamily(tuple(sorted(taken + rest[:fill])))
+            return PivotFamily(tuple(sorted(taken)), rest, fill)
+
+        return family((*self.taken, node), self.fill - 1), family(self.taken, self.fill)
 
 
-def _partition_walk(
-    row: np.ndarray, pool: np.ndarray, budget: int
-) -> tuple[list[int], tuple[int, ...], int]:
-    """Take whole equal-impact partitions of ``row`` over ``pool`` in decreasing
-    order while they fit in ``budget``.
+def _partition_walks(D: np.ndarray, pool: np.ndarray, budget: int) -> list[PivotFamily]:
+    """The greedy walk of every row of ``D`` (the impacts at one pivot) over
+    ``pool``: whole equal-impact partitions in decreasing order while they fit
+    in ``budget``, then the boundary partition that no longer fits.
 
-    Returns the taken nodes, the boundary partition that no longer fits
-    (sorted; empty when the budget is used up exactly) and how many of its
-    nodes fill the rest of the budget.
+    Nodes sort by decreasing impact, ties to the lower id; a partition runs
+    while impacts stay within 1e-15 + 1e-9 relative of its first one.
     """
-    taken: list[int] = []
-    for g in _impact_partitions(row, pool):
-        if budget <= 0:
-            break
-        if budget < len(g):
-            return taken, tuple(sorted(g)), budget
-        taken.extend(g)
-        budget -= len(g)
-    return taken, (), 0
+    if pool.size == 0 or budget <= 0:
+        return [PivotFamily(())] * len(D)
+    if budget >= pool.size:
+        return [PivotFamily(tuple(pool.tolist()))] * len(D)
+    vals = D[:, pool]
+    order = np.lexsort((np.broadcast_to(pool, vals.shape), -vals))
+    walks = []
+    for nodes, d in zip(pool[order].tolist(), np.take_along_axis(vals, order, axis=1).tolist()):
+        start = 0               # where the partition of the first node past the budget starts
+        for t in range(1, budget + 1):
+            if abs(d[start] - d[t]) > 1e-15 + _TIE_RTOL * abs(d[t]):
+                start = t
+        if start == budget:
+            walks.append(PivotFamily(tuple(sorted(nodes[:budget]))))
+            continue
+        end = budget + 1
+        while end < len(nodes) and abs(d[start] - d[end]) <= 1e-15 + _TIE_RTOL * abs(d[end]):
+            end += 1
+        boundary = tuple(sorted(nodes[start:end]))
+        walks.append(PivotFamily(tuple(sorted(nodes[:start])), boundary, budget - start))
+    return walks
 
 
 def pivot_optimal_attack(
@@ -151,13 +191,14 @@ def pivot_optimal_attack(
         raise RootArgument("pivot must be a non-substation node")
     pool = _vulnerable_nodes(net, u)
     D = impact_matrix(net, sp_d, LPF)[pivot]
-    taken, boundary, fill = _partition_walk(D, pool, min(M, pool.size))
-    if rng is None:
-        taken.extend(boundary[:fill])
-    elif boundary:
-        taken.extend(rng.choice(boundary, size=fill, replace=False))
+    (walk,) = _partition_walks(D[None, :], pool, min(M, pool.size))
     delta = np.zeros(net.n + 1, dtype=int)
-    delta[taken] = 1
+    if rng is None:
+        delta[list(walk.first())] = 1
+    else:
+        delta[list(walk.taken)] = 1
+        if walk.boundary:
+            delta[rng.choice(walk.boundary, size=walk.fill, replace=False)] = 1
     return PivotAttack(
         pivot=pivot,
         delta=delta,
@@ -189,9 +230,8 @@ def optimal_attack_fixed_response(
     D = impact_matrix(net, phi.sp_d, LPF)
     best_score = -np.inf
     best_nodes: list[int] = []
-    for pivot in net.nodes:
-        taken, boundary, fill = _partition_walk(D[pivot], pool, budget)
-        nodes = sorted(taken + list(boundary[:fill]))
+    for pivot, walk in zip(net.nodes, _partition_walks(D[1:], pool, budget)):
+        nodes = list(walk.first())
         impact = float(D[pivot, nodes].sum())
         score = W[pivot] * (net.nu_lo[pivot] - (base.nu[pivot] - impact))
         if score > best_score + 1e-15:
@@ -202,6 +242,26 @@ def optimal_attack_fixed_response(
     return best_delta
 
 
+def pivot_families(
+    net: Network,
+    impacts: np.ndarray,
+    M: int,
+    u: np.ndarray,
+) -> tuple[PivotFamily, ...]:
+    """The pivot-node greedy attacks of every pivot for a linear-model
+    response, one family per distinct walk, ordered by least member.
+
+    ``impacts`` is the LPF ``impact_matrix`` of the response's set-points;
+    eps-LPF scales every impact by the same 1 + eps, so the LPF families serve
+    both linear models. Each pivot's walk takes whole equal-impact partitions
+    while they fit the budget; its boundary partition and the budget it leaves
+    make the family.
+    """
+    pool = _vulnerable_nodes(net, u)
+    families = set(_partition_walks(impacts[1:], pool, min(M, pool.size)))
+    return tuple(sorted(families, key=PivotFamily.rank))
+
+
 def candidate_attack_set(
     net: Network,
     sp_d: np.ndarray,
@@ -209,29 +269,18 @@ def candidate_attack_set(
     u: np.ndarray,
 ) -> tuple[tuple[int, ...], ...]:
     """Candidate optimal attack vectors for a fixed linear-model response:
-    the union over pivots of all budget completions of the boundary partition,
-    each a sorted tuple of attacked nodes, in sorted order.
+    the members of the ``pivot_families``, each a sorted tuple of attacked
+    nodes, in sorted order.
 
-    eps-LPF scales every impact by the same factor 1 + eps, so the LPF
-    impacts give the set for both linear models. The boundary partition can
-    make the union combinatorial; the enumeration raises
-    EnumerationCapExceeded as soon as it holds more than 10,000 distinct
-    vectors.
+    This is the paper's structure result written out; the engines bound the
+    families instead. The boundary partition can make the union
+    combinatorial; the expansion raises EnumerationCapExceeded as soon as it
+    holds more than 10,000 distinct vectors.
     """
-    pool = _vulnerable_nodes(net, u)
-    if M <= 0 or pool.size == 0:
-        return ((),)
-
-    D = impact_matrix(net, sp_d, LPF)
-    budget = min(M, pool.size)
     vectors: set[tuple[int, ...]] = set()
-    for pivot in net.nodes:
-        taken, boundary, fill = _partition_walk(D[pivot], pool, budget)
-        taken = tuple(taken)
-        for combo in itertools.combinations(boundary, fill):
-            vectors.add(tuple(sorted(taken + combo)))
+    for family in pivot_families(net, impact_matrix(net, sp_d, LPF), M, u):
+        for vector in family.members():
+            vectors.add(vector)
             if len(vectors) > _CANDIDATE_CAP:
-                raise EnumerationCapExceeded(
-                    f"candidate set exceeds cap {_CANDIDATE_CAP} (at pivot {pivot})"
-                )
+                raise EnumerationCapExceeded(f"candidate set exceeds cap {_CANDIDATE_CAP}")
     return tuple(sorted(vectors))

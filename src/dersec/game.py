@@ -1,12 +1,13 @@
 """Attacker-defender sub-game engines and sandwich-bound certification.
 
-The exact linear engines share one pooled best-first loop: the one-shot
-engine (identical-r/x networks, closed-form set-points, candidate attacks,
-load-control LP) and the exhaustive engine (any network, every attack vector,
-joint set-point/load-control LP), for one security vector or the Stage-1
-min-max over rows of them. The iterative engine alternates the LPF greedy
-attack with the exact nonlinear response and keeps the best incumbent; a
-repeated attack vector certifies convergence. ``solve_ad`` picks the engine
+The exact linear engines share one pooled best-first branch-and-bound over
+attack families: the one-shot engine (identical-r/x networks, closed-form
+set-points, pivot families bounded without listing their vectors,
+load-control LP) and the exhaustive engine (any network, every attack vector
+as a single-vector family, joint set-point/load-control LP), for one security
+vector or the Stage-1 min-max over rows of them. The iterative engine
+alternates the LPF greedy attack with the exact nonlinear response and keeps
+the best incumbent; a repeated attack vector certifies convergence. ``solve_ad`` picks the engine
 from the model and the network.
 """
 
@@ -21,10 +22,11 @@ import numpy as np
 
 from .attack import (
     AttackStrategy,
+    PivotFamily,
     attack_strategy,
-    candidate_attack_set,
     impact_matrix,
     optimal_attack_fixed_response,
+    pivot_families,
 )
 from .errors import EnumerationCapExceeded
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
@@ -41,7 +43,7 @@ from .response import (
 
 _BOUND_SLACK = 1e-9
 _EXHAUSTIVE_CAP = 200_000
-_TABLE_CAP = 5_000_000          # attack vectors summed over security rows
+_TABLE_CAP = 5_000_000          # attack families summed over security rows
 _ITERATIVE_MAX_ITER = 20
 
 
@@ -55,12 +57,19 @@ class TraceEntry:
 class ADResult:
     """Sub-game solution with one trace entry per evaluated attack.
 
-    In the exact linear engines the trace holds every vector enumerated for
-    ``u`` with its final pooled bound: exact where its own response was solved
-    or the value is 0, otherwise an upper bound not above ``loss.total``.
-    Pooled values use closed-form voltages and ``loss`` the power-flow state;
-    they agree up to rounding, so on exact ties the returned maximiser may
-    differ from the one a loop over exact per-vector losses would keep.
+    In the exact linear engines the trace holds one entry per attack family
+    of the winning row ``u``, in the order of their least members: the
+    family's least member in sorted order and the family's final pooled
+    bound. The bound is exact for a single vector whose own response was
+    solved, and for a family whose every member loses 0; otherwise it is an
+    upper bound on every member's loss, not above ``loss.total``. Every
+    vector the engine solved is its own family. The exhaustive engine's
+    families are its single vectors, so its trace lists every vector. Pooled
+    values use closed-form voltages and ``loss`` the power-flow state; they
+    agree up to rounding, so on exact ties the returned maximiser may differ
+    from the one a loop over exact per-vector losses would keep. The
+    iterative engine lists each attack it responded to, with that response's
+    loss.
     """
 
     delta_star: np.ndarray
@@ -80,89 +89,220 @@ def _zero_u(net: Network, u: np.ndarray | None) -> np.ndarray:
     return np.asarray(u, dtype=int)
 
 
+class _FamilyTable:
+    """Attack families with their bounds over a pool of linear responses.
+
+    A family's worst member at node i drops the voltage by the impacts of its
+    taken nodes plus its ``fill`` largest boundary impacts there. The loss at
+    those per-node worst voltages (``nu(no attack) - drop``) is therefore the
+    family's largest member loss under a response, and the least of it over
+    the pool is the family's bound. Every pooled response is feasible for
+    every vector, so a bound is never below a member's exact loss. The pool
+    starts at the seed (``lp.sp_d``, gamma = 1), where a bound of 0 is exact.
+    """
+
+    def __init__(self, lp: GammaControlLP, index: dict[PivotFamily, int]):
+        net = lp.net
+        self.lp = lp
+        self.W = lp.params.W[1:]
+        self.nu_lo = net.nu_lo[1:]
+        self.voll_rate = lp.params.C[1:] * np.real(net.sc_nom)[1:]
+        self.seed = DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))
+        self.seed_D = impact_matrix(net, lp.sp_d, lp.model)[1:, :]
+        self.seed_nu = lp.nu_intercept(np.zeros(net.n + 1, dtype=int))
+        self.pool = [self.seed]
+        self.fams: list[PivotFamily] = []
+        self.index = index                               # family -> row, in row order
+        self.taken = np.zeros((0, net.n + 1))
+        self.wide = np.zeros(0, dtype=bool)              # families of more than one vector
+        self.seed_c0 = np.zeros((0, net.n))
+        self.bound = np.zeros(0)
+        self.exact = np.zeros(0, dtype=bool)
+        self.arg = np.zeros(0, dtype=np.intp)            # pool response that sets each bound
+        self.solved: dict[tuple[int, ...], DefenderResponse] = {}
+        self._append(list(index))
+
+    def impacts(self, sp_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Model impacts on nodes 1..N and the voltages at gamma = 0 with no
+        attack, under ``sp_d`` (the seed's are kept)."""
+        if np.array_equal(sp_d, self.lp.sp_d):
+            return self.seed_D, self.seed_nu
+        lp = self.lp
+        no_attack = np.zeros(lp.net.n + 1, dtype=int)
+        return impact_matrix(lp.net, sp_d, lp.model)[1:, :], lp.nu_intercept(no_attack, sp_d=sp_d)
+
+    def intercept(self, sp_d: np.ndarray, ks=slice(None)) -> np.ndarray:
+        """Voltages at gamma = 0 under ``sp_d`` at the per-node worst members
+        of the families ``ks``."""
+        D, nu = self.impacts(sp_d)
+        drop = self.taken[ks] @ D.T
+        rows = np.arange(len(self.fams))[ks]
+        wide = np.flatnonzero(self.wide[rows])
+        if wide.size:
+            # per node, the boundary impacts in decreasing order and their running sums
+            boundary = np.zeros((wide.size, D.shape[1]), dtype=bool)
+            fill = np.zeros(wide.size, dtype=np.intp)
+            for r, k in enumerate(rows[wide]):
+                boundary[r, list(self.fams[k].boundary)] = True
+                fill[r] = self.fams[k].fill
+            ranked = -np.sort(np.where(boundary[:, None, :], -D[None], np.inf), axis=2)
+            drop[wide] += np.cumsum(ranked, axis=2)[np.arange(wide.size), :, fill - 1]
+        return nu - drop
+
+    def voltages(self, phi: DefenderResponse, ks=slice(None)) -> np.ndarray:
+        # the seed's intercept serves every response that keeps its set-points
+        same = np.array_equal(phi.sp_d, self.lp.sp_d)
+        c0 = self.seed_c0[ks] if same else self.intercept(phi.sp_d, ks)
+        return c0 - self.lp.G @ phi.gamma[1 + self.lp.loaded]
+
+    def value(self, phi: DefenderResponse, ks=slice(None)) -> np.ndarray:
+        """The largest member loss of each family ``ks`` under ``phi``."""
+        lovr = np.max(self.W * np.maximum(self.nu_lo - self.voltages(phi, ks), 0.0), axis=1)
+        return lovr + float(np.sum(self.voll_rate * (1.0 - phi.gamma[1:])))
+
+    def add(self, families: list[PivotFamily]) -> list[int]:
+        """Table indices of ``families``, appending the new ones."""
+        new = [f for f in dict.fromkeys(families) if f not in self.index]
+        self.index.update(zip(new, range(len(self.fams), len(self.fams) + len(new))))
+        self._append(new)
+        return [self.index[f] for f in families]
+
+    def _append(self, new: list[PivotFamily]) -> None:
+        """Append the rows of the indexed families ``new``, with their bounds
+        over the whole pool."""
+        if not new:
+            return
+        ks = slice(len(self.fams), None)
+        self.fams += new
+        taken = np.zeros((len(new), self.taken.shape[1]))
+        rows = np.repeat(np.arange(len(new)), [len(f.taken) for f in new])
+        taken[rows, list(itertools.chain.from_iterable(f.taken for f in new))] = 1.0
+        self.taken = np.vstack([self.taken, taken])
+        self.wide = np.append(self.wide, [bool(f.boundary) for f in new])
+        self.seed_c0 = np.vstack([self.seed_c0, self.intercept(self.lp.sp_d, ks)])
+        values = [self.value(phi, ks) for phi in self.pool]
+        self.exact = np.append(self.exact, values[0] <= 0.0)
+        self.bound = np.append(self.bound, np.min(values, axis=0))
+        self.arg = np.append(self.arg, np.argmin(values, axis=0))
+
+    def settle(self, k: int, phi: DefenderResponse) -> None:
+        """Pool ``phi``, the own response of single-vector family ``k``,
+        tighten every bound, and mark ``k`` exact."""
+        self.solved[self.fams[k].taken] = phi
+        self.pool.append(phi)
+        v = self.value(phi)
+        self.arg[v < self.bound] = len(self.pool) - 1
+        self.bound = np.minimum(self.bound, v)
+        self.exact[k] = True
+
+    def attaining(self, k: int) -> tuple[int, ...]:
+        """The least member of family ``k`` whose loss under the response
+        that sets the family's bound equals that bound: its taken nodes and
+        the ``fill`` largest boundary impacts (ties to the lower id) at a node
+        that attains it."""
+        f = self.fams[k]
+        if not self.wide[k]:
+            return f.taken
+        if self.bound[k] <= 0.0:
+            return f.first()
+        phi = self.pool[self.arg[k]]
+        terms = self.W * np.maximum(self.nu_lo - self.voltages(phi, [k])[0], 0.0)
+        if terms.max() <= 0.0:
+            return f.first()
+        boundary = np.array(f.boundary)
+        D = self.impacts(phi.sp_d)[0][np.flatnonzero(terms == terms.max())][:, boundary]
+        fills = boundary[np.lexsort((np.broadcast_to(boundary, D.shape), -D))[:, : f.fill]]
+        return min(tuple(sorted(f.taken + tuple(fill))) for fill in fills.tolist())
+
+
 def _pooled_best_first(
     lp: GammaControlLP,
     secured: np.ndarray,
-    row_vectors: Iterable[Iterable[tuple[int, ...]]],
+    row_families: Iterable[Iterable[PivotFamily]],
     respond: Callable[[np.ndarray], DefenderResponse],
 ) -> ADResult:
     """Min over the rows u of ``secured`` of the exact linear sub-game maximum
-    over each row's own attack vectors, best-first.
+    over each row's own attack families, by best-first branch-and-bound.
 
-    A vector's exact loss reads u only through ``delta & ~u``, so one table of
-    bounds serves every row. Every pooled response (gamma, sp_d) is feasible
-    for every vector, so its closed-form loss (voltages ``nu(no attack) -
-    delta @ D(sp_d).T``) bounds each vector's exact loss from above. The pool
-    starts at the seed (``lp.sp_d``, gamma = 1), whose bound 0 is exact. Each
-    round takes the row whose largest exact loss is smallest (ties to the
-    first row) and solves its open vector with the largest bound through
-    ``respond``; that response joins the pool. The row wins once none of its
+    A vector's exact loss reads u only through ``delta & ~u``, so one
+    ``_FamilyTable`` serves every row. Each round takes the row whose largest
+    exact loss is smallest (ties to the first row) and its open family with
+    the largest bound, and that family's attaining member (ties to the first
+    vector in sorted order). If the member's own bound is still open, its
+    response is solved through ``respond`` and joins the pool, and the vector
+    joins every row that holds it as an exact single-vector family. If the
+    member is exact, or its own bound is closed, the open family is split on
+    a boundary node of that member instead. The row wins once none of its
     open bounds exceeds its largest exact loss (ties to its first vector).
-    Raises EnumerationCapExceeded once the rows hold over 5,000,000 vectors.
+    Raises EnumerationCapExceeded once the rows hold over 5,000,000 families.
     """
-    index: dict[tuple[int, ...], int] = {}
+    index: dict[PivotFamily, int] = {}
     members: list[np.ndarray] = []
     cells = 0
-    for row_vecs in row_vectors:
-        members.append(np.fromiter((index.setdefault(v, len(index)) for v in row_vecs), dtype=np.intp))
+    for families in row_families:
+        members.append(np.fromiter((index.setdefault(f, len(index)) for f in families), dtype=np.intp))
         if (cells := cells + members[-1].size) > _TABLE_CAP:
-            raise EnumerationCapExceeded(f"security rows hold over {_TABLE_CAP} attack vectors")
-    vectors = tuple(index)
-    flat = np.concatenate(members)
-    starts = np.cumsum([0] + [m.size for m in members[:-1]])
+            raise EnumerationCapExceeded(f"security rows hold over {_TABLE_CAP} attack families")
+    table = _FamilyTable(lp, index)
+    fams = table.fams
 
-    net, params, model = lp.net, lp.params, lp.model
-    W = params.W[1:]
-    nu_lo = net.nu_lo[1:]
-    voll_rate = params.C[1:] * np.real(net.sc_nom)[1:]
+    def put(r: int, new: list[int], drop: int = -1) -> None:
+        """Put families ``new`` in row ``r`` in place of ``drop``, in order."""
+        row = set(members[r].tolist()).union(new).difference([drop])
+        members[r] = np.array(sorted(row, key=lambda k: fams[k].rank()), dtype=np.intp)
 
-    delta_mat = np.zeros((len(vectors), net.n + 1))
-    for row, nodes in enumerate(vectors):
-        delta_mat[row, list(nodes)] = 1.0
-
-    def intercept(sp_d: np.ndarray) -> np.ndarray:
-        """Voltages at gamma = 0 under ``sp_d`` for every vector."""
-        D = impact_matrix(net, sp_d, model)[1:, :]
-        return lp.nu_intercept(np.zeros(net.n + 1, dtype=int), sp_d=sp_d) - delta_mat @ D.T
-
-    # the seed's intercept serves every response that keeps its set-points
-    seed_c0 = intercept(lp.sp_d)
-
-    def value(phi: DefenderResponse) -> np.ndarray:
-        c0 = seed_c0 if np.array_equal(phi.sp_d, lp.sp_d) else intercept(phi.sp_d)
-        nu = c0 - lp.G @ phi.gamma[1 + lp.loaded]
-        lovr = np.max(W * np.maximum(nu_lo - nu, 0.0), axis=1)
-        return lovr + float(np.sum(voll_rate * (1.0 - phi.gamma[1:])))
-
-    seed = DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))
-    bound = value(seed)
-    exact = bound <= 0.0
-    responses: dict[int, DefenderResponse] = {}
     while True:
+        flat = np.concatenate(members)
+        starts = np.cumsum([0] + [m.size for m in members[:-1]])
+        exact, bound = table.exact, table.bound
         top = np.maximum.reduceat(np.where(exact[flat], bound[flat], -np.inf), starts)
         u_row = int(np.argmin(top))
         mine = members[u_row]
         open_bound = np.where(exact[mine], -np.inf, bound[mine])
-        pick = int(np.argmax(open_bound))
-        if open_bound[pick] <= top[u_row]:
+        peak = open_bound.max()
+        if peak <= top[u_row]:
             break
-        row = int(mine[pick])
-        responses[row] = respond(delta_mat[row].astype(int))
-        bound = np.minimum(bound, value(responses[row]))
-        exact[row] = True
+        # the least attaining member of the tied families; a family's least
+        # member comes first in row order and bounds its attaining one
+        pick: tuple | None = None
+        for k in mine[open_bound == peak].tolist():
+            if pick and pick[0] <= fams[k].rank()[:2]:
+                break
+            vector = table.attaining(k)
+            if not pick or (len(vector), vector) < pick[0]:
+                pick = ((len(vector), vector), k)
+        (_, vector), k = pick
+        (single,) = table.add([PivotFamily(vector)])
+        # a member whose own bound is closed, or exact, is not worth an LP
+        if not table.exact[single] and table.bound[single] > top[u_row]:
+            delta = np.zeros(lp.net.n + 1, dtype=int)
+            delta[list(vector)] = 1
+            table.settle(single, respond(delta))
+            # every row that holds the vector in a family now holds it exact
+            holders = {j for j in np.flatnonzero(table.wide).tolist() if fams[j].holds(vector)}
+            if holders:
+                for r, row in enumerate(members):
+                    if single not in row and holders.intersection(row.tolist()):
+                        put(r, [single])
+            continue
+        children = table.add(list(fams[k].split(min(set(vector).difference(fams[k].taken)))))
+        for r, row in enumerate(members):
+            if k in row:
+                put(r, children, drop=k)
 
-    best = int(mine[np.argmax(np.where(exact[mine], bound[mine], -np.inf))])
-    phi_star = responses.get(best, seed)
-    delta_star = delta_mat[best].astype(int)
-    psi_star = attack_strategy(net, delta_star)
-    state = response_state(net, psi_star, phi_star, model)
+    best = fams[int(mine[np.argmax(np.where(exact[mine], bound[mine], -np.inf))])].first()
+    phi_star = table.solved.get(best, table.seed)
+    delta_star = np.zeros(lp.net.n + 1, dtype=int)
+    delta_star[list(best)] = 1
+    psi_star = attack_strategy(lp.net, delta_star)
+    state = response_state(lp.net, psi_star, phi_star, lp.model)
     return ADResult(
         delta_star=delta_star,
         psi_star=psi_star,
         phi_star=phi_star,
-        loss=evaluate_loss(state, phi_star.gamma, params),
-        model=model,
-        trace=tuple(TraceEntry(vectors[k], float(bound[k])) for k in mine),
+        loss=evaluate_loss(state, phi_star.gamma, lp.params),
+        model=lp.model,
+        trace=tuple(TraceEntry(fams[k].first(), b) for k, b in zip(mine.tolist(), bound[mine].tolist())),
         converged=True,
         u=secured[u_row].copy(),
         iterations=1,
@@ -179,9 +319,12 @@ def solve_ad_oneshot(
     """Exact linear sub-game solve for identical-r/x networks.
 
     Set-points are fixed in closed form, so pooled responses differ only in
-    the load-control vector gamma; a candidate's exact response is its LP.
-    A 2-D ``u`` holds rows of alternative security vectors, each with its
-    own candidate set; the result is the least row's (``_pooled_best_first``).
+    the load-control vector gamma; a vector's exact response is its LP. Each
+    row's attacks are its ``pivot_families``, at most one per pivot, from LPF
+    impacts computed once per solve. They are bounded as families, so no
+    candidate vector is listed and no candidate cap applies. A 2-D ``u``
+    holds rows of alternative security vectors; the result is the least
+    row's (``_pooled_best_first``).
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
@@ -189,7 +332,8 @@ def solve_ad_oneshot(
     zero = np.zeros(net.n + 1, dtype=int)
     sp_d = fixed_angle_setpoints(net, zero, zero)
     lp = GammaControlLP(net, params, model, sp_d)
-    rows = (candidate_attack_set(net, sp_d, M, row) for row in secured)
+    impacts = impact_matrix(net, sp_d, LPF)
+    rows = (pivot_families(net, impacts, M, row) for row in secured)
     return _pooled_best_first(lp, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)))
 
 
@@ -220,7 +364,13 @@ def solve_ad_exhaustive(
     counts = [sum(math.comb(len(p), k) for k in range(min(M, len(p)) + 1)) for p in pools]
     if max(counts) > _EXHAUSTIVE_CAP or sum(counts) > _TABLE_CAP:
         raise EnumerationCapExceeded(f"{max(counts)} vectors in a row or {sum(counts)} in all exceed cap")
-    rows = ([c for k in range(min(M, len(p)) + 1) for c in itertools.combinations(p, k)] for p in pools)
+    # rows share most vectors: build each vector's family once
+    single: dict[tuple[int, ...], PivotFamily] = {}
+    rows = (
+        [single.get(c) or single.setdefault(c, PivotFamily(c))
+         for k in range(min(M, len(p)) + 1) for c in itertools.combinations(p, k)]
+        for p in pools
+    )
     lp = GammaControlLP(net, params, model, polygon_setpoints(net))
 
     def respond(delta: np.ndarray) -> DefenderResponse:

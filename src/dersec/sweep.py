@@ -7,12 +7,13 @@ network, exhaustive on any other.
 Rows are computed independently, optionally on a thread pool, and always
 emitted in sorted grid order, so output is deterministic regardless of
 scheduling. Threads overlap only the time a row spends in native code that
-releases the GIL (mainly the HiGHS solve of a response LP); candidate enumeration,
-partition walks, LP assembly and the small power-flow sweeps run one thread
-at a time. Extra workers therefore help grids whose rows are LP-bound and can
-slow grids whose rows are Python-bound: on 2 cores, 2 workers made a 48-row
-LPF one-shot grid at M <= 7 (no LPs) about 1.2-1.4x slower than serial, and a
-4-row iterative NPF grid about 1.4x faster.
+releases the GIL (mainly the HiGHS solve of a response LP); partition walks,
+family bounds, LP assembly and the small power-flow sweeps run one thread at
+a time. Extra workers therefore help grids whose rows are LP-bound and can
+slow grids whose rows are Python-bound: on 2 cores (Intel Xeon), 2 workers
+made a 48-row LPF one-shot grid at M <= 7 (0.14-0.17 s serial, at most one
+LP per row) about 1.7x slower than serial, and a 4-row iterative NPF grid
+about 1.4x faster.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from dersec import (
     solve_ad_oneshot,
     voltage_impact,
 )
-from dersec.attack import attack_strategy, impact_matrix
+from dersec.attack import _partition_walks, attack_strategy, impact_matrix, pivot_families
 from dersec.cases import random_feasible_network
 from dersec.errors import EnumerationCapExceeded, RootArgument
 from dersec.network import NodeSpec, build_network
@@ -131,6 +133,45 @@ class TestOptimalAttackFixedResponse:
         assert chosen == {"i", "m"}
 
 
+def _reference_walk(row, pool, budget):
+    """The greedy partition walk one pivot at a time: equal-impact partitions
+    (within 1e-15 + 1e-9 relative of their first impact) in decreasing order,
+    ties to the lower id, taken whole while they fit."""
+    d = row.tolist()
+    groups = []
+    for j in sorted((int(j) for j in pool), key=lambda j: (-d[j], j)):
+        if groups and abs(d[groups[-1][0]] - d[j]) <= 1e-15 + 1e-9 * abs(d[j]):
+            groups[-1].append(j)
+        else:
+            groups.append([j])
+    taken = []
+    for g in groups:
+        if budget <= 0:
+            break
+        if budget < len(g):
+            return taken, sorted(g), budget
+        taken.extend(g)
+        budget -= len(g)
+    return taken, [], 0
+
+
+class TestPartitionWalks:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_match_the_one_pivot_walk(self, seed):
+        # impacts drawn from few levels, some nudged inside and some outside
+        # the tie tolerance, so partitions are wide and their edges are tested
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        levels = rng.choice([0.0, 1e-3, 2e-3, 5e-3], size=(9, n + 1))
+        nudge = rng.choice([0.0, 0.0, 4e-10, 3e-9, -4e-10], size=levels.shape)
+        D = levels * (1.0 + nudge)
+        pool = np.sort(rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False))
+        for budget in range(pool.size + 1):
+            for row, walk in zip(D, _partition_walks(D, pool, budget)):
+                taken, boundary, fill = _reference_walk(row, pool, budget)
+                assert walk == (tuple(sorted(taken)), tuple(boundary), fill)
+
+
 class TestCandidateSet:
     def test_budget_zero_single_empty_vector(self, fig2):
         sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
@@ -171,7 +212,8 @@ class TestCandidateSet:
             params = CostParams.from_ratio(net, 2.0)
             a = solve_ad_oneshot(net, None, 2, params, LPF)
             b = solve_ad_oneshot(net, None, 2, params, eps_lpf(0.3))
-            assert [e.delta for e in a.trace] == [e.delta for e in b.trace]
+            cands = set(candidate_attack_set(net, sp, 2, np.zeros(net.n + 1, dtype=int)))
+            assert {e.delta for e in a.trace + b.trace} <= cands
 
     def test_gamma_independent(self):
         # the candidate set is computed without gamma; the substance is that
@@ -220,6 +262,27 @@ class TestCandidateSet:
             for pivot in net.nodes:
                 atk = pivot_optimal_attack(net, pivot, sp, M, u)
                 assert tuple(np.flatnonzero(atk.delta)) in cands, (net.n, pivot)
+
+    @pytest.mark.parametrize("net_id,M", [*((seed, 2) for seed in range(15)),
+                                          *(("feeder", M) for M in (3, 7, 12))])
+    def test_families_expand_to_the_enumerated_set(self, homog37, net_id, M):
+        net = homog37 if net_id == "feeder" else random_feasible_network(net_id)
+        u = zeros_u(net)
+        sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+        D = impact_matrix(net, sp, LPF)
+        families = pivot_families(net, D, M, u)
+        # the enumeration the engine used to run: every pivot's walk with each
+        # fill-subset of its boundary partition written out
+        pool = np.flatnonzero(net.der_cap > 0.0)
+        enumerated = set()
+        for pivot in net.nodes:
+            taken, boundary, fill = _reference_walk(D[pivot], pool, min(M, pool.size))
+            for combo in itertools.combinations(boundary, fill):
+                enumerated.add(tuple(sorted(taken + list(combo))))
+        members = [v for f in families for v in f.members()]
+        assert set(members) == enumerated == set(candidate_attack_set(net, sp, M, u))
+        assert len(families) == len(set(families)) <= net.n
+        assert [f.first() for f in families] == sorted(f.first() for f in families)
 
     def test_overflow_raises(self, homog37, monkeypatch):
         sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dersec.game
 import dersec.response
@@ -20,7 +22,7 @@ from dersec import (
     solve_ad_iterative,
     solve_ad_oneshot,
 )
-from dersec.attack import attack_strategy, candidate_attack_set
+from dersec.attack import PivotFamily, attack_strategy, candidate_attack_set, impact_matrix, pivot_families
 from dersec.cases import heterogeneous37, random_feasible_network
 from dersec.errors import EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
@@ -100,29 +102,31 @@ def _count_lps(monkeypatch):
     return calls
 
 
-def _per_candidate_value(net, M, params, model):
-    """Max over the candidate set of each candidate's own load-control LP loss."""
+def _per_candidate_losses(net, M, params, model):
+    """Each candidate's own load-control LP loss, by candidate."""
     u = zeros_u(net)
     sp = fixed_angle_setpoints(net, u, u)
     lp = GammaControlLP(net, params, model, sp, u=u)
-    cands = candidate_attack_set(net, sp, M, u)
-    best = -np.inf
-    for nodes in cands:
+    losses = {}
+    for nodes in candidate_attack_set(net, sp, M, u):
         delta = zeros_u(net)
         delta[list(nodes)] = 1
         gamma = lp.solve(delta)
         phi = DefenderResponse(sp_d=sp, gamma=gamma)
         state = response_state(net, attack_strategy(net, delta), phi, model, u=u)
-        best = max(best, evaluate_loss(state, gamma, params).total)
-    return best, len(cands)
+        losses[nodes] = evaluate_loss(state, gamma, params).total
+    return losses
 
 
 class TestOneShotPool:
     def _check(self, net, M, params, model):
         res = solve_ad_oneshot(net, None, M, params, model)
-        expected, n_cands = _per_candidate_value(net, M, params, model)
-        assert res.loss.total == pytest.approx(expected, abs=1e-9)
-        assert len(res.trace) == n_cands
+        losses = _per_candidate_losses(net, M, params, model)
+        assert res.loss.total == pytest.approx(max(losses.values()), abs=1e-9)
+        # one entry per family of the winning row: its least member, a
+        # candidate, and the family's bound, never below that member's loss
+        assert all(losses[e.delta] <= e.loss + 1e-9 for e in res.trace)
+        assert tuple(np.flatnonzero(res.delta_star)) in {e.delta for e in res.trace}
         # pooled bounds and the power-flow loss differ by rounding only
         assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
 
@@ -142,14 +146,95 @@ class TestOneShotPool:
         for model in (LPF, eps_lpf(calibrate_epsilon(homog37).eps)):
             self._check(net, M, params, model)
 
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_open_families_are_split(self, M, monkeypatch):
+        # three equal branches off one trunk node, a DER at each end: at the
+        # trunk the DERs tie, so one family holds an attack on every branch.
+        # The response to one branch's attack leaves the others unprotected,
+        # so the family's bound stays open and the family is split.
+        def spec(i, parent, cap=0.0):
+            return NodeSpec(id=i, parent=parent, r_pu=0.05, x_pu=0.06, pc_nom=0.1, qc_nom=0.03,
+                            der_cap=cap, gamma_lo=0.5)
+
+        specs = [NodeSpec(id=0, parent=None), spec(1, 0)]
+        for end in (3, 5, 7):
+            specs += [spec(end - 1, 1), spec(end, end - 1, 0.06)]
+        net = build_network(specs)
+        params = params_for(net, 10.0)
+        splits = []
+        split = PivotFamily.split
+        monkeypatch.setattr(PivotFamily, "split", lambda f, node: splits.append(node) or split(f, node))
+        self._check(net, M, params, LPF)
+        assert splits
+        # rows securing one DER each share the table, and with it the splits
+        rows = _single_der_rows(net, [3, 5, 7])
+        per_row = [solve_ad_oneshot(net, row, M, params, LPF).loss.total for row in rows]
+        assert solve_ad_oneshot(net, rows, M, params, LPF).loss.total == pytest.approx(min(per_row), abs=1e-9)
+
     def test_feeder_needs_few_lps(self, homog37, monkeypatch):
         net = with_gamma_lo(homog37, 0.5)
         params = params_for(net, 10.0)
         model = eps_lpf(calibrate_epsilon(homog37).eps)
         calls = _count_lps(monkeypatch)
         res = solve_ad_oneshot(net, None, 12, params, model)
-        assert len(res.trace) == 91
+        # the six pivot families of the 91 candidates, and the one vector solved
+        assert len(res.trace) == 7
         assert 1 <= len(calls) <= 3
+
+
+class TestFamilyBound:
+    """A family's value under a response is its largest member loss."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 40), M=st.integers(1, 4), draw=st.integers(0, 2**32 - 1))
+    def test_family_value_is_the_largest_member_loss(self, seed, M, draw):
+        net = random_feasible_network(seed, n_max=8)
+        params = params_for(net, 10.0)
+        u = zeros_u(net)
+        seed_sp = fixed_angle_setpoints(net, u, u)
+        families = pivot_families(net, impact_matrix(net, seed_sp, LPF), M, u)
+        rng = np.random.default_rng(draw)
+        for model in (LPF, eps_lpf(0.3)):
+            index = {f: k for k, f in enumerate(families)}
+            table = dersec.game._FamilyTable(GammaControlLP(net, params, model, seed_sp), index)
+            # the seed's set-points, then set-points anywhere in the DER half-disks
+            for sp in (seed_sp, net.der_cap * np.sqrt(rng.uniform(size=net.n + 1))
+                       * np.exp(1j * np.pi * rng.uniform(-0.5, 0.5, size=net.n + 1))):
+                gamma = rng.uniform(net.gamma_lo, 1.0)
+                gamma[0] = 1.0
+                phi = DefenderResponse(sp_d=sp, gamma=gamma)
+                for family, value in zip(families, table.value(phi)):
+                    losses = []
+                    for nodes in family.members():
+                        delta = zeros_u(net)
+                        delta[list(nodes)] = 1
+                        state = response_state(net, attack_strategy(net, delta), phi, model)
+                        losses.append(evaluate_loss(state, gamma, params).total)
+                    assert value == pytest.approx(max(losses), abs=1e-9)
+
+
+class TestOneShotLiterals:
+    """Values, attacks and LP counts on the study feeder, as computed when
+    the engine still enumerated every candidate vector."""
+
+    @pytest.mark.parametrize("M,model,total,attacked,lps", [
+        (5, "lpf", 0.0, range(9, 14), 0),
+        (5, "eps", 108.41697701200906, range(9, 14), 1),
+        (7, "lpf", 0.0, range(9, 16), 0),
+        (7, "eps", 395.6708439329782, range(9, 16), 1),
+        (8, "lpf", 79.14236279046796, range(9, 17), 1),
+        (8, "eps", 541.147198095723, range(9, 17), 1),
+        (12, "lpf", 468.7452509252807, range(9, 21), 1),
+        (12, "eps", 1621.5636089074496, range(9, 21), 1),
+    ])
+    def test_feeder(self, homog37, monkeypatch, M, model, total, attacked, lps):
+        net = with_gamma_lo(homog37, 0.5)
+        tag = LPF if model == "lpf" else eps_lpf(calibrate_epsilon(homog37).eps)
+        calls = _count_lps(monkeypatch)
+        res = solve_ad_oneshot(net, None, M, params_for(net, 10.0), tag)
+        assert res.loss.total == total
+        assert np.flatnonzero(res.delta_star).tolist() == list(attacked)
+        assert len(calls) == lps
 
 
 def _per_vector_value(net, M, params, model):
@@ -264,19 +349,21 @@ class TestSecurityRows:
         assert all(not res.u[list(e.delta)].any() for e in res.trace)
         assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
 
-    def test_candidate_rows_stop_at_the_table_cap(self, feeder, monkeypatch):
+    def test_family_rows_stop_at_the_table_cap(self, feeder, monkeypatch):
         net, params, _, M, ders = feeder
         rows = _single_der_rows(net, ders)
         sp = fixed_angle_setpoints(net, zeros_u(net), zeros_u(net))
-        first = len(candidate_attack_set(net, sp, M, rows[0]))
+        first = pivot_families(net, impact_matrix(net, sp, LPF), M, rows[0])
+        # a row holds at most one family per pivot, however many vectors
+        assert len(first) <= net.n < len(candidate_attack_set(net, sp, M, rows[0]))
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return candidate_attack_set(*args, **kwargs)
+            return pivot_families(*args, **kwargs)
 
-        monkeypatch.setattr(dersec.game, "candidate_attack_set", counted)
-        monkeypatch.setattr(dersec.game, "_TABLE_CAP", first + 1)
+        monkeypatch.setattr(dersec.game, "pivot_families", counted)
+        monkeypatch.setattr(dersec.game, "_TABLE_CAP", len(first) + 1)
         with pytest.raises(EnumerationCapExceeded):
             solve_ad_oneshot(net, rows, M, params, LPF)
         assert len(calls) == 2
