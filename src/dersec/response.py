@@ -30,17 +30,33 @@ so it returns the same solution bit for bit. The public wrapper would redo
 its input cleaning, the dense-to-CSC conversion of a matrix that never
 changes and its option validation on every call, which costs about as much
 as the solve itself on these LPs. The model converts its matrix once, on its
-first solve.
+first solve, with numpy rather than ``scipy.sparse``.
+
+The extension file is loaded directly from ``scipy/optimize/_highspy/``
+instead of being imported: an import would first run the ``scipy.optimize``
+package initialiser, which took about two thirds of ``import dersec`` and
+loads nothing the solves use. The module goes into ``sys.modules`` under its
+canonical name, and one already there is reused, because pybind11 registers
+each of its types once per process: a second copy under another name makes a
+later ``import scipy.optimize`` fail with "type ... is already registered".
+With one module object, scipy's ``linprog`` and this module share it in
+either import order. The price is a dependence on the file layout of a
+private module as well as on the module itself; a scipy release that moves
+the file makes ``import dersec`` fail with an ImportError naming the folder
+it searched.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.optimize._highspy._core as _highs
-from scipy.sparse import csc_array
+import scipy
 
 from .attack import AttackStrategy, effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
@@ -59,6 +75,28 @@ _FACET_Q = np.sin((np.arange(_DISK_FACETS) + 0.5) * _FACET_STEP)
 _FACET_SUPPORT = math.cos(_FACET_STEP / 2.0)
 _LOSS_TOL = 1e-8
 _MAX_SLP_ROUNDS = 50
+
+
+def _load_highs():
+    """``scipy.optimize._highspy._core``, without running ``scipy.optimize``."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"HiGHS extension _core not found in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
 
 # the options ``linprog(method="highs")`` sets: presolve on, dual simplex,
 # no debug checks, no output
@@ -114,8 +152,10 @@ def _columnwise(A: np.ndarray) -> tuple[list, list, list]:
     lists because HiGHS copies them faster than numpy arrays."""
     if not np.isfinite(A).all():
         raise ValueError("LP constraint matrix must be finite")
-    csc = csc_array(A)
-    return csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+    # the nonzeros column by column, rows ascending within a column
+    cols, rows = np.nonzero(A.T)
+    start = np.searchsorted(cols, np.arange(A.shape[1] + 1))
+    return start.tolist(), rows.tolist(), A[rows, cols].tolist()
 
 
 def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,3 +380,78 @@ class TestLinprog:
     def test_nonfinite_matrix_raises(self):
         with pytest.raises(ValueError):
             _columnwise(np.array([[1.0, np.inf]]))
+
+
+def _sparse_matrices():
+    """Dense matrices with empty rows and columns, signed zeros and nonzero
+    magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(20160106)
+    out = [np.zeros((4, 3)), np.zeros((1, 5)), np.array([[0.0, -2.5, 0.0, 1e-300, -1e300]])]
+    for _ in range(20):
+        m, n = rng.integers(1, 30, size=2)
+        A = rng.choice([-1.0, 1.0], size=(m, n)) * 10.0 ** rng.uniform(-300, 300, size=(m, n))
+        A[rng.random((m, n)) > rng.uniform(0.05, 0.6)] = 0.0
+        A[rng.random(m) < 0.2, :] = 0.0
+        A[:, rng.random(n) < 0.2] = 0.0
+        A[rng.random((m, n)) < 0.05] = -0.0
+        out.append(A)
+    return out
+
+
+class TestColumnwise:
+    @pytest.mark.parametrize("A", _sparse_matrices())
+    def test_matches_scipy_csc(self, A):
+        start, index, value = _columnwise(A)
+        csc = csc_array(A)
+        assert start == csc.indptr.tolist()
+        assert index == csc.indices.tolist()
+        assert value == csc.data.tolist()
+        assert all(type(v) is float for v in value)
+
+
+def _fresh_python(code: str, *path: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with ``path`` and ``src`` first on
+    PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    entries = [*map(str, path), str(src), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, entries))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+class TestHighsLoading:
+    """The HiGHS extension is loaded from its file, once per process."""
+
+    @pytest.mark.parametrize("module", ["dersec", "dersec.cli"])
+    def test_import_leaves_out_scipy_optimize_and_sparse(self, module):
+        out = _fresh_python(
+            f"import sys, {module}\n"
+            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("first, second", [("dersec.response", "scipy.optimize"),
+                                               ("scipy.optimize", "dersec.response")])
+    def test_either_import_order_shares_one_module(self, first, second):
+        out = _fresh_python(
+            f"import {first}\n"
+            f"import {second}\n"
+            "import sys\n"
+            "import numpy as np\n"
+            "assert sys.modules['scipy.optimize._highspy._core'] is dersec.response._highs\n"
+            "res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],\n"
+            "                             bounds=(0, 1), method='highs')\n"
+            "x = dersec.response.linprog(np.array([1.0, 2.0]),\n"
+            "                            dersec.response._columnwise(np.array([[-1.0, -1.0]])),\n"
+            "                            np.array([-1.0]), np.zeros(2), np.ones(2))\n"
+            "assert res.success and np.array_equal(res.x, x) and x.tolist() == [1.0, 0.0]\n"
+        )
+        assert out.returncode == 0, out.stderr
+
+    def test_missing_extension_names_the_folder(self, tmp_path):
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        out = _fresh_python("import dersec", tmp_path)
+        assert out.returncode != 0
+        assert "ImportError" in out.stderr
+        assert str(tmp_path / "scipy" / "optimize" / "_highspy") in out.stderr
