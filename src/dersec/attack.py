@@ -144,22 +144,36 @@ class PivotFamily(NamedTuple):
         return family((*self.taken, node), self.fill - 1), family(self.taken, self.fill)
 
 
-def _partition_walks(D: np.ndarray, pool: np.ndarray, budget: int) -> list[PivotFamily]:
-    """The greedy walk of every row of ``D`` (the impacts at one pivot) over
-    ``pool``: whole equal-impact partitions in decreasing order while they fit
-    in ``budget``, then the boundary partition that no longer fits.
+class ImpactRanking(NamedTuple):
+    """Nodes of a pool by decreasing impact at each pivot, ties to the lower
+    id (one row per pivot), and those impacts."""
 
-    Nodes sort by decreasing impact, ties to the lower id; a partition runs
-    while impacts stay within 1e-15 + 1e-9 relative of its first one.
-    """
-    if pool.size == 0 or budget <= 0:
-        return [PivotFamily(())] * len(D)
-    if budget >= pool.size:
-        return [PivotFamily(tuple(pool.tolist()))] * len(D)
+    nodes: np.ndarray
+    impacts: np.ndarray
+
+
+def impact_ranking(D: np.ndarray, pool: np.ndarray) -> ImpactRanking:
+    """The ranking of ``pool`` at every row of ``D`` (the impacts at one pivot)."""
     vals = D[:, pool]
     order = np.lexsort((np.broadcast_to(pool, vals.shape), -vals))
+    return ImpactRanking(pool[order], np.take_along_axis(vals, order, axis=1))
+
+
+def _partition_walks(ranking: ImpactRanking, budget: int) -> list[PivotFamily]:
+    """The greedy walk of every pivot over its ranked nodes: whole
+    equal-impact partitions in decreasing order while they fit in ``budget``,
+    then the boundary partition that no longer fits.
+
+    A partition runs while impacts stay within 1e-15 + 1e-9 relative of its
+    first one.
+    """
+    if ranking.nodes.shape[1] == 0 or budget <= 0:
+        return [PivotFamily(())] * len(ranking.nodes)
+    if budget >= ranking.nodes.shape[1]:
+        # every pivot ranks the same nodes
+        return [PivotFamily(tuple(sorted(ranking.nodes[0].tolist())))] * len(ranking.nodes)
     walks = []
-    for nodes, d in zip(pool[order].tolist(), np.take_along_axis(vals, order, axis=1).tolist()):
+    for nodes, d in zip(ranking.nodes.tolist(), ranking.impacts.tolist()):
         start = 0               # where the partition of the first node past the budget starts
         for t in range(1, budget + 1):
             if abs(d[start] - d[t]) > 1e-15 + _TIE_RTOL * abs(d[t]):
@@ -191,7 +205,7 @@ def pivot_optimal_attack(
         raise RootArgument("pivot must be a non-substation node")
     pool = _vulnerable_nodes(net, u)
     D = impact_matrix(net, sp_d, LPF)[pivot]
-    (walk,) = _partition_walks(D[None, :], pool, min(M, pool.size))
+    (walk,) = _partition_walks(impact_ranking(D[None, :], pool), min(M, pool.size))
     delta = np.zeros(net.n + 1, dtype=int)
     if rng is None:
         delta[list(walk.first())] = 1
@@ -230,7 +244,7 @@ def optimal_attack_fixed_response(
     D = impact_matrix(net, phi.sp_d, LPF)
     best_score = -np.inf
     best_nodes: list[int] = []
-    for pivot, walk in zip(net.nodes, _partition_walks(D[1:], pool, budget)):
+    for pivot, walk in zip(net.nodes, _partition_walks(impact_ranking(D[1:], pool), budget)):
         nodes = list(walk.first())
         impact = float(D[pivot, nodes].sum())
         score = W[pivot] * (net.nu_lo[pivot] - (base.nu[pivot] - impact))
@@ -240,6 +254,21 @@ def optimal_attack_fixed_response(
     best_delta = np.zeros(net.n + 1, dtype=int)
     best_delta[best_nodes] = 1
     return best_delta
+
+
+def ranked_families(ranking: ImpactRanking, M: int, u: np.ndarray) -> tuple[PivotFamily, ...]:
+    """The pivot-node greedy attacks of every pivot over the ranked nodes
+    that ``u`` leaves vulnerable, one family per distinct walk, ordered by
+    least member.
+
+    The ranking is a total order, so dropping u's secured nodes from it
+    leaves the ranking of the vulnerable pool alone: one ranking of every DER
+    serves all the security rows of a solve.
+    """
+    keep = (np.asarray(u) == 0)[ranking.nodes]
+    size = int(np.count_nonzero(keep[:1]))
+    vulnerable = ImpactRanking(*(a[keep].reshape(len(keep), size) for a in ranking))
+    return tuple(sorted(set(_partition_walks(vulnerable, min(M, size))), key=PivotFamily.rank))
 
 
 def pivot_families(
@@ -257,9 +286,7 @@ def pivot_families(
     while they fit the budget; its boundary partition and the budget it leaves
     make the family.
     """
-    pool = _vulnerable_nodes(net, u)
-    families = set(_partition_walks(impacts[1:], pool, min(M, pool.size)))
-    return tuple(sorted(families, key=PivotFamily.rank))
+    return ranked_families(impact_ranking(impacts[1:], _vulnerable_nodes(net, u)), M, u)
 
 
 def candidate_attack_set(

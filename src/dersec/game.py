@@ -25,8 +25,9 @@ from .attack import (
     PivotFamily,
     attack_strategy,
     impact_matrix,
+    impact_ranking,
     optimal_attack_fixed_response,
-    pivot_families,
+    ranked_families,
 )
 from .errors import EnumerationCapExceeded
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
@@ -320,8 +321,9 @@ def solve_ad_oneshot(
 
     Set-points are fixed in closed form, so pooled responses differ only in
     the load-control vector gamma; a vector's exact response is its LP. Each
-    row's attacks are its ``pivot_families``, at most one per pivot, from LPF
-    impacts computed once per solve. They are bounded as families, so no
+    row's attacks are its ``pivot_families``, at most one per pivot, read
+    from one ranking of every DER by LPF impact at each pivot, made once per
+    solve (``ranked_families``). They are bounded as families, so no
     candidate vector is listed and no candidate cap applies. A 2-D ``u``
     holds rows of alternative security vectors; the result is the least
     row's (``_pooled_best_first``).
@@ -332,8 +334,8 @@ def solve_ad_oneshot(
     zero = np.zeros(net.n + 1, dtype=int)
     sp_d = fixed_angle_setpoints(net, zero, zero)
     lp = GammaControlLP(net, params, model, sp_d)
-    impacts = impact_matrix(net, sp_d, LPF)
-    rows = (pivot_families(net, impacts, M, row) for row in secured)
+    ranking = impact_ranking(impact_matrix(net, sp_d, LPF)[1:], net.der_nodes)
+    rows = (ranked_families(ranking, M, row) for row in secured)
     return _pooled_best_first(lp, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)))
 
 

@@ -130,6 +130,28 @@ def bf_ad(
     return psi, phi, loss
 
 
+def _subtree_signature(net: Network, i: int, u: np.ndarray | None = None):
+    """Canonical recursive signature of the subtree rooted at i; two siblings
+    are symmetric exactly when their signatures match."""
+    props = (
+        round(net.r[i], 12),
+        round(net.x[i], 12),
+        round(float(np.real(net.sc_nom[i])), 12),
+        round(float(np.imag(net.sc_nom[i])), 12),
+        round(float(net.der_cap[i]), 12),
+        round(float(net.nu_lo[i]), 12),
+        round(float(net.nu_hi[i]), 12),
+        round(float(net.W[i]), 12),
+        round(float(net.C[i]), 12),
+        round(float(net.gamma_lo[i]), 12),
+    )
+    mark = int(u[i]) if u is not None else 0
+    child_sigs = tuple(
+        sorted(_subtree_signature(net, c, u) for c in net.tree.children[i])
+    )
+    return (props, mark, child_sigs)
+
+
 def bf_security(
     net: Network,
     B: int,
@@ -142,8 +164,6 @@ def bf_security(
     Symmetric-equivalent strategies are collapsed through a canonical tree
     signature, which changes nothing about the exact value.
     """
-    from .security import _subtree_signature
-
     der = [int(i) for i in np.flatnonzero(net.der_cap > 0.0)]
     budget = min(B, len(der))
     total = sum(math.comb(len(der), k) for k in range(budget + 1))

@@ -9,6 +9,11 @@ attains the optimum.
 
 Elsewhere Stage 1 is one pooled min-max over the full-budget security vectors
 (securing more never raises the loss); ties go to the first in enumeration order.
+
+Stage 1 itself costs little next to its sub-game: the symmetry check is one
+bottom-up pass over the tree, the security rows are one scatter of the
+combinations, and the one-shot engine ranks every DER by impact once for all
+of its rows.
 """
 
 from __future__ import annotations
@@ -46,40 +51,30 @@ class DADResult:
     loss: float
 
 
-def _subtree_signature(net: Network, i: int, u: np.ndarray | None = None):
-    """Canonical recursive signature of the subtree rooted at i; two siblings
-    are symmetric exactly when their signatures match."""
-    props = (
-        round(net.r[i], 12),
-        round(net.x[i], 12),
-        round(float(np.real(net.sc_nom[i])), 12),
-        round(float(np.imag(net.sc_nom[i])), 12),
-        round(float(net.der_cap[i]), 12),
-        round(float(net.nu_lo[i]), 12),
-        round(float(net.nu_hi[i]), 12),
-        round(float(net.W[i]), 12),
-        round(float(net.C[i]), 12),
-        round(float(net.gamma_lo[i]), 12),
-    )
-    mark = int(u[i]) if u is not None else 0
-    child_sigs = tuple(
-        sorted(_subtree_signature(net, c, u) for c in net.tree.children[i])
-    )
-    return (props, mark, child_sigs)
-
-
 def is_symmetric(net: Network) -> bool:
-    """Sibling subtrees identical everywhere, and all DER capabilities equal."""
+    """Sibling subtrees identical everywhere, and all DER capabilities equal.
+
+    Two siblings are identical when their roots' edge, demand, DER, bound,
+    weight and gamma_lo values agree after ``round(v, 12)`` and their own
+    children are identical in turn. One pass from the deepest nodes up gives
+    every subtree an id, equal exactly for identical subtrees, so each node's
+    children are compared once.
+    """
     caps = net.der_cap[net.der_cap > 0.0]
     if caps.size and float(caps.max() - caps.min()) > 1e-12:
         return False
-    for i in range(net.n + 1):
-        kids = net.tree.children[i]
-        if len(kids) < 2:
-            continue
-        sigs = {_subtree_signature(net, c) for c in kids}
-        if len(sigs) != 1:
+    columns = np.array([net.r, net.x, net.sc_nom.real, net.sc_nom.imag, net.der_cap,
+                        net.nu_lo, net.nu_hi, net.W, net.C, net.gamma_lo])
+    # nodes share most values: round each distinct one once
+    values, where = np.unique(columns, return_inverse=True)
+    props = np.array([round(v, 12) for v in values.tolist()])[where.reshape(columns.shape)].T.tolist()
+    ids: dict[tuple, int] = {}
+    sig = [0] * (net.n + 1)
+    for i in reversed(net.tree.order.tolist()):
+        kids = tuple(sig[c] for c in net.tree.children[i])
+        if len(set(kids)) > 1:
             return False
+        sig[i] = ids.setdefault((tuple(props[i]), kids), len(ids))
     return True
 
 
@@ -94,7 +89,11 @@ def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
         raise HeterogeneousRxRatio("optimal placement requires identical r/x")
     if not is_symmetric(net):
         raise AsymmetricNetwork("optimal placement requires a symmetric network")
+    return SecurityStrategy(u=_placement(net, B), budget=B)
 
+
+def _placement(net: Network, B: int) -> np.ndarray:
+    """The bottom-up placement of ``optimal_security_strategy``, unchecked."""
     der = set(int(i) for i in net.der_nodes)
     u = np.zeros(net.n + 1, dtype=int)
     remaining = min(B, len(der))
@@ -122,7 +121,7 @@ def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
                 round_idx += 1
             u[picked] = 1
             break
-    return SecurityStrategy(u=u, budget=B)
+    return u
 
 
 def solve_dad(
@@ -135,18 +134,24 @@ def solve_dad(
     """Trilevel solve: closed-form placement when the symmetry and ratio
     preconditions hold, else one pooled Stage-1 min-max whose rows are the
     full-budget vectors in ``itertools.combinations`` order (at most 20,000);
-    u* is the first of them with the least sub-game value."""
+    u* is the first of them with the least sub-game value.
+
+    The preconditions are checked once, here; the placement is then that of
+    ``optimal_security_strategy``.
+    """
     if not model.is_linear:
         raise ValueError("solve_dad applies to linear models")
     if net.uniform_rx_ratio() is not None and is_symmetric(net):
-        secured = optimal_security_strategy(net, B).u
+        secured = _placement(net, B)
     else:
         der = [int(i) for i in net.der_nodes]
         budget = min(B, len(der))
         count = math.comb(len(der), budget)
         if count > _U_ENUM_CAP:
             raise EnumerationCapExceeded(f"{count} security strategies exceed cap {_U_ENUM_CAP}")
-        secured = np.array([np.isin(np.arange(net.n + 1), c) for c in itertools.combinations(der, budget)], dtype=int)
+        combos = np.array(list(itertools.combinations(der, budget)), dtype=np.intp).reshape(count, budget)
+        secured = np.zeros((count, net.n + 1), dtype=int)
+        secured[np.arange(count)[:, None], combos] = 1
     ad = solve_ad(net, secured, M, params, model)
     return DADResult(u_star=SecurityStrategy(u=ad.u, budget=B), ad=ad, loss=ad.loss.total)
 

@@ -14,13 +14,21 @@ from dersec import (
     solve_ad_oneshot,
     voltage_impact,
 )
-from dersec.attack import _partition_walks, attack_strategy, impact_matrix, pivot_families
+from dersec.attack import (
+    PivotFamily,
+    _partition_walks,
+    attack_strategy,
+    impact_matrix,
+    impact_ranking,
+    pivot_families,
+    ranked_families,
+)
 from dersec.cases import random_feasible_network
 from dersec.errors import EnumerationCapExceeded, RootArgument
 from dersec.network import NodeSpec, build_network
 from dersec.response import DefenderResponse, fixed_angle_setpoints
 
-from conftest import zeros_u
+from conftest import chain_network, zeros_u
 
 
 def _to_delta(net, nodes):
@@ -155,21 +163,45 @@ def _reference_walk(row, pool, budget):
     return taken, [], 0
 
 
+def _tied_impacts(rng, rows, n):
+    """Impacts drawn from few levels, some nudged inside and some outside the
+    tie tolerance, so partitions are wide and their edges are tested."""
+    levels = rng.choice([0.0, 1e-3, 2e-3, 5e-3], size=(rows, n + 1))
+    nudge = rng.choice([0.0, 0.0, 4e-10, 3e-9, -4e-10], size=levels.shape)
+    return levels * (1.0 + nudge)
+
+
 class TestPartitionWalks:
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_match_the_one_pivot_walk(self, seed):
-        # impacts drawn from few levels, some nudged inside and some outside
-        # the tie tolerance, so partitions are wide and their edges are tested
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        levels = rng.choice([0.0, 1e-3, 2e-3, 5e-3], size=(9, n + 1))
-        nudge = rng.choice([0.0, 0.0, 4e-10, 3e-9, -4e-10], size=levels.shape)
-        D = levels * (1.0 + nudge)
+        D = _tied_impacts(rng, 9, n)
         pool = np.sort(rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False))
         for budget in range(pool.size + 1):
-            for row, walk in zip(D, _partition_walks(D, pool, budget)):
+            for row, walk in zip(D, _partition_walks(impact_ranking(D, pool), budget)):
                 taken, boundary, fill = _reference_walk(row, pool, budget)
                 assert walk == (tuple(sorted(taken)), tuple(boundary), fill)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_ranking_serves_every_security_row(self, seed):
+        # the engine ranks every DER once and drops each row's secured nodes;
+        # each row must get the families of a ranking of its own pool
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        ders = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)
+        net = chain_network(n, caps={int(j): 0.01 for j in ders})
+        D = _tied_impacts(rng, n + 1, n)
+        secured = rng.integers(0, 2, size=(12, n + 1))
+        ranking = impact_ranking(D[1:], net.der_nodes)
+        for M in range(ders.size + 2):
+            for u in secured:
+                families = ranked_families(ranking, M, u)
+                assert families == pivot_families(net, D, M, u)
+                pool = net.der_nodes[u[net.der_nodes] == 0]
+                walks = {PivotFamily(tuple(sorted(taken)), tuple(boundary), fill)
+                         for taken, boundary, fill in (_reference_walk(row, pool, M) for row in D[1:])}
+                assert set(families) == walks
 
 
 class TestCandidateSet:

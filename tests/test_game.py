@@ -357,12 +357,13 @@ class TestSecurityRows:
         # a row holds at most one family per pivot, however many vectors
         assert len(first) <= net.n < len(candidate_attack_set(net, sp, M, rows[0]))
         calls = []
+        ranked_families = dersec.game.ranked_families
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return pivot_families(*args, **kwargs)
+            return ranked_families(*args, **kwargs)
 
-        monkeypatch.setattr(dersec.game, "pivot_families", counted)
+        monkeypatch.setattr(dersec.game, "ranked_families", counted)
         monkeypatch.setattr(dersec.game, "_TABLE_CAP", len(first) + 1)
         with pytest.raises(EnumerationCapExceeded):
             solve_ad_oneshot(net, rows, M, params, LPF)

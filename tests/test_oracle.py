@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import dersec
 
 from dersec import (
     CostParams,
@@ -153,3 +158,35 @@ class TestGridSpec:
         r = g.refined()
         assert r.gamma_step == pytest.approx(0.1)
         assert r.setpoint_angle_step == pytest.approx(0.2)
+
+
+def _imports(module):
+    """(source module, imported name) of every import in a dersec module,
+    relative sources resolved to dersec names; the name is None for a plain
+    ``import``."""
+    tree = ast.parse((Path(dersec.__file__).parent / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                source = "dersec" + ("." + source if source else "")
+            for alias in node.names:
+                yield source, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+
+
+class TestOracleIndependence:
+    """The oracles stay independent of the engines they check."""
+
+    def test_oracle_uses_no_private_engine_name(self):
+        private = [(src, name) for src, name in _imports("oracle")
+                   if src.startswith("dersec") and name and name.startswith("_")]
+        assert private == []
+
+    @pytest.mark.parametrize("module", ["attack", "game", "response", "security"])
+    def test_engines_do_not_import_the_oracle(self, module):
+        sources = {src for src, _ in _imports(module)}
+        sources |= {f"{src}.{name}" for src, name in _imports(module) if name}
+        assert not any(s == "dersec.oracle" or s.startswith("dersec.oracle.") for s in sources)

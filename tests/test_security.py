@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -6,9 +7,11 @@ import pytest
 
 from dersec import (
     LPF,
+    balanced_tree,
     compare_strategies,
     fig4_strategies,
     heterogeneous37,
+    homogeneous37,
     is_symmetric,
     optimal_security_strategy,
     random_feasible_network,
@@ -18,11 +21,32 @@ from dersec import (
 )
 from dersec.errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
-from dersec.oracle import bf_security
+from dersec.oracle import _subtree_signature, bf_security
 from dersec.sweep import with_gamma_lo
 
 from conftest import params_for
 from test_game import _count_lps
+
+
+def _recursive_symmetric(net):
+    """The oracle's definition: equal DER capabilities, and at every node
+    with two or more children, equal recursive sibling signatures."""
+    caps = net.der_cap[net.der_cap > 0.0]
+    if caps.size and float(caps.max() - caps.min()) > 1e-12:
+        return False
+    return all(len({_subtree_signature(net, c) for c in kids}) <= 1 for kids in net.tree.children)
+
+
+_SHAPES = ((2, 2), (3, 2), (2, 3), (4, 1), (3, 3))
+_PROPERTIES = (("r", 1.0), ("x", 1.0), ("sc_nom", 1.0), ("sc_nom", 1j), ("der_cap", 1.0),
+               ("nu_lo", 1.0), ("nu_hi", 1.0), ("W", 1.0), ("C", 1.0), ("gamma_lo", 1.0))
+
+
+def _moved(net, name, step):
+    """A copy of ``net`` with one property of its last node (a leaf) moved."""
+    values = getattr(net, name).copy()
+    values[net.n] += step
+    return dataclasses.replace(net, **{name: values})
 
 
 class TestPlacement:
@@ -86,6 +110,52 @@ class TestPlacement:
         assert not is_symmetric(homog37)
 
 
+class TestSymmetrySignature:
+    """The one-pass ``is_symmetric`` agrees with the recursive signatures."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_balanced_trees(self, shape):
+        net = balanced_tree(*shape)
+        assert is_symmetric(net) == _recursive_symmetric(net) is True
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_networks(self, seed):
+        for identical_k in (True, False):
+            net = random_feasible_network(seed, identical_k=identical_k)
+            # equal capabilities too, so the signature pass runs
+            equal = dataclasses.replace(net, der_cap=np.where(net.der_cap > 0.0, 0.01, 0.0))
+            for case in (net, equal):
+                assert is_symmetric(case) == _recursive_symmetric(case)
+
+    def test_feeder(self, homog37):
+        assert is_symmetric(homog37) == _recursive_symmetric(homog37) is False
+
+    @pytest.mark.parametrize("tail,symmetric", [(None, False), (1e-6, False), (1e-14, True)])
+    def test_difference_below_single_children(self, tail, symmetric):
+        # two branches 0-1-3 and 0-2-4: nodes 3 and 4 have no siblings, so a
+        # difference between them shows only through their parents' ids
+        specs = [NodeSpec(id=0, parent=None)] + [
+            NodeSpec(id=i, parent=p, r_pu=0.01, x_pu=0.012, pc_nom=0.02, qc_nom=0.006, der_cap=0.01)
+            for i, p in ((1, 0), (2, 0), (3, 1), (4, 2))
+        ]
+        if tail is None:
+            specs = specs[:4]
+        else:
+            specs[4] = dataclasses.replace(specs[4], pc_nom=0.02 + tail)
+        net = build_network(specs)
+        assert is_symmetric(net) == _recursive_symmetric(net) is symmetric
+
+    @pytest.mark.parametrize("shape", _SHAPES[:3])
+    @pytest.mark.parametrize("name,unit", _PROPERTIES)
+    def test_moved_leaf(self, shape, name, unit):
+        net = balanced_tree(*shape)
+        # 1e-6 survives rounding to 12 digits; 1e-14 does not
+        apart = _moved(net, name, 1e-6 * unit)
+        assert is_symmetric(apart) == _recursive_symmetric(apart) is False
+        close = _moved(net, name, 1e-14 * unit)
+        assert is_symmetric(close) == _recursive_symmetric(close) is True
+
+
 class TestDAD:
     @pytest.mark.parametrize("B,M", [(0, 2), (2, 2), (4, 2), (3, 1)])
     def test_fast_path_equals_bruteforce(self, tree32, B, M):
@@ -122,6 +192,32 @@ class TestDAD:
                 val = solve_ad_oneshot(net, u, 2, params, LPF).loss.total
                 best = val if best is None else min(best, val)
         assert dad.loss == pytest.approx(best, abs=1e-9)
+
+
+class TestDADLiterals:
+    """Pinned ``solve_dad`` results (loss by ``repr``, u*, delta*, LPs) on one
+    instance per benchmark stratum and on the feeder, so that faster Stage-1
+    set-up cannot move them."""
+
+    @pytest.mark.parametrize("case,B,M,loss,secured,attacked,lps", [
+        ("symmetric", 2, 2, "31.970343619396324", (4, 7), (1, 5), 1),
+        ("identical-rx", 2, 2, "0.0", (2, 3), (6, 7), 0),
+        ("heterogeneous-rx", 2, 2, "0.0", (3, 6), (), 1),
+        ("feeder", 2, 9, "4.203955652620499", (9, 10), tuple(range(11, 20)), 55),
+    ])
+    def test_values(self, monkeypatch, case, B, M, loss, secured, attacked, lps):
+        net = {
+            "symmetric": lambda: balanced_tree(3, 2),
+            "identical-rx": lambda: random_feasible_network(10),
+            "heterogeneous-rx": lambda: random_feasible_network(9, identical_k=False),
+            "feeder": lambda: with_gamma_lo(homogeneous37(), 0.5),
+        }[case]()
+        calls = _count_lps(monkeypatch)
+        dad = solve_dad(net, B, M, params_for(net, 10.0), LPF)
+        assert repr(dad.loss) == loss
+        assert dad.u_star.secured == secured
+        assert tuple(np.flatnonzero(dad.ad.delta_star).tolist()) == attacked
+        assert len(calls) == lps
 
 
 class TestStage1Pool:
