@@ -65,7 +65,6 @@ from .powerflow import (
 from .response import (
     DefenderResponse,
     fixed_angle_setpoints,
-    optimal_load_control,
     optimal_response,
     response_state,
 )

@@ -8,6 +8,7 @@ and node level, node values are per-unit floats, and the base declarations
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import InvalidNetwork
@@ -49,6 +50,13 @@ def network_to_json(net: Network) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _number(field: str, value):
+    """``value`` if it is a finite JSON number (true and false are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InvalidNetwork(f"{field} must be a finite number, not {value!r}")
+    return value
+
+
 def network_from_json(text: str) -> Network:
     try:
         doc = json.loads(text)
@@ -63,8 +71,15 @@ def network_from_json(text: str) -> Network:
     if missing:
         raise InvalidNetwork(f"missing fields {sorted(missing)} in network document")
 
+    for field in sorted(_DOC_FIELDS - {"nodes"}):
+        _number(field, doc[field])
+    if not isinstance(doc["nodes"], list):
+        raise InvalidNetwork("nodes must be a list of node objects")
+
     specs = []
     for row in doc["nodes"]:
+        if not isinstance(row, dict):
+            raise InvalidNetwork(f"node {row!r} is not an object")
         unknown = set(row) - _NODE_FIELDS
         if unknown:
             raise InvalidNetwork(f"unknown node fields {sorted(unknown)}")
@@ -73,18 +88,9 @@ def network_from_json(text: str) -> Network:
             raise InvalidNetwork(f"missing node fields {sorted(missing)}")
         specs.append(
             NodeSpec(
-                id=int(row["id"]),
-                parent=None if row["parent"] is None else int(row["parent"]),
-                r_pu=float(row["r_pu"]),
-                x_pu=float(row["x_pu"]),
-                pc_nom=float(row["pc_nom"]),
-                qc_nom=float(row["qc_nom"]),
-                der_cap=float(row["der_cap"]),
-                nu_lo=float(row["nu_lo"]),
-                nu_hi=float(row["nu_hi"]),
-                W=float(row["W"]),
-                C=float(row["C"]),
-                gamma_lo=float(row["gamma_lo"]),
+                id=int(_number("id", row["id"])),
+                parent=None if row["parent"] is None else int(_number("parent", row["parent"])),
+                **{f: float(_number(f, row[f])) for f in sorted(_NODE_FIELDS - {"id", "parent"})},
             )
         )
     return build_network(

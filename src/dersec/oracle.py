@@ -2,8 +2,10 @@
 
 These deliberately bypass the pivot/partition machinery: attacks are
 enumerated exhaustively, and nonlinear responses come from grid search over
-the defender's action box. Guards hard-fail on instances that are not
-desk-scale; sampling fallbacks are intentionally absent.
+the defender's action box. Each call builds its batch once: one broadcast
+product grid, one load-control model, one table of rounded node properties.
+Guards hard-fail on instances that are not desk-scale; sampling fallbacks are
+intentionally absent.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackStrategy, attack_strategy, effective_setpoints
+from .attack import AttackStrategy, attack_strategy
 from .errors import HeterogeneousRxRatio, TooLargeToEnumerate
 from .loss import CostParams, evaluate_loss
 from .network import Network
 from .powerflow import LPF, ModelTag
-from .response import DefenderResponse, fixed_angle_setpoints, optimal_load_control, response_state
+from .response import DefenderResponse, GammaControlLP, fixed_angle_setpoints, response_state
 
 _ENUM_GUARD = 1_000_000
 _GRID_GUARD = 2_000_000
@@ -106,10 +108,11 @@ def bf_ad(
         if net.uniform_rx_ratio() is None:
             raise HeterogeneousRxRatio("linear oracle needs identical r/x")
         sp_d = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+        load_control = GammaControlLP(net, params, model, sp_d, u)
         for combo in deltas:
             delta = np.zeros(net.n + 1, dtype=int)
             delta[list(combo)] = 1
-            gamma = optimal_load_control(net, delta, sp_d, params, model, u=u)
+            gamma = load_control.solve(delta)
             psi = attack_strategy(net, delta)
             phi = DefenderResponse(sp_d=sp_d, gamma=gamma)
             state = response_state(net, psi, phi, model, u=u)
@@ -130,26 +133,33 @@ def bf_ad(
     return psi, phi, loss
 
 
-def _subtree_signature(net: Network, i: int, u: np.ndarray | None = None):
-    """Canonical recursive signature of the subtree rooted at i; two siblings
-    are symmetric exactly when their signatures match."""
-    props = (
-        round(net.r[i], 12),
-        round(net.x[i], 12),
-        round(float(np.real(net.sc_nom[i])), 12),
-        round(float(np.imag(net.sc_nom[i])), 12),
-        round(float(net.der_cap[i]), 12),
-        round(float(net.nu_lo[i]), 12),
-        round(float(net.nu_hi[i]), 12),
-        round(float(net.W[i]), 12),
-        round(float(net.C[i]), 12),
-        round(float(net.gamma_lo[i]), 12),
-    )
+def _rounded_properties(net: Network) -> list[tuple]:
+    """Per node, the ten properties that decide symmetry, rounded."""
+    return [
+        (
+            round(net.r[i], 12),
+            round(net.x[i], 12),
+            round(float(np.real(net.sc_nom[i])), 12),
+            round(float(np.imag(net.sc_nom[i])), 12),
+            round(float(net.der_cap[i]), 12),
+            round(float(net.nu_lo[i]), 12),
+            round(float(net.nu_hi[i]), 12),
+            round(float(net.W[i]), 12),
+            round(float(net.C[i]), 12),
+            round(float(net.gamma_lo[i]), 12),
+        )
+        for i in range(net.n + 1)
+    ]
+
+
+def _subtree_signature(net: Network, i: int, props: list[tuple], u: np.ndarray | None = None):
+    """Canonical recursive signature of the subtree rooted at i (``props`` from
+    ``_rounded_properties``); siblings are symmetric iff signatures match."""
     mark = int(u[i]) if u is not None else 0
     child_sigs = tuple(
-        sorted(_subtree_signature(net, c, u) for c in net.tree.children[i])
+        sorted(_subtree_signature(net, c, props, u) for c in net.tree.children[i])
     )
-    return (props, mark, child_sigs)
+    return (props[i], mark, child_sigs)
 
 
 def bf_security(
@@ -170,13 +180,14 @@ def bf_security(
     if total * max(len(_enumerate_deltas(net, M, np.zeros(net.n + 1))), 1) > _ENUM_GUARD:
         raise TooLargeToEnumerate("security enumeration exceeds the oracle guard")
 
+    props = _rounded_properties(net)
     seen: dict = {}
     best: tuple[float, np.ndarray] | None = None
     for k in range(budget + 1):
         for combo in itertools.combinations(der, k):
             u = np.zeros(net.n + 1, dtype=int)
             u[list(combo)] = 1
-            key = _subtree_signature(net, 0, u)
+            key = _subtree_signature(net, 0, props, u)
             if key in seen:
                 value = seen[key]
             else:
@@ -197,7 +208,8 @@ def _grid_min_response(
 ):
     """Best defender response on a product grid, evaluated by batch NPF."""
     n = net.n
-    compromised = (psi.delta == 1) & (np.asarray(u) == 0)
+    compromised = (psi.delta == 1) & (np.asarray(u) == 0) & (net.der_cap > 0.0)
+    compromised[0] = False
     free = [int(d) for d in np.flatnonzero((net.der_cap > 0.0) & ~compromised) if d > 0]
 
     gamma_axes = []
@@ -213,28 +225,23 @@ def _grid_min_response(
         mags = np.arange(0.0, 1.0 + 1e-12, grid.setpoint_mag_step) * cap
         angs = np.arange(0.0, np.pi / 2.0 + 1e-12, grid.setpoint_angle_step)
         pts = {complex(m * np.cos(a), m * np.sin(a)) for m in mags for a in angs}
-        sp_axes.append(sorted(pts, key=lambda c: (c.real, c.imag)))
+        sp_axes.append(np.array(sorted(pts, key=lambda c: (c.real, c.imag))))
 
-    total = int(np.prod([len(a) for a in gamma_axes] + [len(a) for a in sp_axes] or [1]))
+    shape = [len(a) for a in gamma_axes + sp_axes]
+    total = int(np.prod(shape))
     if total > _GRID_GUARD:
         raise TooLargeToEnumerate(f"{total} grid points exceed the oracle guard")
 
-    combos_gamma = list(itertools.product(*gamma_axes)) if gamma_axes else [()]
-    combos_sp = list(itertools.product(*sp_axes)) if sp_axes else [()]
-
-    n_points = len(combos_gamma) * len(combos_sp)
-    gammas = np.ones((n + 1, n_points))
-    sgs = np.zeros((n + 1, n_points), dtype=complex)
-    idx = 0
-    for gvals in combos_gamma:
-        for svals in combos_sp:
-            for k, gv in zip(gamma_nodes, gvals):
-                gammas[k, idx] = gv
-            sp_d = np.zeros(n + 1, dtype=complex)
-            for d, sv in zip(free, svals):
-                sp_d[d] = sv
-            sgs[:, idx] = effective_setpoints(net, u, psi.delta, sp_d, psi.sp_a)
-            idx += 1
+    # one column per point, in itertools.product order: gamma outer, set-points inner
+    axes = np.meshgrid(*gamma_axes, *sp_axes, indexing="ij", sparse=True)
+    gammas = np.ones((n + 1, total))
+    for k, values in zip(gamma_nodes, axes):
+        gammas[k].reshape(shape)[...] = values
+    # generation: grid set-points on free DERs, false ones on compromised DERs
+    sgs = np.zeros((n + 1, total), dtype=complex)
+    for d, values in zip(free, axes[len(gamma_nodes):]):
+        sgs[d].reshape(shape)[...] = values
+    sgs[compromised] = psi.sp_a[compromised, None]
 
     s_batch = gammas * net.sc_nom[:, None] - sgs
     nu, ell, resid = _solve_npf_batch(net, s_batch)
@@ -249,12 +256,9 @@ def _grid_min_response(
     totals[resid > 1e-8] = np.inf
     j = int(np.argmin(totals))
 
-    gamma_best = gammas[:, j].copy()
-    jg, js = divmod(j, len(combos_sp))
     sp_best = np.zeros(n + 1, dtype=complex)
-    for d, sv in zip(free, combos_sp[js]):
-        sp_best[d] = sv
-    return float(totals[j]), DefenderResponse(sp_d=sp_best, gamma=gamma_best)
+    sp_best[free] = sgs[free, j]
+    return float(totals[j]), DefenderResponse(sp_d=sp_best, gamma=gammas[:, j].copy())
 
 
 def _solve_npf_batch(

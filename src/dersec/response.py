@@ -348,18 +348,6 @@ class GammaControlLP:
         return lp.unpack(lp.solve(c0, lp.c, lp.lb, lp.ub))[0]
 
 
-def optimal_load_control(
-    net: Network,
-    delta: np.ndarray,
-    sp_d: np.ndarray,
-    params: CostParams,
-    model: ModelTag,
-    u: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact optimal load control for one attack vector (see GammaControlLP)."""
-    return GammaControlLP(net, params, model, sp_d, u).solve(np.asarray(delta))
-
-
 def _warm_setpoints(net: Network) -> np.ndarray:
     """Full-output set-points at each DER's own-edge arccot K_j angle."""
     with np.errstate(invalid="ignore", divide="ignore"):

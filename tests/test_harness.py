@@ -35,6 +35,7 @@ from dersec.cases import (
     si_to_per_unit_impedance,
     si_to_per_unit_power,
 )
+from dersec.cli import main as cli_main
 from dersec.errors import InvalidNetwork
 from dersec.netio import CSV_HEADER, sweep_rows_to_csv
 from dersec.sweep import SweepConfig, SweepRow, run_sweep, with_gamma_lo
@@ -198,6 +199,18 @@ def _cli(*args):
     )
 
 
+# document edits that once escaped network validation: as a TypeError
+# traceback, or (the NaN) into the network that was built
+_MALFORMED = {
+    "nodes_not_a_list": lambda doc: doc.update(nodes=5),
+    "node_not_an_object": lambda doc: doc.update(nodes=[1, 2]),
+    "node_value_not_a_number": lambda doc: doc["nodes"][1].update(r_pu=[1]),
+    "node_value_not_finite": lambda doc: doc["nodes"][1].update(r_pu=float("nan")),
+    "parent_not_a_number": lambda doc: doc["nodes"][1].update(parent=[0]),
+    "document_value_not_a_number": lambda doc: doc.update(nu0=[1.0]),
+}
+
+
 class TestCLI:
     def test_gen_solve_verify_flow(self, tmp_path):
         net_path = tmp_path / "net.json"
@@ -279,6 +292,15 @@ class TestCLI:
         bad.write_text("{\"nope\": 1}")
         out = _cli("solve-ad", "--network", str(bad), "-M", "1")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("shape", sorted(_MALFORMED))
+    def test_malformed_network_exit_code(self, shape, tmp_path, capsys, tree22):
+        doc = json.loads(network_to_json(tree22))
+        _MALFORMED[shape](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["solve-ad", "--network", str(bad), "-M", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_sweep_bad_config_exit_code(self, tmp_path):
         net_path = tmp_path / "net.json"

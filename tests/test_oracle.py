@@ -1,4 +1,6 @@
 import ast
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from dersec import (
     CostParams,
     LPF,
     NPF,
+    balanced_tree,
     bf_ad,
     bf_attack_fixed_response,
     bf_security,
@@ -19,7 +22,7 @@ from dersec.attack import attack_strategy
 from dersec.cases import random_feasible_network
 from dersec.errors import TooLargeToEnumerate
 from dersec.network import NodeSpec, build_network
-from dersec.oracle import GridSpec
+from dersec.oracle import GridSpec, _grid_min_response
 from dersec.response import DefenderResponse, fixed_angle_setpoints
 
 from conftest import chain_network, params_for, zeros_u
@@ -148,6 +151,85 @@ class TestBFSecurity:
         assert loss == pytest.approx(0.0, abs=1e-12)
 
 
+def _mixed_chain():
+    """0-1-2-3-4 chain and unit-scale costs: node 2 has no demand, so no
+    gamma axis; nodes 2, 3 and 4 carry DERs."""
+    specs = [NodeSpec(id=0, parent=None)]
+    for i in range(1, 5):
+        pc, qc = (0.0, 0.0) if i == 2 else (0.025, 0.008)
+        specs.append(NodeSpec(id=i, parent=i - 1, r_pu=0.02, x_pu=0.024, pc_nom=pc, qc_nom=qc,
+                              der_cap=0.0 if i == 1 else 0.012, nu_lo=0.9965))
+    net = build_network(specs)
+    return net, CostParams(W=net.W / 7000.0, C=net.C / 7000.0)
+
+
+_GRID = GridSpec(gamma_step=0.25, setpoint_angle_step=math.pi / 4, setpoint_mag_step=0.5)
+_SP = 0.008485281374238571 + 0.00848528137423857j
+
+
+class TestPinnedAnswers:
+    """Oracle answers pinned bit for bit (by repr) so that a rewrite of the
+    oracles keeps the ground truth exactly."""
+
+    @pytest.mark.parametrize("attacked, secured, loss, sp_d", [
+        # node 3 compromised, node 4 attacked but secured, node 2 free
+        ([3, 4], [4], "0.025375437234569913", [0j, 0j, _SP, 0j, _SP]),
+        # every DER compromised: no set-point axis
+        ([2, 3, 4], [], "0.10455522092205827", [0j] * 5),
+    ])
+    def test_grid_min_response(self, attacked, secured, loss, sp_d):
+        net, params = _mixed_chain()
+        delta, u = np.zeros(5, dtype=int), np.zeros(5, dtype=int)
+        delta[attacked] = 1
+        u[secured] = 1
+        value, phi = _grid_min_response(net, attack_strategy(net, delta), u, params, _GRID)
+        assert repr(value) == loss
+        assert phi.gamma.tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
+        assert phi.sp_d.tolist() == sp_d
+
+    def test_bf_ad_npf(self):
+        net, params = _mixed_chain()
+        psi, phi, loss = bf_ad(net, np.array([0, 0, 0, 0, 1]), 2, params, NPF, grid=_GRID)
+        assert repr(loss) == "0.051911942417531866"
+        assert psi.delta.tolist() == [0, 0, 1, 1, 0]
+        assert phi.gamma.tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
+        assert phi.sp_d.tolist() == [0j, 0j, 0j, 0j, _SP]
+
+    def test_bf_ad_lpf_secured(self):
+        tree = balanced_tree(3, 2)
+        u = np.zeros(tree.n + 1, dtype=int)
+        u[[1, 5]] = 1
+        psi, phi, loss = bf_ad(tree, u, 2, params_for(tree, 30.0), LPF)
+        assert repr(loss) == "85.25424965173099"
+        assert np.flatnonzero(psi.delta).tolist() == [4, 6]
+        gamma = [1.0] * 13
+        gamma[4], gamma[6] = 0.5940273826108048, 0.5940273826108049
+        assert phi.gamma.tolist() == gamma
+        assert phi.sp_d.tolist() == [0j] + [0.0039223227027636795 + 0.0196116135138184j] * 12
+
+    def test_bf_security(self):
+        tree = balanced_tree(3, 2)
+        u, loss = bf_security(tree, 2, 2, params_for(tree, 30.0), LPF)
+        assert repr(loss) == "85.25424965173099"
+        assert u.tolist() == [0] * 13
+
+    def test_grid_guard_raises_before_allocating(self):
+        net, params = _mixed_chain()
+        # 14 gamma values on each of 3 loaded nodes x 11 set-points on each of
+        # 3 free DERs: 3.65M points, above the 2M guard
+        grid = GridSpec(gamma_step=0.04, setpoint_angle_step=math.pi / 8, setpoint_mag_step=0.5)
+        psi = attack_strategy(net, np.zeros(5, dtype=int))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeToEnumerate):
+                _grid_min_response(net, psi, np.zeros(5, dtype=int), params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid itself would take 5 rows of 8 bytes per point
+        assert peak < 14**3 * 11**3
+
+
 class TestGridSpec:
     def test_positive_steps_required(self):
         with pytest.raises(ValueError):
@@ -179,6 +261,24 @@ def _imports(module):
 
 class TestOracleIndependence:
     """The oracles stay independent of the engines they check."""
+
+    # every name oracle.py takes from an engine module; a new one is a
+    # deliberate edit here
+    _ENGINE_NAMES = {
+        ("dersec.attack", "AttackStrategy"),
+        ("dersec.attack", "attack_strategy"),
+        ("dersec.response", "DefenderResponse"),
+        ("dersec.response", "GammaControlLP"),
+        ("dersec.response", "fixed_angle_setpoints"),
+        ("dersec.response", "response_state"),
+    }
+
+    def test_oracle_engine_imports_are_allowlisted(self):
+        engines = {"attack", "game", "response", "security"}
+        used = {(src, name) for src, name in _imports("oracle")
+                if src.removeprefix("dersec.") in engines
+                or (src == "dersec" and name in engines)}
+        assert used == self._ENGINE_NAMES
 
     def test_oracle_uses_no_private_engine_name(self):
         private = [(src, name) for src, name in _imports("oracle")

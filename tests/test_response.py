@@ -19,7 +19,6 @@ from dersec import (
     evaluate_loss,
     heterogeneous37,
     fixed_angle_setpoints,
-    optimal_load_control,
     optimal_response,
     response_state,
 )
@@ -111,7 +110,7 @@ class TestOptimalLoadControl:
     def test_no_attack_no_shedding(self, homog37):
         params = params_for(homog37, 10.0)
         sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
-        gamma = optimal_load_control(homog37, np.zeros(37, dtype=int), sp, params, LPF)
+        gamma = GammaControlLP(homog37, params, LPF, sp).solve(np.zeros(37, dtype=int))
         assert np.all(gamma == 1.0)
 
     def test_high_ratio_reaches_floor(self):
@@ -123,7 +122,7 @@ class TestOptimalLoadControl:
         delta = np.zeros(4, dtype=int)
         delta[3] = 1
         sp = fixed_angle_setpoints(net, np.zeros(4, dtype=int), delta)
-        gamma = optimal_load_control(net, delta, sp, params, LPF)
+        gamma = GammaControlLP(net, params, LPF, sp).solve(delta)
         assert np.all(gamma[1:] == pytest.approx(net.gamma_lo[1:], abs=1e-9))
 
     def test_low_ratio_no_control(self, homog37):
@@ -131,7 +130,7 @@ class TestOptimalLoadControl:
         delta = np.zeros(37, dtype=int)
         delta[list(homog37.der_nodes)] = 1
         sp = fixed_angle_setpoints(homog37, zeros_u(homog37), delta)
-        gamma = optimal_load_control(homog37, delta, sp, params, LPF)
+        gamma = GammaControlLP(homog37, params, LPF, sp).solve(delta)
         assert np.all(gamma == 1.0)
 
     def test_matches_scan_on_single_knob(self):
@@ -143,7 +142,7 @@ class TestOptimalLoadControl:
         delta[2] = 1
         sp = fixed_angle_setpoints(net, np.zeros(3, dtype=int), delta)
         psi = attack_strategy(net, delta)
-        gamma = optimal_load_control(net, delta, sp, params, LPF)
+        gamma = GammaControlLP(net, params, LPF, sp).solve(delta)
 
         from dersec.response import DefenderResponse
 
@@ -171,7 +170,7 @@ class TestOptimalResponse:
         joint = evaluate_loss(st, phi.gamma, params).total
 
         sp = fixed_angle_setpoints(tree22, np.zeros(tree22.n + 1, dtype=int), delta)
-        gamma = optimal_load_control(tree22, delta, sp, params, LPF)
+        gamma = GammaControlLP(tree22, params, LPF, sp).solve(delta)
         from dersec.response import DefenderResponse
 
         st2 = response_state(tree22, psi, DefenderResponse(sp, gamma), LPF)

@@ -21,7 +21,7 @@ from dersec import (
 )
 from dersec.errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
-from dersec.oracle import _subtree_signature, bf_security
+from dersec.oracle import _rounded_properties, _subtree_signature, bf_security
 from dersec.sweep import with_gamma_lo
 
 from conftest import params_for
@@ -34,7 +34,9 @@ def _recursive_symmetric(net):
     caps = net.der_cap[net.der_cap > 0.0]
     if caps.size and float(caps.max() - caps.min()) > 1e-12:
         return False
-    return all(len({_subtree_signature(net, c) for c in kids}) <= 1 for kids in net.tree.children)
+    props = _rounded_properties(net)
+    return all(len({_subtree_signature(net, c, props) for c in kids}) <= 1
+               for kids in net.tree.children)
 
 
 _SHAPES = ((2, 2), (3, 2), (2, 3), (4, 1), (3, 3))
