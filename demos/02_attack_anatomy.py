@@ -13,8 +13,8 @@ from dersec import (
     optimal_attack_fixed_response,
     pivot_optimal_attack,
     precedence_example,
-    voltage_impact,
 )
+from dersec.attack import impact_matrix
 from dersec.response import DefenderResponse, fixed_angle_setpoints
 
 net = precedence_example()
@@ -23,10 +23,11 @@ sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
 phi = DefenderResponse(sp_d=sp, gamma=np.ones(net.n + 1))
 
 pivot = net.node_by_label("m")
+D = impact_matrix(net, sp, LPF)
 print("impact of compromising each DER on the deepest bus (label m):")
 for lbl in "abcimedkgj":
     j = net.node_by_label(lbl)
-    d = voltage_impact(net, pivot, j, sp[j], net.der_cap[j], LPF)
+    d = D[pivot, j]
     shared = net.tree.shared_depth[pivot, j]
     print(f"  {lbl}: shared path {shared} edges -> drop {d:.6f}")
 

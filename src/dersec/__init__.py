@@ -14,7 +14,6 @@ from .attack import (
     effective_setpoints,
     optimal_attack_fixed_response,
     pivot_optimal_attack,
-    voltage_impact,
 )
 from .cases import (
     balanced_tree,

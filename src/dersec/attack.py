@@ -6,6 +6,13 @@ Compromising a DER moves its set-point from the defender's value to the
 worst-case false set-point 0 - j*cap, which lowers the squared voltage at a
 pivot node i by 2*Re(conj(Z_ij) * (sp_d_j + j*cap_j)) in the linear models;
 everything here is built on that formula.
+
+The one budget rule: every attack takes exactly min(M, pool) vulnerable DERs.
+Each impact is >= 0 under any feasible response: the common-path Z has
+non-negative parts, and w = sp_d + j*cap has Re w = pg >= 0 and
+Im w = qg + cap >= 0, since |sp_d| <= cap. So attacking one more DER never
+raises a voltage, and a vector's exact loss never falls as the attacked set
+grows.
 """
 
 from __future__ import annotations
@@ -65,21 +72,6 @@ def effective_setpoints(
     return sg
 
 
-def voltage_impact(
-    net: Network,
-    pivot: int,
-    j: int,
-    sp_d_j: complex,
-    cap_j: float,
-    model: ModelTag,
-) -> float:
-    """Squared-voltage drop at the pivot caused by compromising the DER at j."""
-    if pivot == 0 or j == 0:
-        raise RootArgument("voltage impact is defined for non-substation nodes")
-    base = 2.0 * float(np.real(np.conj(net.Z[pivot, j]) * (sp_d_j + 1j * cap_j)))
-    return model.load_scale * base
-
-
 def impact_matrix(net: Network, sp_d: np.ndarray, model: ModelTag) -> np.ndarray:
     """D[i, j] = drop of nu_i when the DER at j is compromised (0 where no DER)."""
     w = np.asarray(sp_d, dtype=complex) + 1j * net.der_cap
@@ -116,10 +108,9 @@ class PivotFamily(NamedTuple):
         return tuple(sorted(self.taken + self.boundary[: self.fill]))
 
     def rank(self) -> tuple:
-        """Sort key of families: the least member's size, then the least
-        member (vectors sort by size first, then as tuples)."""
-        first = self.first()
-        return len(first), first, self
+        """Sort key of families: the least member, as a tuple (every member
+        of a row's families has the same full-budget size)."""
+        return self.first(), self
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """Every member as a sorted tuple, in sorted order."""
@@ -271,24 +262,6 @@ def ranked_families(ranking: ImpactRanking, M: int, u: np.ndarray) -> tuple[Pivo
     return tuple(sorted(set(_partition_walks(vulnerable, min(M, size))), key=PivotFamily.rank))
 
 
-def pivot_families(
-    net: Network,
-    impacts: np.ndarray,
-    M: int,
-    u: np.ndarray,
-) -> tuple[PivotFamily, ...]:
-    """The pivot-node greedy attacks of every pivot for a linear-model
-    response, one family per distinct walk, ordered by least member.
-
-    ``impacts`` is the LPF ``impact_matrix`` of the response's set-points;
-    eps-LPF scales every impact by the same 1 + eps, so the LPF families serve
-    both linear models. Each pivot's walk takes whole equal-impact partitions
-    while they fit the budget; its boundary partition and the budget it leaves
-    make the family.
-    """
-    return ranked_families(impact_ranking(impacts[1:], _vulnerable_nodes(net, u)), M, u)
-
-
 def candidate_attack_set(
     net: Network,
     sp_d: np.ndarray,
@@ -296,8 +269,8 @@ def candidate_attack_set(
     u: np.ndarray,
 ) -> tuple[tuple[int, ...], ...]:
     """Candidate optimal attack vectors for a fixed linear-model response:
-    the members of the ``pivot_families``, each a sorted tuple of attacked
-    nodes, in sorted order.
+    the members of the ``ranked_families`` of the LPF impacts of ``sp_d``,
+    each a sorted tuple of attacked nodes, in sorted order.
 
     This is the paper's structure result written out; the engines bound the
     families instead. The boundary partition can make the union
@@ -305,7 +278,8 @@ def candidate_attack_set(
     holds more than 10,000 distinct vectors.
     """
     vectors: set[tuple[int, ...]] = set()
-    for family in pivot_families(net, impact_matrix(net, sp_d, LPF), M, u):
+    ranking = impact_ranking(impact_matrix(net, sp_d, LPF)[1:], _vulnerable_nodes(net, u))
+    for family in ranked_families(ranking, M, u):
         for vector in family.members():
             vectors.add(vector)
             if len(vectors) > _CANDIDATE_CAP:

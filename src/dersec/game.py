@@ -3,12 +3,12 @@
 The exact linear engines share one pooled best-first branch-and-bound over
 attack families: the one-shot engine (identical-r/x networks, closed-form
 set-points, pivot families bounded without listing their vectors,
-load-control LP) and the exhaustive engine (any network, every attack vector
-as a single-vector family, joint set-point/load-control LP), for one security
-vector or the Stage-1 min-max over rows of them. The iterative engine
-alternates the LPF greedy attack with the exact nonlinear response and keeps
-the best incumbent; a repeated attack vector certifies convergence. ``solve_ad`` picks the engine
-from the model and the network.
+load-control LP) and the exhaustive engine (any network, every full-budget
+attack vector as a single-vector family, joint set-point/load-control LP), for
+one security vector or the Stage-1 min-max over rows of them. The iterative
+engine alternates the LPF greedy attack with the exact nonlinear response and
+keeps the best incumbent; a repeated attack vector certifies convergence.
+``solve_ad`` picks the engine from the model and the network.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ class ADResult:
     solved, and for a family whose every member loses 0; otherwise it is an
     upper bound on every member's loss, not above ``loss.total``. Every
     vector the engine solved is its own family. The exhaustive engine's
-    families are its single vectors, so its trace lists every vector. Pooled
-    values use closed-form voltages and ``loss`` the power-flow state; they
-    agree up to rounding, so on exact ties the returned maximiser may differ
-    from the one a loop over exact per-vector losses would keep. The
-    iterative engine lists each attack it responded to, with that response's
-    loss.
+    families are its single vectors, so its trace lists every full-budget
+    vector. Pooled values use closed-form voltages and ``loss`` the
+    power-flow state; they agree up to rounding, so on exact ties the
+    returned maximiser may differ from the one a loop over exact per-vector
+    losses would keep. The iterative engine lists each attack it responded
+    to, with that response's loss.
     """
 
     delta_star: np.ndarray
@@ -267,12 +267,12 @@ def _pooled_best_first(
         # member comes first in row order and bounds its attaining one
         pick: tuple | None = None
         for k in mine[open_bound == peak].tolist():
-            if pick and pick[0] <= fams[k].rank()[:2]:
+            if pick and pick[0] <= fams[k].first():
                 break
             vector = table.attaining(k)
-            if not pick or (len(vector), vector) < pick[0]:
-                pick = ((len(vector), vector), k)
-        (_, vector), k = pick
+            if not pick or vector < pick[0]:
+                pick = (vector, k)
+        vector, k = pick
         (single,) = table.add([PivotFamily(vector)])
         # a member whose own bound is closed, or exact, is not worth an LP
         if not table.exact[single] and table.bound[single] > top[u_row]:
@@ -321,12 +321,11 @@ def solve_ad_oneshot(
 
     Set-points are fixed in closed form, so pooled responses differ only in
     the load-control vector gamma; a vector's exact response is its LP. Each
-    row's attacks are its ``pivot_families``, at most one per pivot, read
+    row's attacks are its ``ranked_families``, at most one per pivot, read
     from one ranking of every DER by LPF impact at each pivot, made once per
-    solve (``ranked_families``). They are bounded as families, so no
-    candidate vector is listed and no candidate cap applies. A 2-D ``u``
-    holds rows of alternative security vectors; the result is the least
-    row's (``_pooled_best_first``).
+    solve. They are bounded as families, so no candidate vector is listed and
+    no candidate cap applies. A 2-D ``u`` holds rows of alternative security
+    vectors; the result is the least row's (``_pooled_best_first``).
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
@@ -346,14 +345,16 @@ def solve_ad_exhaustive(
     params: CostParams,
     model: ModelTag,
 ) -> ADResult:
-    """Exact linear sub-game on any network over every attack vector (all
-    combinations of vulnerable DERs up to the budget, smallest first).
+    """Exact linear sub-game on any network over every full-budget attack
+    vector: each combination of min(M, pool) vulnerable DERs (the budget
+    rule of ``attack``).
 
     A vector's exact response is the joint set-point/load-control LP of
     ``optimal_response``. The seed's set-points (full output at each DER's
     own-edge angle) are shrunk into that LP's inner facet polygon, so that no
-    bound falls below a vector's LP value. Trace entries are pooled bounds,
-    and on exact ties the maximiser may differ from a per-vector loop's (see
+    bound falls below a vector's LP value. Trace entries are pooled bounds.
+    A tie in pooled value goes to the first full-budget vector in sorted
+    order, which may differ from a per-vector loop's maximiser (see
     ``ADResult``). Rows of security vectors in ``u`` each range over the DERs
     they leave vulnerable; the result is the least row's. Raises
     EnumerationCapExceeded, before enumerating, above 200,000 vectors in a
@@ -363,14 +364,14 @@ def solve_ad_exhaustive(
         raise ValueError("exhaustive engine applies to linear models only")
     secured = np.atleast_2d(_zero_u(net, u))
     pools = [np.flatnonzero(row).tolist() for row in (net.der_cap > 0.0) & (secured == 0)]
-    counts = [sum(math.comb(len(p), k) for k in range(min(M, len(p)) + 1)) for p in pools]
+    counts = [math.comb(len(p), min(M, len(p))) for p in pools]
     if max(counts) > _EXHAUSTIVE_CAP or sum(counts) > _TABLE_CAP:
         raise EnumerationCapExceeded(f"{max(counts)} vectors in a row or {sum(counts)} in all exceed cap")
     # rows share most vectors: build each vector's family once
     single: dict[tuple[int, ...], PivotFamily] = {}
     rows = (
         [single.get(c) or single.setdefault(c, PivotFamily(c))
-         for k in range(min(M, len(p)) + 1) for c in itertools.combinations(p, k)]
+         for c in itertools.combinations(p, min(M, len(p)))]
         for p in pools
     )
     lp = GammaControlLP(net, params, model, polygon_setpoints(net))

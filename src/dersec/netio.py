@@ -57,6 +57,13 @@ def _number(field: str, value):
     return value
 
 
+def _integer(field: str, value) -> int:
+    """``value`` as an int if it is a finite JSON number without a fraction."""
+    if _number(field, value) != int(value):
+        raise InvalidNetwork(f"{field} must be an integer, not {value!r}")
+    return int(value)
+
+
 def network_from_json(text: str) -> Network:
     try:
         doc = json.loads(text)
@@ -88,8 +95,8 @@ def network_from_json(text: str) -> Network:
             raise InvalidNetwork(f"missing node fields {sorted(missing)}")
         specs.append(
             NodeSpec(
-                id=int(_number("id", row["id"])),
-                parent=None if row["parent"] is None else int(_number("parent", row["parent"])),
+                id=_integer("id", row["id"]),
+                parent=None if row["parent"] is None else _integer("parent", row["parent"]),
                 **{f: float(_number(f, row[f])) for f in sorted(_NODE_FIELDS - {"id", "parent"})},
             )
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,7 +13,6 @@ from dersec import (
     optimal_attack_fixed_response,
     pivot_optimal_attack,
     solve_ad_oneshot,
-    voltage_impact,
 )
 from dersec.attack import (
     PivotFamily,
@@ -20,11 +20,10 @@ from dersec.attack import (
     attack_strategy,
     impact_matrix,
     impact_ranking,
-    pivot_families,
     ranked_families,
 )
 from dersec.cases import random_feasible_network
-from dersec.errors import EnumerationCapExceeded, RootArgument
+from dersec.errors import EnumerationCapExceeded
 from dersec.network import NodeSpec, build_network
 from dersec.response import DefenderResponse, fixed_angle_setpoints
 
@@ -62,9 +61,16 @@ class TestAttackerSetpoints:
             assert abs(psi.sp_a[i]) == pytest.approx(fig2.der_cap[i])
 
 
+def _setpoint_at(net, j, value):
+    sp = np.zeros(net.n + 1, dtype=complex)
+    sp[j] = value
+    return sp
+
+
 class TestVoltageImpact:
     def test_zero_without_der(self, fig2):
-        assert voltage_impact(fig2, 3, 4, 0.0, 0.0, LPF) == 0.0
+        net = dataclasses.replace(fig2, der_cap=np.where(np.arange(fig2.n + 1) == 4, 0.0, fig2.der_cap))
+        assert impact_matrix(net, np.zeros(net.n + 1, dtype=complex), LPF)[3, 4] == 0.0
 
     def test_hand_value(self):
         # Z = 0.02+0.02j between pivot and j via a 2-level chain with z/2 edges
@@ -74,12 +80,13 @@ class TestVoltageImpact:
             NodeSpec(id=2, parent=1, r_pu=0.01, x_pu=0.01, der_cap=0.1),
         ]
         net = build_network(specs)
-        got = voltage_impact(net, 2, 2, 0.06 + 0.03j, 0.1, LPF)
+        got = impact_matrix(net, _setpoint_at(net, 2, 0.06 + 0.03j), LPF)[2, 2]
         assert got == pytest.approx(0.0076, abs=1e-12)
 
     def test_eps_scaling(self, fig2):
-        a = voltage_impact(fig2, 4, 5, 0.005 + 0.005j, fig2.der_cap[5], LPF)
-        b = voltage_impact(fig2, 4, 5, 0.005 + 0.005j, fig2.der_cap[5], eps_lpf(0.25))
+        sp = _setpoint_at(fig2, 5, 0.005 + 0.005j)
+        a = impact_matrix(fig2, sp, LPF)[4, 5]
+        b = impact_matrix(fig2, sp, eps_lpf(0.25))[4, 5]
         assert b == pytest.approx(1.25 * a, rel=1e-12)
 
     def test_downstream_preference(self, fig2):
@@ -87,16 +94,13 @@ class TestVoltageImpact:
         j = fig2.node_by_label("j")
         k = fig2.node_by_label("k")
         sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
-        dj = voltage_impact(fig2, piv, j, sp[j], fig2.der_cap[j], LPF)
-        dk = voltage_impact(fig2, piv, k, sp[k], fig2.der_cap[k], LPF)
+        D = impact_matrix(fig2, sp, LPF)
+        dj = D[piv, j]
+        dk = D[piv, k]
         assert dj < dk
         e = fig2.node_by_label("e")
-        de = voltage_impact(fig2, piv, e, sp[e], fig2.der_cap[e], LPF)
+        de = D[piv, e]
         assert de == pytest.approx(dk, rel=1e-12)
-
-    def test_root_argument(self, fig2):
-        with pytest.raises(RootArgument):
-            voltage_impact(fig2, 0, 1, 0.0, 0.1, LPF)
 
 
 class TestPivotOptimalAttack:
@@ -197,8 +201,8 @@ class TestPartitionWalks:
         for M in range(ders.size + 2):
             for u in secured:
                 families = ranked_families(ranking, M, u)
-                assert families == pivot_families(net, D, M, u)
                 pool = net.der_nodes[u[net.der_nodes] == 0]
+                assert families == ranked_families(impact_ranking(D[1:], pool), M, u)
                 walks = {PivotFamily(tuple(sorted(taken)), tuple(boundary), fill)
                          for taken, boundary, fill in (_reference_walk(row, pool, M) for row in D[1:])}
                 assert set(families) == walks
@@ -302,10 +306,10 @@ class TestCandidateSet:
         u = zeros_u(net)
         sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
         D = impact_matrix(net, sp, LPF)
-        families = pivot_families(net, D, M, u)
+        pool = np.flatnonzero(net.der_cap > 0.0)
+        families = ranked_families(impact_ranking(D[1:], pool), M, u)
         # the enumeration the engine used to run: every pivot's walk with each
         # fill-subset of its boundary partition written out
-        pool = np.flatnonzero(net.der_cap > 0.0)
         enumerated = set()
         for pivot in net.nodes:
             taken, boundary, fill = _reference_walk(D[pivot], pool, min(M, pool.size))

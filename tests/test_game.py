@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from dersec import (
     solve_ad_iterative,
     solve_ad_oneshot,
 )
-from dersec.attack import PivotFamily, attack_strategy, candidate_attack_set, impact_matrix, pivot_families
+from dersec.attack import (
+    PivotFamily,
+    attack_strategy,
+    candidate_attack_set,
+    impact_matrix,
+    impact_ranking,
+    ranked_families,
+)
 from dersec.cases import heterogeneous37, random_feasible_network
 from dersec.errors import EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
@@ -192,7 +200,7 @@ class TestFamilyBound:
         params = params_for(net, 10.0)
         u = zeros_u(net)
         seed_sp = fixed_angle_setpoints(net, u, u)
-        families = pivot_families(net, impact_matrix(net, seed_sp, LPF), M, u)
+        families = ranked_families(impact_ranking(impact_matrix(net, seed_sp, LPF)[1:], net.der_nodes), M, u)
         rng = np.random.default_rng(draw)
         for model in (LPF, eps_lpf(0.3)):
             index = {f: k for k, f in enumerate(families)}
@@ -267,7 +275,9 @@ class TestExhaustivePool:
         calls = _count_lps(monkeypatch)
         res = solve_ad_exhaustive(net, None, M, params, LPF)
         assert res.loss.total == pytest.approx(expected, abs=1e-9)
-        assert len(res.trace) == n_vectors
+        # the trace lists every full-budget vector
+        ders = len(net.der_nodes)
+        assert len(res.trace) == math.comb(ders, min(M, ders))
         assert max(e.loss for e in res.trace) <= res.loss.total + 1e-9
         assert len(calls) < n_vectors
 
@@ -353,7 +363,8 @@ class TestSecurityRows:
         net, params, _, M, ders = feeder
         rows = _single_der_rows(net, ders)
         sp = fixed_angle_setpoints(net, zeros_u(net), zeros_u(net))
-        first = pivot_families(net, impact_matrix(net, sp, LPF), M, rows[0])
+        pool = net.der_nodes[rows[0][net.der_nodes] == 0]
+        first = dersec.game.ranked_families(impact_ranking(impact_matrix(net, sp, LPF)[1:], pool), M, rows[0])
         # a row holds at most one family per pivot, however many vectors
         assert len(first) <= net.n < len(candidate_attack_set(net, sp, M, rows[0]))
         calls = []

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -207,6 +209,8 @@ _MALFORMED = {
     "node_value_not_a_number": lambda doc: doc["nodes"][1].update(r_pu=[1]),
     "node_value_not_finite": lambda doc: doc["nodes"][1].update(r_pu=float("nan")),
     "parent_not_a_number": lambda doc: doc["nodes"][1].update(parent=[0]),
+    "id_not_an_integer": lambda doc: doc["nodes"][1].update(id=1.5),
+    "parent_not_an_integer": lambda doc: doc["nodes"][1].update(parent=0.5),
     "document_value_not_a_number": lambda doc: doc.update(nu0=[1.0]),
 }
 
@@ -378,3 +382,18 @@ def test_demo_runs(demo, tmp_path):
     out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_bench_traced_names_stay_bound():
+    # the bench tracer drops the metrics of a traced name that no longer
+    # resolves, so a change that deletes one quietly changes the bench output
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for span, module_name, attr in tracer.TRACED:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), (span, module_name, attr)

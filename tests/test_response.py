@@ -22,7 +22,7 @@ from dersec import (
     optimal_response,
     response_state,
 )
-from dersec.attack import attack_strategy
+from dersec.attack import attack_strategy, effective_setpoints
 from dersec.cases import random_feasible_network
 from dersec.errors import HeterogeneousRxRatio, InfeasibleLP
 from dersec.game import solve_ad_oneshot
@@ -144,8 +144,6 @@ class TestOptimalLoadControl:
         psi = attack_strategy(net, delta)
         gamma = GammaControlLP(net, params, LPF, sp).solve(delta)
 
-        from dersec.response import DefenderResponse
-
         def total(g1, g2):
             g = np.array([1.0, g1, g2])
             st = response_state(net, psi, DefenderResponse(sp, g), LPF)
@@ -153,8 +151,21 @@ class TestOptimalLoadControl:
 
         lp_val = total(gamma[1], gamma[2])
         grid = np.linspace(0.5, 1.0, 251)
-        scan = min(total(a, b) for a in grid for b in grid)
-        assert lp_val <= scan + 1e-9
+        # the whole grid at once: LPF flows sum each subtree's net loads, and
+        # squared voltages drop by 2 Re(conj(z) S) along each root path
+        g = np.stack([np.ones(grid.size**2), *(a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))])
+        sg = effective_setpoints(net, np.zeros(3, dtype=int), delta, sp)
+        S = net.tree.subtree_mask @ (g * net.sc_nom[:, None] - sg[:, None])
+        S[0] = 0.0
+        nu = net.nu0 - net.tree.subtree_mask.T @ (2.0 * np.real(np.conj(net.z)[:, None] * S))
+        lovr = np.max(params.W[1:, None] * np.maximum(net.nu_lo[1:, None] - nu[1:], 0.0), axis=0)
+        voll = np.sum(params.C[1:, None] * (1.0 - g[1:]) * np.real(net.sc_nom[1:, None]), axis=0)
+        scan = (lovr + voll).reshape(grid.size, grid.size)
+        # the batched grid is the per-point loss at the corners and inside
+        corners = [(0, 0), (0, 250), (250, 0), (250, 250)]
+        for i, j in corners + [(125, 125), (1, 249), (37, 180), (200, 63), (249, 2)]:
+            assert scan[i, j] == pytest.approx(total(grid[i], grid[j]), rel=0.0, abs=1e-12)
+        assert lp_val <= scan.min() + 1e-9
 
 
 class TestOptimalResponse:

@@ -204,7 +204,7 @@ class TestDADLiterals:
     @pytest.mark.parametrize("case,B,M,loss,secured,attacked,lps", [
         ("symmetric", 2, 2, "31.970343619396324", (4, 7), (1, 5), 1),
         ("identical-rx", 2, 2, "0.0", (2, 3), (6, 7), 0),
-        ("heterogeneous-rx", 2, 2, "0.0", (3, 6), (), 1),
+        ("heterogeneous-rx", 2, 2, "0.0", (3, 6), (5,), 1),
         ("feeder", 2, 9, "4.203955652620499", (9, 10), tuple(range(11, 20)), 55),
     ])
     def test_values(self, monkeypatch, case, B, M, loss, secured, attacked, lps):
@@ -275,7 +275,7 @@ class TestStage1Pool:
         assert solve_ad_exhaustive(net, dad.u_star.u, 7, params, LPF).loss.total == 0.0
 
     def test_table_cap_raises_before_allocating(self):
-        # 253 security vectors x 82,160 attack vectors each (23 DERs, B=2, M=6)
+        # 253 security vectors x 54,264 attack vectors each (23 DERs, B=2, M=6)
         net = random_feasible_network(0, n_max=40, identical_k=False)
         params = params_for(net, 10.0)
         tracemalloc.start()
