@@ -19,7 +19,7 @@ from dersec.response import DefenderResponse, fixed_angle_setpoints
 
 net = precedence_example()
 u = np.zeros(net.n + 1, dtype=int)
-sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+sp = fixed_angle_setpoints(net)
 phi = DefenderResponse(sp_d=sp, gamma=np.ones(net.n + 1))
 
 pivot = net.node_by_label("m")

@@ -56,17 +56,16 @@ def attack_strategy(net: Network, delta: np.ndarray) -> AttackStrategy:
 
 def effective_setpoints(
     net: Network,
-    u: np.ndarray,
     delta: np.ndarray,
     sp_d: np.ndarray,
     sp_a: np.ndarray | None = None,
 ) -> np.ndarray:
     """Generation per node under the adversary model: a DER follows the false
-    set-point iff it is targeted and not secured; otherwise the defender's."""
+    set-point iff ``delta`` takes it; otherwise the defender's. Security is
+    decided where the attack is drawn: attacks take only vulnerable DERs."""
     if sp_a is None:
         sp_a = -1j * net.der_cap.astype(complex)
-    compromised = (np.asarray(delta) == 1) & (np.asarray(u) == 0)
-    sg = np.where(compromised, sp_a, np.asarray(sp_d, dtype=complex))
+    sg = np.where(np.asarray(delta) == 1, sp_a, np.asarray(sp_d, dtype=complex))
     sg = np.where(net.der_cap > 0.0, sg, 0.0 + 0.0j)
     sg[0] = 0.0
     return sg
@@ -227,7 +226,7 @@ def optimal_attack_fixed_response(
     """
     if W is None:
         W = net.W
-    sg0 = effective_setpoints(net, np.asarray(u), np.zeros(net.n + 1, dtype=int), phi.sp_d)
+    sg0 = effective_setpoints(net, np.zeros(net.n + 1, dtype=int), phi.sp_d)
     base = solve_lpf(net, injection(net, phi.gamma, sg0))
 
     pool = _vulnerable_nodes(net, u)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -82,6 +83,12 @@ class ADResult:
     converged: bool
     u: np.ndarray                # the security vector the result belongs to
     iterations: int = 0
+
+
+def _check_budget(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"budget {name} must be a non-negative integer, got {value!r}")
 
 
 def _zero_u(net: Network, u: np.ndarray | None) -> np.ndarray:
@@ -225,7 +232,7 @@ def _pooled_best_first(
     """Min over the rows u of ``secured`` of the exact linear sub-game maximum
     over each row's own attack families, by best-first branch-and-bound.
 
-    A vector's exact loss reads u only through ``delta & ~u``, so one
+    No response reads u; each row's attacks skip its secured DERs, so one
     ``_FamilyTable`` serves every row. Each round takes the row whose largest
     exact loss is smallest (ties to the first row) and its open family with
     the largest bound, and that family's attaining member (ties to the first
@@ -329,9 +336,9 @@ def solve_ad_oneshot(
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
+    _check_budget("M", M)
     secured = np.atleast_2d(_zero_u(net, u))
-    zero = np.zeros(net.n + 1, dtype=int)
-    sp_d = fixed_angle_setpoints(net, zero, zero)
+    sp_d = fixed_angle_setpoints(net)
     lp = GammaControlLP(net, params, model, sp_d)
     ranking = impact_ranking(impact_matrix(net, sp_d, LPF)[1:], net.der_nodes)
     rows = (ranked_families(ranking, M, row) for row in secured)
@@ -362,6 +369,7 @@ def solve_ad_exhaustive(
     """
     if not model.is_linear:
         raise ValueError("exhaustive engine applies to linear models only")
+    _check_budget("M", M)
     secured = np.atleast_2d(_zero_u(net, u))
     pools = [np.flatnonzero(row).tolist() for row in (net.der_cap > 0.0) & (secured == 0)]
     counts = [math.comb(len(p), min(M, len(p))) for p in pools]
@@ -396,14 +404,19 @@ def solve_ad_iterative(
     Terminates successfully on a repeated attack vector, and stops
     unconverged after 20 attack steps.
     ``seed_attack`` optionally injects a first candidate attack (e.g. the
-    linear one-shot solution) before the alternation starts.
+    linear one-shot solution) before the alternation starts; it may take no
+    DER that ``u`` secures (ValueError).
     """
+    _check_budget("M", M)
     u = _zero_u(net, u)
+    seed = None if seed_attack is None else np.asarray(seed_attack, dtype=int)
+    if seed is not None and np.any(seed[u != 0]):
+        raise ValueError("seed_attack takes a DER that u secures")
 
     def respond(delta: np.ndarray) -> tuple[DefenderResponse, LossBreakdown]:
         psi = attack_strategy(net, delta)
-        phi = optimal_response(net, psi, params, NPF, u=u)
-        state = response_state(net, psi, phi, NPF, u=u)
+        phi = optimal_response(net, psi, params, NPF)
+        state = response_state(net, psi, phi, NPF)
         return phi, evaluate_loss(state, phi.gamma, params)
 
     visited: set[tuple[int, ...]] = set()
@@ -425,8 +438,8 @@ def solve_ad_iterative(
         return True
 
     visit(np.zeros(net.n + 1, dtype=int))
-    if seed_attack is not None:
-        visit(np.asarray(seed_attack, dtype=int))
+    if seed is not None:
+        visit(seed)
 
     converged = False
     iterations = 0

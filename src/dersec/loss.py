@@ -20,6 +20,12 @@ class CostParams:
     W: np.ndarray
     C: np.ndarray
 
+    def __post_init__(self):
+        for name in ("W", "C"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if not (np.isfinite(values).all() and (values >= 0.0).all()):
+                raise ValueError(f"cost weights {name} must be finite and nonnegative")
+
     @classmethod
     def from_network(cls, net: Network) -> "CostParams":
         return cls(W=net.W, C=net.C)

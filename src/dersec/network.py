@@ -250,15 +250,16 @@ def build_network(
             f"max nu_hi={nu_hi[1:].max()}, mu_hi={mu_hi}"
         )
 
+    # the range checks below are written so that a NaN fails
     gamma_lo = np.array([s.gamma_lo for s in by_id])
-    if np.any(gamma_lo < 0.0) or np.any(gamma_lo > 1.0):
+    if not np.all((gamma_lo >= 0.0) & (gamma_lo <= 1.0)):
         raise InvalidNetwork("gamma_lo must lie in [0, 1]")
     W = np.array([s.W for s in by_id])
     C = np.array([s.C for s in by_id])
-    if np.any(W < 0.0) or np.any(C < 0.0):
+    if not (np.all(W >= 0.0) and np.all(C >= 0.0)):
         raise InvalidNetwork("W and C must be nonnegative")
     der_cap = np.array([s.der_cap for s in by_id])
-    if np.any(der_cap < 0.0):
+    if not np.all(der_cap >= 0.0):
         raise InvalidNetwork("der_cap must be nonnegative")
 
     sc_nom = np.array([complex(s.pc_nom, s.qc_nom) for s in by_id])

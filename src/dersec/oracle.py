@@ -80,7 +80,7 @@ def bf_attack_fixed_response(
         delta = np.zeros(net.n + 1, dtype=int)
         delta[list(combo)] = 1
         psi = attack_strategy(net, delta)
-        state = response_state(net, psi, phi, model, u=u)
+        state = response_state(net, psi, phi, model)
         loss = evaluate_loss(state, phi.gamma, params).total
         if best is None or loss > best[0] + 1e-15:
             best = (loss, delta)
@@ -107,15 +107,15 @@ def bf_ad(
     if model.is_linear:
         if net.uniform_rx_ratio() is None:
             raise HeterogeneousRxRatio("linear oracle needs identical r/x")
-        sp_d = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
-        load_control = GammaControlLP(net, params, model, sp_d, u)
+        sp_d = fixed_angle_setpoints(net)
+        load_control = GammaControlLP(net, params, model, sp_d)
         for combo in deltas:
             delta = np.zeros(net.n + 1, dtype=int)
             delta[list(combo)] = 1
             gamma = load_control.solve(delta)
             psi = attack_strategy(net, delta)
             phi = DefenderResponse(sp_d=sp_d, gamma=gamma)
-            state = response_state(net, psi, phi, model, u=u)
+            state = response_state(net, psi, phi, model)
             loss = evaluate_loss(state, gamma, params).total
             if best is None or loss > best[0] + 1e-15:
                 best = (loss, psi, phi)

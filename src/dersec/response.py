@@ -119,15 +119,12 @@ class DefenderResponse:
     converged: bool = True
 
 
-def fixed_angle_setpoints(
-    net: Network,
-    u: np.ndarray,
-    delta: np.ndarray,
-) -> np.ndarray:
+def fixed_angle_setpoints(net: Network) -> np.ndarray:
     """Full-magnitude set-points at the angle arccot K, for identical-K networks.
 
-    Every uncompromised DER gets |sp| = cap and angle arctan(1/K); compromised
-    or DER-less nodes get 0. Raises HeterogeneousRxRatio when K is not uniform.
+    Every DER gets |sp| = cap and angle arctan(1/K); DER-less nodes get 0.
+    ``effective_setpoints`` puts the attacked DERs on their false set-points.
+    Raises HeterogeneousRxRatio when K is not uniform.
     """
     K = net.uniform_rx_ratio()
     if K is None:
@@ -137,9 +134,8 @@ def fixed_angle_setpoints(
         )
     theta = math.atan2(1.0, K)
     direction = complex(math.cos(theta), math.sin(theta))
-    compromised = (np.asarray(delta) == 1) & (np.asarray(u) == 0)
     sp = np.where(
-        (net.der_cap > 0.0) & ~compromised,
+        net.der_cap > 0.0,
         net.der_cap * direction,
         0.0 + 0.0j,
     )
@@ -316,7 +312,6 @@ class GammaControlLP:
         params: CostParams,
         model: ModelTag,
         sp_d: np.ndarray,
-        u: np.ndarray | None = None,
     ):
         if not model.is_linear:
             raise ValueError("load-control LP applies to linear models only")
@@ -324,7 +319,6 @@ class GammaControlLP:
         self.params = params
         self.model = model
         self.sp_d = np.asarray(sp_d, dtype=complex)
-        self.u = np.zeros(net.n + 1, dtype=int) if u is None else np.asarray(u)
         self._lp = _ResponseModel(net, params, model.load_scale, np.zeros(0, dtype=int))
         self.loaded = self._lp.loaded
         self.G = -self._lp.nu_mat[:, :-1]
@@ -335,7 +329,7 @@ class GammaControlLP:
         """Voltages at gamma = 0 (pure generation), per node 1..N, under the
         defender set-points ``sp_d`` (default: the model's own)."""
         sp_d = self.sp_d if sp_d is None else sp_d
-        sg = effective_setpoints(self.net, self.u, delta, sp_d, sp_a)
+        sg = effective_setpoints(self.net, delta, sp_d, sp_a)
         return self._lp.nu_offset(sg, np.zeros(self.net.n))
 
     def solve(self, delta: np.ndarray, sp_a: np.ndarray | None = None) -> np.ndarray:
@@ -373,14 +367,12 @@ def _model_for_attack(
     psi: AttackStrategy,
     params: CostParams,
     kappa: float,
-    u: np.ndarray,
 ) -> tuple[_ResponseModel, np.ndarray]:
-    """The model whose free DERs are the uncompromised ones, and the
-    generation the attack fixes (its compromised DERs' set-points)."""
+    """The model whose free DERs are those the attack does not take, and the
+    generation the attack fixes (its attacked DERs' set-points)."""
     no_sp = np.zeros(net.n + 1, dtype=complex)
-    fixed = effective_setpoints(net, u, psi.delta, no_sp, psi.sp_a)
-    compromised = (psi.delta == 1) & (np.asarray(u) == 0)
-    free = 1 + np.flatnonzero((net.der_cap[1:] > 0.0) & ~compromised[1:])
+    fixed = effective_setpoints(net, psi.delta, no_sp, psi.sp_a)
+    free = 1 + np.flatnonzero((net.der_cap[1:] > 0.0) & (psi.delta[1:] != 1))
     return _ResponseModel(net, params, kappa, free), fixed
 
 
@@ -389,9 +381,8 @@ def _optimal_response_linear(
     psi: AttackStrategy,
     params: CostParams,
     model: ModelTag,
-    u: np.ndarray,
 ) -> DefenderResponse:
-    lp, fixed = _model_for_attack(net, psi, params, model.load_scale, u)
+    lp, fixed = _model_for_attack(net, psi, params, model.load_scale)
     x = lp.solve(lp.nu_offset(fixed, np.zeros(net.n)), lp.c, lp.lb, lp.ub)
     gamma, sp_d = lp.unpack(x)
     return DefenderResponse(sp_d=sp_d, gamma=gamma, converged=True)
@@ -401,18 +392,17 @@ def _optimal_response_npf(
     net: Network,
     psi: AttackStrategy,
     params: CostParams,
-    u: np.ndarray,
 ) -> DefenderResponse:
     par = net.tree.parent[1:]
     r = net.r[1:]
-    lp, fixed = _model_for_attack(net, psi, params, 1.0, u)
+    lp, fixed = _model_for_attack(net, psi, params, 1.0)
     # voltage rows of each edge's upstream node (zero at the substation)
     has_parent = par >= 1
     nu_up_mat = np.zeros_like(lp.nu_mat)
     nu_up_mat[has_parent] = lp.nu_mat[par[has_parent] - 1]
 
     def npf_state(gamma: np.ndarray, sp_d: np.ndarray):
-        sg = effective_setpoints(net, u, psi.delta, sp_d, psi.sp_a)
+        sg = effective_setpoints(net, psi.delta, sp_d, psi.sp_a)
         return solve_npf(net, injection(net, gamma, sg))
 
     gamma = np.ones(net.n + 1)
@@ -465,14 +455,11 @@ def optimal_response(
     psi: AttackStrategy,
     params: CostParams,
     model: ModelTag,
-    u: np.ndarray | None = None,
 ) -> DefenderResponse:
     """Loss-minimizing (set-points, load control) for a fixed attack."""
-    if u is None:
-        u = np.zeros(net.n + 1, dtype=int)
     if model.is_linear:
-        return _optimal_response_linear(net, psi, params, model, u)
-    return _optimal_response_npf(net, psi, params, u)
+        return _optimal_response_linear(net, psi, params, model)
+    return _optimal_response_npf(net, psi, params)
 
 
 def response_state(
@@ -480,12 +467,9 @@ def response_state(
     psi: AttackStrategy,
     phi: DefenderResponse,
     model: ModelTag,
-    u: np.ndarray | None = None,
 ):
     """Power-flow state realized by an attack/response pair under a model."""
-    if u is None:
-        u = np.zeros(net.n + 1, dtype=int)
-    sg = effective_setpoints(net, u, psi.delta, phi.sp_d, psi.sp_a)
+    sg = effective_setpoints(net, psi.delta, phi.sp_d, psi.sp_a)
     inj = injection(net, phi.gamma, sg)
     if model.kind == "lpf":
         return solve_lpf(net, inj)

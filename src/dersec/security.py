@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
-from .game import ADResult, solve_ad
+from .game import ADResult, _check_budget, solve_ad
 from .game import solve_ad_exhaustive  # noqa: F401  (public as dersec.security.solve_ad_exhaustive)
 from .loss import CostParams
 from .network import Network
@@ -141,6 +141,7 @@ def solve_dad(
     """
     if not model.is_linear:
         raise ValueError("solve_dad applies to linear models")
+    _check_budget("B", B)      # M is checked by the engine
     if net.uniform_rx_ratio() is not None and is_symmetric(net):
         secured = _placement(net, B)
     else:

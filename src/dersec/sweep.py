@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DersecError
-from .game import solve_ad
+from .errors import DersecError, InvalidNetwork
+from .game import _check_budget, solve_ad
 from .loss import CostParams
 from .network import Network
 from .powerflow import LPF, NPF, ModelTag, calibrate_epsilon, eps_lpf
@@ -54,6 +56,13 @@ class SweepConfig:
             raise ValueError("sweep axes must be nonempty")
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {_MODELS}")
+        for M in self.M_values:
+            _check_budget("M", M)
+        if not all(isinstance(wc, numbers.Real) and math.isfinite(wc) and wc >= 0.0
+                   for wc in self.wc_ratios):
+            raise ValueError(f"W/C ratios must be finite and nonnegative, got {self.wc_ratios}")
+        if not all(isinstance(gl, numbers.Real) and 0.0 <= gl <= 1.0 for gl in self.gamma_lo_values):
+            raise ValueError(f"gamma_lo values must lie in [0, 1], got {self.gamma_lo_values}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,8 @@ class SweepRow:
 
 def with_gamma_lo(net: Network, gamma_lo: float) -> Network:
     """Copy of the network with a uniform load-control floor."""
+    if not 0.0 <= gamma_lo <= 1.0:
+        raise InvalidNetwork(f"gamma_lo must lie in [0, 1], got {gamma_lo!r}")
     arr = np.full(net.n + 1, gamma_lo)
     arr[0] = 0.0
     arr.setflags(write=False)

@@ -189,7 +189,7 @@ class TestCriterion4GreedyExactness:
             if len(net.der_nodes) == 0:
                 continue
             u = zeros_u(net)
-            sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+            sp = fixed_angle_setpoints(net)
             phi = DefenderResponse(sp_d=sp, gamma=np.ones(net.n + 1))
             params = CostParams.from_network(net)
             M = int(np.random.default_rng(seed).integers(1, 4))
@@ -229,11 +229,10 @@ class TestCriterion6AttackerSetpoint:
         net = chain_network(3, z=0.02 + 0.024j, load=0.02 + 0.012j,
                             caps={2: 0.01, 3: 0.015}, nu_lo=0.9975, qc_ratio=0.6)
         params = CostParams.from_ratio(net, 18.0)
-        u = zeros_u(net)
         delta = np.zeros(4, dtype=int)
         delta[3] = 1
-        sp_d = fixed_angle_setpoints(net, u, delta)
-        lp = GammaControlLP(net, params, LPF, sp_d, u=u)
+        sp_d = fixed_angle_setpoints(net)
+        lp = GammaControlLP(net, params, LPF, sp_d)
         cap = float(net.der_cap[3])
         step = 0.01 * cap
 
@@ -295,7 +294,7 @@ class TestCriterion8AttackSetEquivalence:
             if len(net.der_nodes) == 0:
                 continue
             u = zeros_u(net)
-            sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+            sp = fixed_angle_setpoints(net)
             eps = calibrate_epsilon(net).eps
             # eps-LPF scales every impact by 1 + eps, so the LPF candidate
             # set serves both models
@@ -314,11 +313,11 @@ class TestCriterion8AttackSetEquivalence:
             if lo.loss.lovr > 0 and hi.loss.lovr > 0:
                 # the eps-model winner must be an LPF winner too (value test
                 # is robust to ties inside the optimal set)
-                lp = GammaControlLP(net, params, LPF, sp, u=u)
+                lp = GammaControlLP(net, params, LPF, sp)
                 gamma = lp.solve(hi.delta_star)
                 st = response_state(
                     net, attack_strategy(net, hi.delta_star),
-                    DefenderResponse(sp, gamma), LPF, u=u,
+                    DefenderResponse(sp, gamma), LPF,
                 )
                 crossed = evaluate_loss(st, gamma, params).total
                 assert crossed == pytest.approx(lo.loss.total, abs=1e-9), seed

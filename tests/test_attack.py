@@ -12,6 +12,8 @@ from dersec import (
     eps_lpf,
     optimal_attack_fixed_response,
     pivot_optimal_attack,
+    solve_ad_exhaustive,
+    solve_ad_iterative,
     solve_ad_oneshot,
 )
 from dersec.attack import (
@@ -37,8 +39,7 @@ def _to_delta(net, nodes):
 
 
 def _fig2_fixed_response(fig2):
-    u = zeros_u(fig2)
-    sp = fixed_angle_setpoints(fig2, u, np.zeros(fig2.n + 1, dtype=int))
+    sp = fixed_angle_setpoints(fig2)
     return DefenderResponse(sp_d=sp, gamma=np.ones(fig2.n + 1))
 
 
@@ -93,7 +94,7 @@ class TestVoltageImpact:
         piv = fig2.node_by_label("i")
         j = fig2.node_by_label("j")
         k = fig2.node_by_label("k")
-        sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
+        sp = fixed_angle_setpoints(fig2)
         D = impact_matrix(fig2, sp, LPF)
         dj = D[piv, j]
         dk = D[piv, k]
@@ -105,7 +106,7 @@ class TestVoltageImpact:
 
 class TestPivotOptimalAttack:
     def test_fig2_cluster(self, fig2):
-        sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
+        sp = fixed_angle_setpoints(fig2)
         m = fig2.node_by_label("m")
         atk = pivot_optimal_attack(fig2, m, sp, 2, zeros_u(fig2))
         chosen = {fig2.label_of(i) for i in np.flatnonzero(atk.delta)}
@@ -117,12 +118,12 @@ class TestPivotOptimalAttack:
         assert atk.delta.sum() == 0
 
     def test_budget_slack_attacks_everything(self, fig2):
-        sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
+        sp = fixed_angle_setpoints(fig2)
         atk = pivot_optimal_attack(fig2, 5, sp, 99, zeros_u(fig2))
         assert atk.delta.sum() == len(fig2.der_nodes)
 
     def test_respects_security(self, fig2):
-        sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
+        sp = fixed_angle_setpoints(fig2)
         u = zeros_u(fig2)
         m = fig2.node_by_label("m")
         u[m] = 1
@@ -210,7 +211,7 @@ class TestPartitionWalks:
 
 class TestCandidateSet:
     def test_budget_zero_single_empty_vector(self, fig2):
-        sp = fixed_angle_setpoints(fig2, zeros_u(fig2), np.zeros(fig2.n + 1, dtype=int))
+        sp = fixed_angle_setpoints(fig2)
         assert candidate_attack_set(fig2, sp, 0, zeros_u(fig2)) == ((),)
 
     def test_generic_instance_is_small(self):
@@ -239,8 +240,7 @@ class TestCandidateSet:
     def test_lpf_and_eps_sets_identical(self):
         for seed in range(15):
             net = random_feasible_network(seed)
-            sp = fixed_angle_setpoints(net, np.zeros(net.n + 1, dtype=int),
-                                       np.zeros(net.n + 1, dtype=int))
+            sp = fixed_angle_setpoints(net)
             # eps-LPF scales every impact by 1 + eps, so one candidate set
             # serves both linear models
             lpf = impact_matrix(net, sp, LPF)
@@ -264,7 +264,7 @@ class TestCandidateSet:
             if len(net.der_nodes) == 0:
                 continue
             u = np.zeros(net.n + 1, dtype=int)
-            sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+            sp = fixed_angle_setpoints(net)
             cand_set = set(candidate_attack_set(net, sp, 2, u))
             rng = np.random.default_rng(seed)
             params = CostParams.from_network(net)
@@ -293,7 +293,7 @@ class TestCandidateSet:
         nets = [fig2] + [random_feasible_network(seed) for seed in (1, 4, 7)]
         for net in nets:
             u = zeros_u(net)
-            sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+            sp = fixed_angle_setpoints(net)
             cands = set(candidate_attack_set(net, sp, M, u))
             for pivot in net.nodes:
                 atk = pivot_optimal_attack(net, pivot, sp, M, u)
@@ -304,7 +304,7 @@ class TestCandidateSet:
     def test_families_expand_to_the_enumerated_set(self, homog37, net_id, M):
         net = homog37 if net_id == "feeder" else random_feasible_network(net_id)
         u = zeros_u(net)
-        sp = fixed_angle_setpoints(net, u, np.zeros(net.n + 1, dtype=int))
+        sp = fixed_angle_setpoints(net)
         D = impact_matrix(net, sp, LPF)
         pool = np.flatnonzero(net.der_cap > 0.0)
         families = ranked_families(impact_ranking(D[1:], pool), M, u)
@@ -321,7 +321,7 @@ class TestCandidateSet:
         assert [f.first() for f in families] == sorted(f.first() for f in families)
 
     def test_overflow_raises(self, homog37, monkeypatch):
-        sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
+        sp = fixed_angle_setpoints(homog37)
         monkeypatch.setattr(dersec.attack, "_CANDIDATE_CAP", 200)
         with pytest.raises(EnumerationCapExceeded):
             candidate_attack_set(homog37, sp, 7, zeros_u(homog37))
@@ -329,7 +329,7 @@ class TestCandidateSet:
     def test_cap_counts_distinct_vectors(self, homog37):
         # the per-pivot completion counts sum to 24,030 here; only the 3,432
         # distinct vectors count against the default cap of 10,000
-        sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
+        sp = fixed_angle_setpoints(homog37)
         assert len(candidate_attack_set(homog37, sp, 7, zeros_u(homog37))) == 3432
 
     def test_impact_matrix_matches_state_difference(self, fig2):
@@ -337,8 +337,7 @@ class TestCandidateSet:
         # produced by switching one DER to its worst-case set-point
         from dersec.powerflow import injection, solve_lpf
 
-        u = zeros_u(fig2)
-        sp = fixed_angle_setpoints(fig2, u, np.zeros(fig2.n + 1, dtype=int))
+        sp = fixed_angle_setpoints(fig2)
         D = impact_matrix(fig2, sp, LPF)
         base = solve_lpf(fig2, injection(fig2, np.ones(fig2.n + 1), sp))
         j = fig2.node_by_label("k")
@@ -346,3 +345,61 @@ class TestCandidateSet:
         sg[j] = -1j * fig2.der_cap[j]
         attacked = solve_lpf(fig2, injection(fig2, np.ones(fig2.n + 1), sg))
         assert np.allclose(base.nu - attacked.nu, D[:, j], atol=1e-14)
+
+
+def _random_secured(net, rng):
+    u = np.zeros(net.n + 1, dtype=int)
+    u[net.der_nodes[rng.random(net.der_nodes.size) < 0.4]] = 1
+    return u
+
+
+def _assert_result_skips(res, u):
+    assert not u[res.delta_star == 1].any()
+    for entry in res.trace:
+        assert not u[list(entry.delta)].any(), entry.delta
+
+
+class TestSecuredDERsAreNeverAttacked:
+    """The response layer does not read u, so security holds only if no
+    attack vector is ever drawn with a secured DER in it."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_attack_functions(self, seed):
+        net = random_feasible_network(seed)
+        rng = np.random.default_rng(seed)
+        sp = fixed_angle_setpoints(net)
+        for _ in range(3):
+            u = _random_secured(net, rng)
+            gamma = rng.uniform(net.gamma_lo, 1.0)
+            gamma[0] = 1.0
+            phi = DefenderResponse(sp_d=sp, gamma=gamma)
+            for M in range(net.der_nodes.size + 1):
+                vectors = [optimal_attack_fixed_response(net, phi, M, u)]
+                for pivot in net.nodes:
+                    vectors.append(pivot_optimal_attack(net, pivot, sp, M, u).delta)
+                    vectors.append(pivot_optimal_attack(net, pivot, sp, M, u, rng=rng).delta)
+                for nodes in candidate_attack_set(net, sp, M, u):
+                    vectors.append(_to_delta(net, nodes))
+                for delta in vectors:
+                    assert not u[delta == 1].any(), (seed, M, np.flatnonzero(delta))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_engines_with_rows(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for engine, identical_k in ((solve_ad_oneshot, True), (solve_ad_exhaustive, False)):
+            net = random_feasible_network(seed, identical_k=identical_k)
+            params = CostParams.from_ratio(net, 10.0)
+            rows = np.array([_random_secured(net, rng) for _ in range(4)])
+            for M in (1, 2, 3):
+                res = engine(net, rows, M, params, LPF)
+                assert any(np.array_equal(res.u, row) for row in rows)
+                _assert_result_skips(res, res.u)
+                for u in rows:
+                    _assert_result_skips(engine(net, u, M, params, LPF), u)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_iterative_engine(self, seed):
+        net = random_feasible_network(seed, n_max=7)
+        u = _random_secured(net, np.random.default_rng(200 + seed))
+        res = solve_ad_iterative(net, u, 2, CostParams.from_ratio(net, 10.0))
+        _assert_result_skips(res, u)

@@ -113,15 +113,15 @@ def _count_lps(monkeypatch):
 def _per_candidate_losses(net, M, params, model):
     """Each candidate's own load-control LP loss, by candidate."""
     u = zeros_u(net)
-    sp = fixed_angle_setpoints(net, u, u)
-    lp = GammaControlLP(net, params, model, sp, u=u)
+    sp = fixed_angle_setpoints(net)
+    lp = GammaControlLP(net, params, model, sp)
     losses = {}
     for nodes in candidate_attack_set(net, sp, M, u):
         delta = zeros_u(net)
         delta[list(nodes)] = 1
         gamma = lp.solve(delta)
         phi = DefenderResponse(sp_d=sp, gamma=gamma)
-        state = response_state(net, attack_strategy(net, delta), phi, model, u=u)
+        state = response_state(net, attack_strategy(net, delta), phi, model)
         losses[nodes] = evaluate_loss(state, gamma, params).total
     return losses
 
@@ -199,7 +199,7 @@ class TestFamilyBound:
         net = random_feasible_network(seed, n_max=8)
         params = params_for(net, 10.0)
         u = zeros_u(net)
-        seed_sp = fixed_angle_setpoints(net, u, u)
+        seed_sp = fixed_angle_setpoints(net)
         families = ranked_families(impact_ranking(impact_matrix(net, seed_sp, LPF)[1:], net.der_nodes), M, u)
         rng = np.random.default_rng(draw)
         for model in (LPF, eps_lpf(0.3)):
@@ -247,7 +247,6 @@ class TestOneShotLiterals:
 
 def _per_vector_value(net, M, params, model):
     """Max over every attack vector of its own joint response LP loss."""
-    u = zeros_u(net)
     best = -np.inf
     count = 0
     ders = [int(i) for i in net.der_nodes]
@@ -256,8 +255,8 @@ def _per_vector_value(net, M, params, model):
             delta = zeros_u(net)
             delta[list(combo)] = 1
             psi = attack_strategy(net, delta)
-            phi = optimal_response(net, psi, params, model, u=u)
-            state = response_state(net, psi, phi, model, u=u)
+            phi = optimal_response(net, psi, params, model)
+            state = response_state(net, psi, phi, model)
             best = max(best, evaluate_loss(state, phi.gamma, params).total)
             count += 1
     return best, count
@@ -362,7 +361,7 @@ class TestSecurityRows:
     def test_family_rows_stop_at_the_table_cap(self, feeder, monkeypatch):
         net, params, _, M, ders = feeder
         rows = _single_der_rows(net, ders)
-        sp = fixed_angle_setpoints(net, zeros_u(net), zeros_u(net))
+        sp = fixed_angle_setpoints(net)
         pool = net.der_nodes[rows[0][net.der_nodes] == 0]
         first = dersec.game.ranked_families(impact_ranking(impact_matrix(net, sp, LPF)[1:], pool), M, rows[0])
         # a row holds at most one family per pivot, however many vectors
@@ -406,6 +405,18 @@ class TestSolveAd:
         _same_result(res, solve_ad_exhaustive(net, None, M, params, LPF))
         assert res.loss.total == pytest.approx(value, abs=1e-9)
 
+    @pytest.mark.parametrize("M", [-1, 1.5, True])
+    def test_engines_reject_a_bad_budget(self, tree22, M):
+        params = params_for(tree22, 10.0)
+        solves = (
+            lambda: solve_ad_oneshot(tree22, None, M, params, LPF),
+            lambda: solve_ad_exhaustive(tree22, None, M, params, LPF),
+            lambda: solve_ad_iterative(tree22, None, M, params),
+        )
+        for solve in solves:
+            with pytest.raises(ValueError, match="budget M"):
+                solve()
+
     def test_npf_is_unseeded_iterative(self, tree22):
         from dersec import NPF
 
@@ -416,6 +427,14 @@ class TestSolveAd:
 
 
 class TestIterative:
+    def test_seed_attack_taking_a_secured_der_raises(self, tree22):
+        u = zeros_u(tree22)
+        u[tree22.der_nodes[0]] = 1
+        seed = zeros_u(tree22)
+        seed[tree22.der_nodes[:2]] = 1
+        with pytest.raises(ValueError, match="secures"):
+            solve_ad_iterative(tree22, u, 2, params_for(tree22), seed_attack=seed)
+
     def test_budget_zero_single_iteration(self, tree22):
         params = params_for(tree22)
         res = solve_ad_iterative(tree22, None, 0, params)
@@ -449,7 +468,7 @@ class TestIterative:
         from dersec.response import fixed_angle_setpoints
 
         u = zeros_u(homog37)
-        sp = fixed_angle_setpoints(homog37, u, np.zeros(37, dtype=int))
+        sp = fixed_angle_setpoints(homog37)
         pivot = 24  # shallow lateral: every DER ties, so the boundary is wide
         det = pivot_optimal_attack(homog37, pivot, sp, 5, u)
         rnd = pivot_optimal_attack(

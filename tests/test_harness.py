@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -20,11 +21,14 @@ from dersec import (
     network_from_json,
     network_to_json,
     nominal_injection,
+    optimal_response,
     random_feasible_network,
+    response_state,
     save_network,
     solve_ad,
     solve_ad_exhaustive,
     solve_ad_iterative,
+    solve_ad_oneshot,
     solve_dad,
     solve_npf,
     validate_assumptions,
@@ -214,6 +218,30 @@ _MALFORMED = {
     "document_value_not_a_number": lambda doc: doc.update(nu0=[1.0]),
 }
 
+# sub-game inputs out of range, each once solved (exit 0, loss 0), crashed
+# with a traceback (W/C NaN or inf) or rejected only by a later gamma check
+_BAD_SUBGAME_ARGS = {
+    "budget_negative": ["solve-ad", "-M", "-1"],
+    "wc_ratio_negative": ["solve-ad", "-M", "1", "--wc-ratio", "-1"],
+    "wc_ratio_nan": ["solve-ad", "-M", "1", "--wc-ratio", "nan"],
+    "wc_ratio_inf": ["solve-ad", "-M", "1", "--wc-ratio", "inf"],
+    "gamma_lo_negative": ["solve-ad", "-M", "1", "--gamma-lo", "-0.5"],
+    "gamma_lo_above_one": ["solve-ad", "-M", "1", "--gamma-lo", "1.5"],
+    "gamma_lo_nan": ["solve-ad", "-M", "1", "--gamma-lo", "nan"],
+    "security_budget_negative": ["solve-dad", "-M", "2", "-B", "-1", "--wc-ratio", "10"],
+}
+
+# sweep axes out of range, each once written out as rows with total 0 or
+# crashed with a traceback (M 2.5 and the strings)
+_BAD_SWEEP_AXES = {
+    "M_negative": ("M_values", [-1]),
+    "M_not_an_integer": ("M_values", [2.5]),
+    "wc_ratio_negative": ("wc_ratios", [-3.0]),
+    "wc_ratio_not_a_number": ("wc_ratios", ["10"]),
+    "gamma_lo_negative": ("gamma_lo_values", [-0.2]),
+    "gamma_lo_not_a_number": ("gamma_lo_values", ["0.5"]),
+}
+
 
 class TestCLI:
     def test_gen_solve_verify_flow(self, tmp_path):
@@ -321,6 +349,35 @@ class TestCLI:
         assert "lfp" in out.stderr
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("shape", sorted(_BAD_SUBGAME_ARGS))
+    @pytest.mark.parametrize("case", ["balanced_tree", "asymmetric"])
+    def test_bad_subgame_input_exit_code(self, shape, case, tmp_path, capsys, tree22):
+        net_path = tmp_path / "net.json"
+        save_network(tree22 if case == "balanced_tree" else random_feasible_network(3), net_path)
+        command, *args = _BAD_SUBGAME_ARGS[shape]
+        assert cli_main([command, "--network", str(net_path), *args]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "gamma outside" not in err
+
+    @pytest.mark.parametrize("shape", sorted(_BAD_SWEEP_AXES))
+    def test_sweep_bad_axis_exit_code(self, shape, tmp_path, capsys, tree22):
+        net_path = tmp_path / "net.json"
+        save_network(tree22, net_path)
+        axes = {"M_values": [1], "wc_ratios": [10.0], "gamma_lo_values": [0.5]}
+        axis, values = _BAD_SWEEP_AXES[shape]
+        axes[axis] = values
+        # rejected when the config is built, before any row is solved
+        with pytest.raises(ValueError):
+            SweepConfig(**{k: tuple(v) for k, v in axes.items()})
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({**axes, "model": "lpf"}))
+        out_path = tmp_path / "rows.csv"
+        argv = ["sweep", "--config", str(cfg_path), "--network", str(net_path), "--out", str(out_path)]
+        assert cli_main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_sweep_config_engine_key_ignored(self, tmp_path):
         net_path = tmp_path / "net.json"
         _cli("gen-case", "--kind", "balanced_tree", "--arity", "2", "--height", "2",
@@ -397,3 +454,20 @@ def test_bench_traced_names_stay_bound():
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), (span, module_name, attr)
+
+
+def test_bench_call_shapes_stay_valid():
+    # the bench tracer names an optimal_response span from its model, read
+    # as the fourth positional argument, and the bench workloads call these
+    # entry points positionally; a signature change there breaks the bench
+    # run, not this suite's own calls
+    assert list(inspect.signature(optimal_response).parameters)[3] == "model"
+    net, params, psi, phi, delta = (object() for _ in range(5))
+    calls = (
+        (solve_ad_oneshot, (net, None, 3, params, LPF), {}),
+        (solve_ad_iterative, (net, None, 3, params), {"seed_attack": delta}),
+        (solve_dad, (net, 1, 2, params, LPF), {}),
+        (response_state, (net, psi, phi, NPF), {}),
+    )
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,15 @@ class TestBuild:
             NodeSpec(id=3, parent=2, r_pu=0.01, x_pu=0.01),
         ]
         with pytest.raises((DisconnectedNode, CycleDetected)):
+            build_network(specs)
+
+    @pytest.mark.parametrize("field", ["gamma_lo", "W", "C", "der_cap"])
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    def test_out_of_range_node_value_rejected(self, field, value):
+        # NaN once passed the range checks, which compared with < 0
+        spec = NodeSpec(id=1, parent=0, r_pu=0.01, x_pu=0.012, pc_nom=0.02, der_cap=0.01)
+        specs = [NodeSpec(id=0, parent=None), dataclasses.replace(spec, **{field: value})]
+        with pytest.raises(InvalidNetwork):
             build_network(specs)
 
     def test_missing_parent_reference(self):

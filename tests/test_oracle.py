@@ -29,8 +29,7 @@ from conftest import chain_network, params_for, zeros_u
 
 
 def _fixed_phi(net):
-    sp = fixed_angle_setpoints(net, np.zeros(net.n + 1, dtype=int),
-                               np.zeros(net.n + 1, dtype=int))
+    sp = fixed_angle_setpoints(net)
     return DefenderResponse(sp_d=sp, gamma=np.ones(net.n + 1))
 
 

@@ -36,8 +36,7 @@ from conftest import chain_network, params_for, zeros_u
 
 class TestFixedAngleSetpoints:
     def test_table_impedance_angle(self, homog37):
-        u = zeros_u(homog37)
-        sp = fixed_angle_setpoints(homog37, u, np.zeros(37, dtype=int))
+        sp = fixed_angle_setpoints(homog37)
         d = homog37.der_nodes[0]
         K = 0.33 / 0.38
         theta = math.atan2(1.0, K)
@@ -50,25 +49,20 @@ class TestFixedAngleSetpoints:
 
     def test_resistive_limit(self):
         net = chain_network(2, z=0.02 + 0.02e-6j, caps={2: 0.01})
-        sp = fixed_angle_setpoints(net, np.zeros(3, dtype=int), np.zeros(3, dtype=int))
+        sp = fixed_angle_setpoints(net)
         assert sp[2].real == pytest.approx(0.01, rel=1e-9)
         assert sp[2].imag == pytest.approx(0.0, abs=1e-8)
 
     def test_compromised_nodes_omitted(self, homog37):
         delta = np.zeros(37, dtype=int)
-        delta[list(homog37.der_nodes[:3])] = 1
-        sp = fixed_angle_setpoints(homog37, zeros_u(homog37), delta)
-        assert np.all(sp[homog37.der_nodes[:3]] == 0)
-        assert np.all(np.abs(sp[homog37.der_nodes[3:]]) > 0)
-
-    def test_secured_targets_keep_defender_setpoint(self, homog37):
-        delta = np.zeros(37, dtype=int)
-        u = zeros_u(homog37)
-        d = homog37.der_nodes[0]
-        delta[d] = 1
-        u[d] = 1
-        sp = fixed_angle_setpoints(homog37, u, delta)
-        assert abs(sp[d]) > 0
+        attacked, rest = homog37.der_nodes[:3], homog37.der_nodes[3:]
+        delta[list(attacked)] = 1
+        closed = fixed_angle_setpoints(homog37)
+        sg = effective_setpoints(homog37, delta, closed)
+        assert np.array_equal(sg[attacked], -1j * homog37.der_cap[attacked])
+        assert np.array_equal(sg[rest], closed[rest])
+        assert np.all(np.abs(closed[rest]) > 0)
+        assert np.all(sg[np.flatnonzero(homog37.der_cap == 0.0)] == 0)
 
     def test_heterogeneous_ratio_raises(self):
         specs = [
@@ -78,7 +72,7 @@ class TestFixedAngleSetpoints:
         ]
         net = build_network(specs)
         with pytest.raises(HeterogeneousRxRatio):
-            fixed_angle_setpoints(net, np.zeros(3, dtype=int), np.zeros(3, dtype=int))
+            fixed_angle_setpoints(net)
 
     def test_angle_sweep_confirms_minimum(self):
         # identical-K 4-node chain, fixed gamma, one attacked DER; sweep the
@@ -109,7 +103,7 @@ class TestFixedAngleSetpoints:
 class TestOptimalLoadControl:
     def test_no_attack_no_shedding(self, homog37):
         params = params_for(homog37, 10.0)
-        sp = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
+        sp = fixed_angle_setpoints(homog37)
         gamma = GammaControlLP(homog37, params, LPF, sp).solve(np.zeros(37, dtype=int))
         assert np.all(gamma == 1.0)
 
@@ -121,7 +115,7 @@ class TestOptimalLoadControl:
         params = params_for(net, 18.0)
         delta = np.zeros(4, dtype=int)
         delta[3] = 1
-        sp = fixed_angle_setpoints(net, np.zeros(4, dtype=int), delta)
+        sp = fixed_angle_setpoints(net)
         gamma = GammaControlLP(net, params, LPF, sp).solve(delta)
         assert np.all(gamma[1:] == pytest.approx(net.gamma_lo[1:], abs=1e-9))
 
@@ -129,7 +123,7 @@ class TestOptimalLoadControl:
         params = params_for(homog37, 2.0)
         delta = np.zeros(37, dtype=int)
         delta[list(homog37.der_nodes)] = 1
-        sp = fixed_angle_setpoints(homog37, zeros_u(homog37), delta)
+        sp = fixed_angle_setpoints(homog37)
         gamma = GammaControlLP(homog37, params, LPF, sp).solve(delta)
         assert np.all(gamma == 1.0)
 
@@ -140,7 +134,7 @@ class TestOptimalLoadControl:
         params = params_for(net, 12.0)
         delta = np.zeros(3, dtype=int)
         delta[2] = 1
-        sp = fixed_angle_setpoints(net, np.zeros(3, dtype=int), delta)
+        sp = fixed_angle_setpoints(net)
         psi = attack_strategy(net, delta)
         gamma = GammaControlLP(net, params, LPF, sp).solve(delta)
 
@@ -154,7 +148,7 @@ class TestOptimalLoadControl:
         # the whole grid at once: LPF flows sum each subtree's net loads, and
         # squared voltages drop by 2 Re(conj(z) S) along each root path
         g = np.stack([np.ones(grid.size**2), *(a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))])
-        sg = effective_setpoints(net, np.zeros(3, dtype=int), delta, sp)
+        sg = effective_setpoints(net, delta, sp)
         S = net.tree.subtree_mask @ (g * net.sc_nom[:, None] - sg[:, None])
         S[0] = 0.0
         nu = net.nu0 - net.tree.subtree_mask.T @ (2.0 * np.real(np.conj(net.z)[:, None] * S))
@@ -180,7 +174,7 @@ class TestOptimalResponse:
         st = response_state(tree22, psi, phi, LPF)
         joint = evaluate_loss(st, phi.gamma, params).total
 
-        sp = fixed_angle_setpoints(tree22, np.zeros(tree22.n + 1, dtype=int), delta)
+        sp = fixed_angle_setpoints(tree22)
         gamma = GammaControlLP(tree22, params, LPF, sp).solve(delta)
         from dersec.response import DefenderResponse
 
@@ -200,7 +194,7 @@ class TestOptimalResponse:
         st = response_state(homog37, psi, phi, NPF)
         base = evaluate_loss(st, phi.gamma, params).total
         # beats the naive fixed-angle dispatch on line losses
-        sp_fixed = fixed_angle_setpoints(homog37, zeros_u(homog37), np.zeros(37, dtype=int))
+        sp_fixed = fixed_angle_setpoints(homog37)
         from dersec.response import DefenderResponse
 
         st_fixed = response_state(
@@ -356,10 +350,9 @@ class TestLinprog:
     def test_gamma_lp_matches_scipy(self, homog37, monkeypatch):
         net = with_gamma_lo(homog37, 0.5)
         params = params_for(net, 10.0)
-        u = zeros_u(net)
         delta = zeros_u(net)
         delta[list(net.der_nodes[:12])] = 1
-        lp = GammaControlLP(net, params, LPF, fixed_angle_setpoints(net, u, u), u=u)
+        lp = GammaControlLP(net, params, LPF, fixed_angle_setpoints(net))
         lps = _captured_lps(monkeypatch, lambda: lp.solve(delta))
         assert len(lps) == 1
         assert np.array_equal(linprog(*lps[0]), _scipy_x(*lps[0]))

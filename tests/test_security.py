@@ -166,6 +166,13 @@ class TestDAD:
         _, bf_loss = bf_security(tree32, B, M, params, LPF)
         assert dad.loss == pytest.approx(bf_loss, abs=1e-9)
 
+    @pytest.mark.parametrize("B,M", [(-1, 2), (1.5, 2), (1, -1)])
+    def test_bad_budgets_raise(self, tree22, B, M):
+        # the asymmetric network once raised math.comb's bare message instead
+        for net in (tree22, random_feasible_network(3)):
+            with pytest.raises(ValueError, match="budget"):
+                solve_dad(net, B, M, params_for(net, 10.0), LPF)
+
     def test_budget_slack_removes_attack(self, tree22):
         params = params_for(tree22, 10.0)
         dad = solve_dad(tree22, 99, 3, params, LPF)
