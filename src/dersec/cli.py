@@ -93,10 +93,14 @@ def _cmd_solve_dad(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    network_path = args.network or cfg_doc.pop("network", None)
-    if network_path is None:
-        print("sweep needs --network or a network field in the config", file=sys.stderr)
-        return _EXIT_VALIDATION
+    if not isinstance(cfg_doc, dict):
+        raise ValueError("sweep config must be a JSON object")
+    for axis in ("M_values", "wc_ratios", "gamma_lo_values"):
+        if not isinstance(cfg_doc.get(axis), list):
+            raise ValueError(f"sweep config field {axis} must be a list")
+    network_path = args.network or cfg_doc.get("network")
+    if not isinstance(network_path, str):
+        raise ValueError("sweep needs --network or a network path string in the config")
     cfg = SweepConfig(
         M_values=tuple(cfg_doc["M_values"]),
         wc_ratios=tuple(cfg_doc["wc_ratios"]),

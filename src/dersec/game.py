@@ -217,9 +217,8 @@ class _FamilyTable:
         terms = self.W * np.maximum(self.nu_lo - self.voltages(phi, [k])[0], 0.0)
         if terms.max() <= 0.0:
             return f.first()
-        boundary = np.array(f.boundary)
-        D = self.impacts(phi.sp_d)[0][np.flatnonzero(terms == terms.max())][:, boundary]
-        fills = boundary[np.lexsort((np.broadcast_to(boundary, D.shape), -D))[:, : f.fill]]
+        D = self.impacts(phi.sp_d)[0][np.flatnonzero(terms == terms.max())]
+        fills = impact_ranking(D, np.array(f.boundary)).nodes[:, : f.fill]
         return min(tuple(sorted(f.taken + tuple(fill))) for fill in fills.tolist())
 
 

@@ -210,7 +210,9 @@ def build_network(
     """Validate a parsed description and assemble the immutable Network.
 
     Raises CycleDetected / DisconnectedNode / NonPositiveImpedance /
-    BoundOrderingViolated on the corresponding invariant failures.
+    BoundOrderingViolated on the corresponding invariant failures, and
+    InvalidNetwork on any other bad row, such as a substation (node 0) with
+    a line, demand or DER.
     """
     if len(nodes) < 2:
         raise InvalidNetwork("a network needs the substation and at least one node")
@@ -222,6 +224,10 @@ def build_network(
     roots = [spec for spec in nodes if spec.parent is None]
     if len(roots) != 1 or roots[0].id != 0:
         raise InvalidNetwork("exactly node 0 must have a null parent")
+    root = roots[0]
+    # the model has no edge into the substation, no demand and no DER there
+    if any(v != 0.0 for v in (root.r_pu, root.x_pu, root.pc_nom, root.qc_nom, root.der_cap)):
+        raise InvalidNetwork("the substation (node 0) needs zero r_pu, x_pu, pc_nom, qc_nom and der_cap")
 
     n_total = len(nodes)
     by_id = sorted(nodes, key=lambda s: s.id)

@@ -120,27 +120,19 @@ class DefenderResponse:
 
 
 def fixed_angle_setpoints(net: Network) -> np.ndarray:
-    """Full-magnitude set-points at the angle arccot K, for identical-K networks.
+    """The closed-form defender set-points of an identical-r/x network.
 
-    Every DER gets |sp| = cap and angle arctan(1/K); DER-less nodes get 0.
-    ``effective_setpoints`` puts the attacked DERs on their false set-points.
-    Raises HeterogeneousRxRatio when K is not uniform.
+    Every DER gets |sp| = cap at the angle arctan(1/K); DER-less nodes get 0.
+    These are ``_warm_setpoints``, whose per-edge angles all equal that one
+    when K is uniform. ``effective_setpoints`` puts the attacked DERs on their
+    false set-points. Raises HeterogeneousRxRatio when K is not uniform.
     """
-    K = net.uniform_rx_ratio()
-    if K is None:
+    if net.uniform_rx_ratio() is None:
         raise HeterogeneousRxRatio(
             "fixed-angle set-points need an identical r/x ratio; "
             "use optimal_response instead"
         )
-    theta = math.atan2(1.0, K)
-    direction = complex(math.cos(theta), math.sin(theta))
-    sp = np.where(
-        net.der_cap > 0.0,
-        net.der_cap * direction,
-        0.0 + 0.0j,
-    )
-    sp[0] = 0.0
-    return sp
+    return _warm_setpoints(net)
 
 
 def _columnwise(A: np.ndarray) -> tuple[list, list, list]:
@@ -343,17 +335,11 @@ class GammaControlLP:
 
 
 def _warm_setpoints(net: Network) -> np.ndarray:
-    """Full-output set-points at each DER's own-edge arccot K_j angle."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        K = np.where(net.x > 0.0, net.r / np.where(net.x > 0.0, net.x, 1.0), 1.0)
-    theta = np.arctan2(1.0, K)
-    sp = np.where(
-        net.der_cap > 0.0,
-        net.der_cap * np.exp(1j * theta),
-        0.0 + 0.0j,
-    )
-    sp[0] = 0.0
-    return sp
+    """Full-output set-points at each DER's own-edge angle arctan(1/K_j),
+    K_j = r_j / x_j; DER-less nodes and the substation get 0."""
+    K = np.ones(net.n + 1)
+    K[1:] = net.r[1:] / net.x[1:]
+    return net.der_cap * np.exp(1j * np.arctan2(1.0, K))
 
 
 def polygon_setpoints(net: Network) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -15,13 +16,16 @@ from dersec import (
     LPF,
     NPF,
     CostParams,
+    balanced_tree,
     gen_case,
     heterogeneous37,
+    homogeneous37,
     load_network,
     network_from_json,
     network_to_json,
     nominal_injection,
     optimal_response,
+    precedence_example,
     random_feasible_network,
     response_state,
     save_network,
@@ -84,6 +88,22 @@ class TestCases:
         assert caps.sum() == pytest.approx(14 * CAP_PU, rel=1e-12)
         assert net.uniform_rx_ratio() is None
 
+    def test_generated_networks_are_pinned(self):
+        # the bench's inputs among them: a refactor of the generators must
+        # leave every value and label bit for bit as it was
+        nets = [
+            homogeneous37(),
+            *(heterogeneous37(seed) for seed in range(4)),
+            precedence_example(),
+            *(balanced_tree(a, h) for a, h in ((2, 2), (3, 2), (2, 3))),
+            *(random_feasible_network(seed, identical_k=ik) for ik in (True, False) for seed in range(50)),
+        ]
+        digest = hashlib.sha1()
+        for net in nets:
+            digest.update(network_to_json(net).encode())
+            digest.update(repr(net.labels).encode())
+        assert digest.hexdigest() == "2142ca0668cb4e0fdb032226b87783097d582bc1"
+
     def test_gen_case_dispatch(self):
         assert gen_case("fig2").n == 10
         assert gen_case("balanced_tree", arity=2, height=2).n == 6
@@ -118,6 +138,15 @@ class TestJSON:
         doc = json.loads(network_to_json(homog37))
         del doc["nodes"][2]["gamma_lo"]
         with pytest.raises(InvalidNetwork):
+            network_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["r_pu", "x_pu", "pc_nom", "qc_nom", "der_cap"])
+    def test_substation_values_rejected(self, field, tree22):
+        # the model ignores these at node 0, yet they once leaked in: der_cap
+        # put the substation among the DER nodes, r_pu and x_pu into Z
+        doc = json.loads(network_to_json(tree22))
+        doc["nodes"][0][field] = 0.01
+        with pytest.raises(InvalidNetwork, match="substation"):
             network_from_json(json.dumps(doc))
 
     def test_save_load(self, tmp_path, tree22):
@@ -206,8 +235,10 @@ def _cli(*args):
 
 
 # document edits that once escaped network validation: as a TypeError
-# traceback, or (the NaN) into the network that was built
+# traceback, or (the NaN and the substation DER) into the network that was
+# built
 _MALFORMED = {
+    "substation_der": lambda doc: doc["nodes"][0].update(der_cap=0.01),
     "nodes_not_a_list": lambda doc: doc.update(nodes=5),
     "node_not_an_object": lambda doc: doc.update(nodes=[1, 2]),
     "node_value_not_a_number": lambda doc: doc["nodes"][1].update(r_pu=[1]),
@@ -378,6 +409,25 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {"M_values": 5, "wc_ratios": [10.0], "gamma_lo_values": [0.5]},
+        {"M_values": [1], "wc_ratios": [10.0], "gamma_lo_values": [0.5], "network": 5},
+    ], ids=["top_level_list", "axis_not_a_list", "network_not_a_path"])
+    def test_sweep_config_shape_exit_code(self, config, tmp_path, capsys, tree22):
+        # each once exited 1 with a TypeError traceback
+        net_path = tmp_path / "net.json"
+        save_network(tree22, net_path)
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "rows.csv"
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(out_path)]
+        if "network" not in config:
+            argv += ["--network", str(net_path)]
+        assert cli_main(argv) == 2
+        assert "error: sweep" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_sweep_config_engine_key_ignored(self, tmp_path):
         net_path = tmp_path / "net.json"
         _cli("gen-case", "--kind", "balanced_tree", "--arity", "2", "--height", "2",
@@ -458,9 +508,9 @@ def test_bench_traced_names_stay_bound():
 
 def test_bench_call_shapes_stay_valid():
     # the bench tracer names an optimal_response span from its model, read
-    # as the fourth positional argument, and the bench workloads call these
-    # entry points positionally; a signature change there breaks the bench
-    # run, not this suite's own calls
+    # as the fourth positional argument, and the bench workloads build their
+    # cases and call these entry points positionally; a signature change
+    # there breaks the bench run, not this suite's own calls
     assert list(inspect.signature(optimal_response).parameters)[3] == "model"
     net, params, psi, phi, delta = (object() for _ in range(5))
     calls = (
@@ -468,6 +518,12 @@ def test_bench_call_shapes_stay_valid():
         (solve_ad_iterative, (net, None, 3, params), {"seed_attack": delta}),
         (solve_dad, (net, 1, 2, params, LPF), {}),
         (response_state, (net, psi, phi, NPF), {}),
+        (homogeneous37, (), {}),
+        (balanced_tree, (2, 3), {}),
+        (random_feasible_network, (0,), {"identical_k": True}),
+        (with_gamma_lo, (net, 0.5), {}),
+        (CostParams.from_ratio, (net, 10.0), {}),
+        (save_network, (net, "feeder.json"), {}),
     )
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
