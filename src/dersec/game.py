@@ -24,6 +24,7 @@ import numpy as np
 from .attack import (
     AttackStrategy,
     PivotFamily,
+    _vulnerable_nodes,
     attack_strategy,
     impact_matrix,
     impact_ranking,
@@ -71,7 +72,8 @@ class ADResult:
     power-flow state; they agree up to rounding, so on exact ties the
     returned maximiser may differ from the one a loop over exact per-vector
     losses would keep. The iterative engine lists each attack it responded
-    to, with that response's loss.
+    to, with that response's loss, from its start attack on: the seed, else
+    the empty attack.
     """
 
     delta_star: np.ndarray
@@ -105,8 +107,9 @@ class _FamilyTable:
     those per-node worst voltages (``nu(no attack) - drop``) is therefore the
     family's largest member loss under a response, and the least of it over
     the pool is the family's bound. Every pooled response is feasible for
-    every vector, so a bound is never below a member's exact loss. The pool
-    starts at the seed (``lp.sp_d``, gamma = 1), where a bound of 0 is exact.
+    every vector, so a bound is never below a member's exact loss, and a bound
+    of 0 is exact, since no loss is negative. The pool starts at the seed
+    (``lp.sp_d``, gamma = 1).
     """
 
     def __init__(self, lp: GammaControlLP, index: dict[PivotFamily, int]):
@@ -115,10 +118,9 @@ class _FamilyTable:
         self.W = lp.params.W[1:]
         self.nu_lo = net.nu_lo[1:]
         self.voll_rate = lp.params.C[1:] * np.real(net.sc_nom)[1:]
-        self.seed = DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))
         self.seed_D = impact_matrix(net, lp.sp_d, lp.model)[1:, :]
         self.seed_nu = lp.nu_intercept(np.zeros(net.n + 1, dtype=int))
-        self.pool = [self.seed]
+        self.pool = [DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))]
         self.fams: list[PivotFamily] = []
         self.index = index                               # family -> row, in row order
         self.taken = np.zeros((0, net.n + 1))
@@ -189,18 +191,19 @@ class _FamilyTable:
         self.wide = np.append(self.wide, [bool(f.boundary) for f in new])
         self.seed_c0 = np.vstack([self.seed_c0, self.intercept(self.lp.sp_d, ks)])
         values = [self.value(phi, ks) for phi in self.pool]
-        self.exact = np.append(self.exact, values[0] <= 0.0)
         self.bound = np.append(self.bound, np.min(values, axis=0))
+        self.exact = np.append(self.exact, self.bound[ks] <= 0.0)
         self.arg = np.append(self.arg, np.argmin(values, axis=0))
 
     def settle(self, k: int, phi: DefenderResponse) -> None:
         """Pool ``phi``, the own response of single-vector family ``k``,
-        tighten every bound, and mark ``k`` exact."""
+        tighten every bound, and mark ``k`` and every zero bound exact."""
         self.solved[self.fams[k].taken] = phi
         self.pool.append(phi)
         v = self.value(phi)
         self.arg[v < self.bound] = len(self.pool) - 1
         self.bound = np.minimum(self.bound, v)
+        self.exact |= self.bound <= 0.0
         self.exact[k] = True
 
     def attaining(self, k: int) -> tuple[int, ...]:
@@ -211,8 +214,6 @@ class _FamilyTable:
         f = self.fams[k]
         if not self.wide[k]:
             return f.taken
-        if self.bound[k] <= 0.0:
-            return f.first()
         phi = self.pool[self.arg[k]]
         terms = self.W * np.maximum(self.nu_lo - self.voltages(phi, [k])[0], 0.0)
         if terms.max() <= 0.0:
@@ -240,7 +241,9 @@ def _pooled_best_first(
     joins every row that holds it as an exact single-vector family. If the
     member is exact, or its own bound is closed, the open family is split on
     a boundary node of that member instead. The row wins once none of its
-    open bounds exceeds its largest exact loss (ties to its first vector).
+    open bounds exceeds its largest exact loss (ties to its first vector),
+    with the winner's own response if solved, else the pooled response that
+    sets its bound (a zero bound may be another vector's).
     Raises EnumerationCapExceeded once the rows hold over 5,000,000 families.
     """
     index: dict[PivotFamily, int] = {}
@@ -297,8 +300,9 @@ def _pooled_best_first(
             if k in row:
                 put(r, children, drop=k)
 
-    best = fams[int(mine[np.argmax(np.where(exact[mine], bound[mine], -np.inf))])].first()
-    phi_star = table.solved.get(best, table.seed)
+    k_best = int(mine[np.argmax(np.where(exact[mine], bound[mine], -np.inf))])
+    best = fams[k_best].first()
+    phi_star = table.solved.get(best, table.pool[table.arg[k_best]])
     delta_star = np.zeros(lp.net.n + 1, dtype=int)
     delta_star[list(best)] = 1
     psi_star = attack_strategy(lp.net, delta_star)
@@ -370,7 +374,7 @@ def solve_ad_exhaustive(
         raise ValueError("exhaustive engine applies to linear models only")
     _check_budget("M", M)
     secured = np.atleast_2d(_zero_u(net, u))
-    pools = [np.flatnonzero(row).tolist() for row in (net.der_cap > 0.0) & (secured == 0)]
+    pools = [_vulnerable_nodes(net, row).tolist() for row in secured]
     counts = [math.comb(len(p), min(M, len(p))) for p in pools]
     if max(counts) > _EXHAUSTIVE_CAP or sum(counts) > _TABLE_CAP:
         raise EnumerationCapExceeded(f"{max(counts)} vectors in a row or {sum(counts)} in all exceed cap")
@@ -396,62 +400,49 @@ def solve_ad_iterative(
     params: CostParams,
     seed_attack: np.ndarray | None = None,
 ) -> ADResult:
-    """Greedy alternation for the nonlinear sub-game.
-
-    The attack step is the LPF greedy of ``optimal_attack_fixed_response``;
-    the response step solves the exact convex-relaxed nonlinear response.
-    Terminates successfully on a repeated attack vector, and stops
-    unconverged after 20 attack steps.
-    ``seed_attack`` optionally injects a first candidate attack (e.g. the
-    linear one-shot solution) before the alternation starts; it may take no
-    DER that ``u`` secures (ValueError).
+    """Greedy alternation for the nonlinear sub-game, from one start attack:
+    ``seed_attack`` (e.g. the linear one-shot solution), else the empty one.
+    Each pass solves the exact convex-relaxed nonlinear response to the
+    attack, keeps the best incumbent, and takes the LPF greedy attack of
+    ``optimal_attack_fixed_response`` against that response. Terminates
+    successfully on a repeated attack vector, and stops unconverged after 20
+    attack steps. A seed is a 0/1 vector over nodes 0..N, empty or taking
+    exactly min(M, pool) DERs that ``u`` leaves vulnerable (else ValueError).
     """
     _check_budget("M", M)
     u = _zero_u(net, u)
-    seed = None if seed_attack is None else np.asarray(seed_attack, dtype=int)
-    if seed is not None and np.any(seed[u != 0]):
-        raise ValueError("seed_attack takes a DER that u secures")
-
-    def respond(delta: np.ndarray) -> tuple[DefenderResponse, LossBreakdown]:
-        psi = attack_strategy(net, delta)
-        phi = optimal_response(net, psi, params, NPF)
-        state = response_state(net, psi, phi, NPF)
-        return phi, evaluate_loss(state, phi.gamma, params)
+    delta = np.zeros(net.n + 1, dtype=int) if seed_attack is None else np.asarray(seed_attack)
+    pool = _vulnerable_nodes(net, u)
+    full = min(M, pool.size)
+    if delta.shape != (net.n + 1,) or not np.isin(delta, (0, 1)).all() or (
+        delta.any() and (delta.sum() != full or not np.isin(np.flatnonzero(delta), pool).all())
+    ):
+        raise ValueError(f"seed_attack must be a 0/1 vector over nodes 0..{net.n}, empty or "
+                         f"taking exactly {full} DERs, none that u secures")
 
     visited: set[tuple[int, ...]] = set()
     trace: list[TraceEntry] = []
     best: tuple | None = None
-    phi_c: DefenderResponse
-
-    def visit(delta: np.ndarray) -> bool:
-        """Respond to ``delta`` unless it was visited; False if it was."""
-        nonlocal best, phi_c
-        key = tuple(int(i) for i in np.flatnonzero(delta))
-        if key in visited:
-            return False
-        visited.add(key)
-        phi_c, loss_c = respond(delta)
-        trace.append(TraceEntry(delta=key, loss=loss_c.total))
-        if best is None or loss_c.total > best[0]:
-            best = (loss_c.total, delta, phi_c, loss_c)
-        return True
-
-    visit(np.zeros(net.n + 1, dtype=int))
-    if seed is not None:
-        visit(seed)
-
     converged = False
-    iterations = 0
-    for _ in range(_ITERATIVE_MAX_ITER):
-        iterations += 1
-        if not visit(optimal_attack_fixed_response(net, phi_c, M, u, W=params.W)):
+    for iterations in range(_ITERATIVE_MAX_ITER + 1):
+        key = tuple(np.flatnonzero(delta).tolist())
+        if key in visited:
             converged = True
             break
+        visited.add(key)
+        psi = attack_strategy(net, delta)
+        phi = optimal_response(net, psi, params, NPF)
+        loss = evaluate_loss(response_state(net, psi, phi, NPF), phi.gamma, params)
+        trace.append(TraceEntry(delta=key, loss=loss.total))
+        if best is None or loss.total > best[2].total:
+            best = (psi, phi, loss)
+        if iterations < _ITERATIVE_MAX_ITER:
+            delta = optimal_attack_fixed_response(net, phi, M, u, W=params.W)
 
-    _, delta_star, phi_star, loss_star = best
+    psi_star, phi_star, loss_star = best
     return ADResult(
-        delta_star=delta_star,
-        psi_star=attack_strategy(net, delta_star),
+        delta_star=psi_star.delta,
+        psi_star=psi_star,
         phi_star=phi_star,
         loss=loss_star,
         model=NPF,

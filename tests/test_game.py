@@ -35,7 +35,12 @@ from dersec.cases import heterogeneous37, random_feasible_network
 from dersec.errors import EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import bf_ad
-from dersec.response import DefenderResponse, GammaControlLP, fixed_angle_setpoints
+from dersec.response import (
+    DefenderResponse,
+    GammaControlLP,
+    fixed_angle_setpoints,
+    polygon_setpoints,
+)
 from dersec.sweep import with_gamma_lo
 
 from conftest import params_for, zeros_u
@@ -310,6 +315,33 @@ class TestExhaustivePool:
             # the joint LP's inner facet polygon costs up to 1e-3 of loss
             assert pooled.loss.total == pytest.approx(oneshot.loss.total, abs=1e-3)
 
+    def test_zero_bound_set_by_another_response(self, monkeypatch):
+        # loaded nodes 1-2 on high-reactance edges; DERs 3 (off node 1), 4 and
+        # 5 (off node 2) on near-resistive stubs, whose own-edge seed angles
+        # give almost no reactive support; no load may be shed
+        specs = [NodeSpec(id=0, parent=None)]
+        for i, x in ((1, 0.05), (2, 0.1)):
+            specs.append(NodeSpec(id=i, parent=i - 1, r_pu=0.01, x_pu=x, pc_nom=0.02,
+                                  qc_nom=0.006, nu_lo=0.9966, gamma_lo=1.0))
+        for i, parent, cap in ((3, 1, 0.005), (4, 2, 0.0055), (5, 2, 0.005)):
+            specs.append(NodeSpec(id=i, parent=parent, r_pu=0.002, x_pu=1e-5, der_cap=cap,
+                                  nu_lo=0.9966, gamma_lo=1.0))
+        net = build_network(specs)
+        params = params_for(net, 10.0)
+        seed = DefenderResponse(polygon_setpoints(net), np.ones(net.n + 1))
+        psi = attack_strategy(net, np.eye(net.n + 1, dtype=int)[3])
+        assert evaluate_loss(response_state(net, psi, seed, LPF), seed.gamma, params).total > 1.0
+        assert _per_vector_value(net, 1, params, LPF)[0] == pytest.approx(0.0, abs=1e-9)
+        calls = _count_lps(monkeypatch)
+        res = solve_ad_exhaustive(net, None, 1, params, LPF)
+        # DER 4's response, solved first, closes DER 3's bound at 0 without
+        # its own LP, and DER 5's closes the row; the tie goes to the first
+        # vector, with the response that closed its bound
+        assert len(calls) == 2
+        assert [(e.delta, e.loss) for e in res.trace] == [((3,), 0.0), ((4,), 0.0), ((5,), 0.0)]
+        assert np.flatnonzero(res.delta_star).tolist() == [3]
+        assert res.loss.total == 0.0
+
 
 def _single_der_rows(net, ders):
     rows = np.zeros((len(ders), net.n + 1), dtype=int)
@@ -435,6 +467,22 @@ class TestIterative:
         with pytest.raises(ValueError, match="secures"):
             solve_ad_iterative(tree22, u, 2, params_for(tree22), seed_attack=seed)
 
+    @pytest.mark.parametrize("case", ["over-budget", "entry-of-2", "no-der-node", "short"])
+    def test_seed_attack_off_the_budget_rule_raises(self, case):
+        # DERs at 2, 3, 6 and 8; at M=1 a seed is empty or takes one of them
+        net = random_feasible_network(3)
+        seed = zeros_u(net)
+        if case == "over-budget":
+            seed[[2, 3, 6, 8]] = 1
+        elif case == "entry-of-2":
+            seed[2] = 2
+        elif case == "no-der-node":
+            seed[1] = 1
+        else:
+            seed = seed[:-1]
+        with pytest.raises(ValueError, match="seed_attack"):
+            solve_ad_iterative(net, None, 1, params_for(net), seed_attack=seed)
+
     def test_budget_zero_single_iteration(self, tree22):
         params = params_for(tree22)
         res = solve_ad_iterative(tree22, None, 0, params)
@@ -450,7 +498,7 @@ class TestIterative:
             assert res.iterations <= 3
 
     def test_visited_seed_adds_no_step(self, tree22):
-        # a seed equal to the no-attack vector is already visited
+        # an empty seed is the unseeded solve's own start attack
         params = params_for(tree22, 10.0)
         seeded = solve_ad_iterative(tree22, None, 2, params, seed_attack=zeros_u(tree22))
         _same_result(seeded, solve_ad_iterative(tree22, None, 2, params))
@@ -509,6 +557,78 @@ class TestIterative:
         # max-min is an upper bound within one grid cell
         assert res.loss.total <= bf_loss + 1e-9
         assert bf_loss - res.loss.total < 2e-2
+
+
+class TestIterativeLiterals:
+    """Pinned seeded solves on the feeder (loss by ``repr``, delta*, trace,
+    SLP LPs): each starts at its seed, the bench's LPF attack, and never
+    responds to the empty attack."""
+
+    POINTS = {
+        (10.0, 8): ("116.27572077692784", tuple(range(9, 17)), False, 58, (
+            (tuple(range(9, 17)), "116.27572077692784"),
+            ((9, 10, 11, 12, 13, 17, 18, 19), "27.44722110175926"),
+        )),
+        (2.0, 12): ("398.1467368886581", tuple(range(9, 21)), True, 4, (
+            (tuple(range(9, 21)), "398.1467368886581"),
+            ((*range(9, 19), 21, 22), "360.2030229751753"),
+        )),
+    }
+
+    @pytest.fixture(scope="class")
+    def solved(self, homog37):
+        net = with_gamma_lo(homog37, 0.5)
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_lps(mp)
+            for (wc, M), (_, seed_nodes, *_) in self.POINTS.items():
+                seed = zeros_u(net)
+                seed[list(seed_nodes)] = 1
+                del calls[:]
+                res = solve_ad_iterative(net, None, M, params_for(net, wc), seed_attack=seed)
+                out[wc, M] = (res, len(calls))
+        return out
+
+    @pytest.mark.parametrize("wc,M", list(POINTS))
+    def test_values(self, solved, wc, M):
+        loss, attacked, phi_converged, lps, trace = self.POINTS[wc, M]
+        res, calls = solved[wc, M]
+        assert repr(res.loss.total) == loss
+        assert tuple(np.flatnonzero(res.delta_star).tolist()) == attacked
+        assert (res.iterations, res.converged, res.phi_star.converged) == (2, True, phi_converged)
+        assert tuple((e.delta, repr(e.loss)) for e in res.trace) == trace
+        assert calls == lps
+
+    def test_seeded_trace_skips_the_empty_attack(self, solved, tree22):
+        results = [res for res, _ in solved.values()]
+        for M in (1, 2, 3):
+            seed = zeros_u(tree22)
+            seed[tree22.der_nodes[-M:]] = 1
+            res = solve_ad_iterative(tree22, None, M, params_for(tree22), seed_attack=seed)
+            assert res.trace[0].delta == tuple(np.flatnonzero(seed).tolist())
+            results.append(res)
+        for res in results:
+            assert () not in [e.delta for e in res.trace]
+
+    @pytest.mark.parametrize("cap,case,M,seeded,iterations,converged", [
+        (0, "tree22", 1, True, 0, False),
+        (0, "net3", 1, False, 0, False),
+        (1, "tree22", 0, False, 1, True),
+        (1, "tree22", 1, True, 1, False),
+        (1, "net3", 1, False, 1, False),
+        (1, "net3", 2, True, 1, True),
+    ])
+    def test_step_cap(self, monkeypatch, tree22, cap, case, M, seeded, iterations, converged):
+        # the cap counts attack steps after the start attack, seeded or not
+        net = tree22 if case == "tree22" else random_feasible_network(3)
+        seed = None
+        if seeded:
+            seed = zeros_u(net)
+            seed[net.der_nodes[-M:]] = 1
+        monkeypatch.setattr(dersec.game, "_ITERATIVE_MAX_ITER", cap)
+        res = solve_ad_iterative(net, None, M, params_for(net), seed_attack=seed)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert len(res.trace) == cap + 1 - converged
 
 
 class TestSandwich:

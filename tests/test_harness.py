@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dersec.game
 from dersec import (
     LPF,
     NPF,
@@ -527,3 +528,27 @@ def test_bench_call_shapes_stay_valid():
     )
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_bench_seed_attacks_stay_valid(monkeypatch):
+    # iterative-npf seeds every solve with the reference's LPF attack; a seed
+    # the engine rejects raises inside the bench run, so check each one here
+    # and stop each solve at its first response
+    class Checked(Exception):
+        pass
+
+    def stop(*args):
+        raise Checked
+
+    monkeypatch.setattr(dersec.game, "optimal_response", stop)
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    points = json.loads(path.read_text())["feeder"]["points"]
+    feeder = homogeneous37()
+    assert len(points) == 90
+    for key, ref in points.items():
+        gl, wc, M = key.split("|")
+        net = with_gamma_lo(feeder, float(gl))
+        seed = np.zeros(net.n + 1, dtype=int)
+        seed[ref["lpf_delta"]] = 1
+        with pytest.raises(Checked):
+            solve_ad_iterative(net, None, int(M), CostParams.from_ratio(net, float(wc)), seed_attack=seed)
