@@ -46,7 +46,7 @@ from .response import (
 
 _BOUND_SLACK = 1e-9
 _EXHAUSTIVE_CAP = 200_000
-_TABLE_CAP = 5_000_000          # attack families summed over security rows
+_TABLE_CAP = 5_000_000          # attack families summed over the security rows entered
 _ITERATIVE_MAX_ITER = 20
 
 
@@ -130,7 +130,7 @@ class _FamilyTable:
         self.exact = np.zeros(0, dtype=bool)
         self.arg = np.zeros(0, dtype=np.intp)            # pool response that sets each bound
         self.solved: dict[tuple[int, ...], DefenderResponse] = {}
-        self._append(list(index))
+        self.extend()
 
     def impacts(self, sp_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Model impacts on nodes 1..N and the voltages at gamma = 0 with no
@@ -169,6 +169,11 @@ class _FamilyTable:
         """The largest member loss of each family ``ks`` under ``phi``."""
         lovr = np.max(self.W * np.maximum(self.nu_lo - self.voltages(phi, ks), 0.0), axis=1)
         return lovr + float(np.sum(self.voll_rate * (1.0 - phi.gamma[1:])))
+
+    def extend(self) -> None:
+        """Append the rows of the families put in ``index`` since the last
+        call."""
+        self._append(list(self.index)[len(self.fams):])
 
     def add(self, families: list[PivotFamily]) -> list[int]:
         """Table indices of ``families``, appending the new ones."""
@@ -233,27 +238,37 @@ def _pooled_best_first(
     over each row's own attack families, by best-first branch-and-bound.
 
     No response reads u; each row's attacks skip its secured DERs, so one
-    ``_FamilyTable`` serves every row. Each round takes the row whose largest
-    exact loss is smallest (ties to the first row) and its open family with
-    the largest bound, and that family's attaining member (ties to the first
-    vector in sorted order). If the member's own bound is still open, its
-    response is solved through ``respond`` and joins the pool, and the vector
-    joins every row that holds it as an exact single-vector family. If the
-    member is exact, or its own bound is closed, the open family is split on
-    a boundary node of that member instead. The row wins once none of its
-    open bounds exceeds its largest exact loss (ties to its first vector),
-    with the winner's own response if solved, else the pooled response that
-    sets its bound (a zero bound may be another vector's).
-    Raises EnumerationCapExceeded once the rows hold over 5,000,000 families.
+    ``_FamilyTable`` serves every row. The first row enters alone; the rest
+    enter only if the seed leaves a family of the first row above 0, since a
+    first row that loses 0 wins outright (ties go to the first row). Each
+    round takes the row whose lower bound, its largest exact loss or 0 while
+    it has none (no loss is negative), is smallest (ties to the first row)
+    and its open family with the largest bound, and that family's attaining
+    member (ties to the first vector in sorted order). If the member's own
+    bound is still open, its response is solved through ``respond`` and
+    joins the pool, and the vector joins every row that holds it as an exact
+    single-vector family. If the member is exact, or its own bound is
+    closed, the open family is split on a boundary node of that member
+    instead. The row wins once none of its open bounds exceeds its largest
+    exact loss (ties to its first vector), with the winner's own response if
+    solved, else the pooled response that sets its bound (a zero bound may
+    be another vector's). Rows count toward the cap as they enter: raises
+    EnumerationCapExceeded once the entered rows hold over 5,000,000
+    families.
     """
     index: dict[PivotFamily, int] = {}
     members: list[np.ndarray] = []
     cells = 0
-    for families in row_families:
-        members.append(np.fromiter((index.setdefault(f, len(index)) for f in families), dtype=np.intp))
-        if (cells := cells + members[-1].size) > _TABLE_CAP:
-            raise EnumerationCapExceeded(f"security rows hold over {_TABLE_CAP} attack families")
+    rows = iter(row_families)
     table = _FamilyTable(lp, index)
+    for batch in (itertools.islice(rows, 1), rows):
+        for families in batch:
+            members.append(np.fromiter((index.setdefault(f, len(index)) for f in families), dtype=np.intp))
+            if (cells := cells + members[-1].size) > _TABLE_CAP:
+                raise EnumerationCapExceeded(f"security rows hold over {_TABLE_CAP} attack families")
+        table.extend()
+        if table.exact[members[0]].all():
+            break
     fams = table.fams
 
     def put(r: int, new: list[int], drop: int = -1) -> None:
@@ -265,7 +280,7 @@ def _pooled_best_first(
         flat = np.concatenate(members)
         starts = np.cumsum([0] + [m.size for m in members[:-1]])
         exact, bound = table.exact, table.bound
-        top = np.maximum.reduceat(np.where(exact[flat], bound[flat], -np.inf), starts)
+        top = np.maximum.reduceat(np.where(exact[flat], bound[flat], 0.0), starts)
         u_row = int(np.argmin(top))
         mine = members[u_row]
         open_bound = np.where(exact[mine], -np.inf, bound[mine])

@@ -6,7 +6,9 @@ Every response LP is one affine model in x = [gamma of the loaded nodes,
 ``offset + mat @ x``; the epigraph rows t >= W (nu_lo - nu) and, per free DER,
 the facet rows of an inner polygon of its first-quadrant disk form one
 matrix; the base objective, the variable bounds and the per-variable trust
-spans are fixed arrays. All of that is assembled once per model. A solve
+spans are fixed arrays. All of that is assembled once per model, on its
+first solve: the pooled bounds read only the flow and voltage matrices, which
+are built with the model, and many load-control models never solve. A solve
 changes only the voltage offset (set by the generation the attack fixes and,
 for the nonlinear model, the loss flows ell frozen at the last power-flow
 state), which gives the right-hand side, plus the objective and the box:
@@ -48,6 +50,7 @@ it searched.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -188,7 +191,9 @@ def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
 
 class _ResponseModel:
     """Affine (P, Q, nu) = offset + mat @ x over x = [gamma of the loaded
-    nodes, (pg, qg) per free DER, t], with its LP rows assembled once.
+    nodes, (pg, qg) per free DER, t], with its LP rows, base objective,
+    bounds and trust spans assembled on its first solve: many load-control
+    models never solve.
 
     ``free`` holds the node ids of the dispatchable DERs; every other DER's
     generation is fixed and enters only through the offset.
@@ -202,7 +207,7 @@ class _ResponseModel:
         n_gamma = loaded.size
         p_cols = n_gamma + 2 * np.arange(free.size)         # qg columns follow
         n_vars = n_gamma + 2 * free.size + 1
-        self.net, self.kappa, self.loaded, self.free = net, kappa, loaded, free
+        self.net, self.params, self.kappa, self.loaded, self.free = net, params, kappa, loaded, free
         self._p_cols = p_cols
         self._Msub = Msub = net.tree.subtree_mask[1:, 1:]
         Mpath = Msub.T
@@ -216,25 +221,40 @@ class _ResponseModel:
         self.nu_mat = -2.0 * (
             (Mpath * net.r[1:][None, :]) @ self.P_mat + (Mpath * net.x[1:][None, :]) @ self.Q_mat
         )
-
         self._W = params.W[1:]
+
+    @functools.cached_property
+    def _rows(self) -> tuple[tuple[list, list, list], np.ndarray]:
+        """The LP rows, column-wise, and the right-hand side of the facet
+        rows: the epigraph rows t >= W (nu_lo - nu) and, per free DER, the
+        facet rows of its inner polygon."""
+        free, p_cols = self.free, self._p_cols
         epigraph = -(self._W[:, None] * self.nu_mat)
         epigraph[:, -1] = -1.0
         rows = np.arange(free.size * _DISK_FACETS)
-        facets = np.zeros((rows.size, n_vars))
+        facets = np.zeros((rows.size, epigraph.shape[1]))
         facets[rows, np.repeat(p_cols, _DISK_FACETS)] = np.tile(_FACET_P, free.size)
         facets[rows, np.repeat(p_cols + 1, _DISK_FACETS)] = np.tile(_FACET_Q, free.size)
-        self._A = np.vstack([epigraph, facets])
-        self._A_csc = None   # built on the first solve; many models never solve
-        self._b_facet = np.repeat(net.der_cap[free] * _FACET_SUPPORT, _DISK_FACETS)
+        b_facet = np.repeat(self.net.der_cap[free] * _FACET_SUPPORT, _DISK_FACETS)
+        return _columnwise(np.vstack([epigraph, facets])), b_facet
 
-        self.c = np.zeros(n_vars)
-        self.c[:n_gamma] = -params.C[1:][loaded] * pc[loaded]
-        self.c[-1] = 1.0
-        caps = np.repeat(net.der_cap[free], 2)
-        self.lb = np.concatenate([net.gamma_lo[1:][loaded], np.zeros(caps.size), [0.0]])
-        self.ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
-        self._span = np.concatenate([np.ones(n_gamma), caps])
+    @functools.cached_property
+    def c(self) -> np.ndarray:
+        """The base objective: the cost of the shed load, plus t."""
+        pc = np.real(self.net.sc_nom)[1:][self.loaded]
+        c = np.zeros(self.nu_mat.shape[1])
+        c[: self.loaded.size] = -self.params.C[1:][self.loaded] * pc
+        c[-1] = 1.0
+        return c
+
+    @functools.cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The variable bounds and the trust span of every variable but t."""
+        caps = np.repeat(self.net.der_cap[self.free], 2)
+        n_gamma = self.loaded.size
+        lb = np.concatenate([self.net.gamma_lo[1:][self.loaded], np.zeros(caps.size), [0.0]])
+        ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
+        return lb, ub, np.concatenate([np.ones(n_gamma), caps])
 
     def nu_offset(self, sg: np.ndarray, ell: np.ndarray) -> np.ndarray:
         """Voltages at x = 0, per node 1..N, under the fixed generation ``sg``
@@ -244,14 +264,18 @@ class _ResponseModel:
         Q = -self.kappa * (M @ np.imag(sg)[1:]) + M @ (x * ell)
         return self.net.nu0 - 2.0 * (M.T @ (r * P) + M.T @ (x * Q)) + M.T @ ((r**2 + x**2) * ell)
 
-    def solve(self, nu_offset: np.ndarray, c: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        b = np.concatenate([self._W * (nu_offset - self.net.nu_lo[1:]), self._b_facet])
-        if self._A_csc is None:
-            self._A_csc = _columnwise(self._A)
-        return linprog(c, self._A_csc, b, lb, ub)
+    def solve(
+        self, nu_offset: np.ndarray, c: np.ndarray | None = None, box: tuple | None = None
+    ) -> np.ndarray:
+        """The LP's x at the voltage offset ``nu_offset``, under the objective
+        ``c`` and the bounds ``box`` = (lb, ub), by default the model's own."""
+        A, b_facet = self._rows
+        b = np.concatenate([self._W * (nu_offset - self.net.nu_lo[1:]), b_facet])
+        lb, ub = self._box[:2] if box is None else box
+        return linprog(self.c if c is None else c, A, b, lb, ub)
 
     def pack(self, gamma: np.ndarray, sp_d: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.c.size)
+        x = np.zeros(self.nu_mat.shape[1])
         x[: self.loaded.size] = gamma[1 + self.loaded]
         x[self._p_cols] = sp_d[self.free].real
         x[self._p_cols + 1] = sp_d[self.free].imag
@@ -279,8 +303,9 @@ class _ResponseModel:
     def trust_box(self, x: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Bounds intersected with a box of ``radius`` spans around ``x``; the
         epigraph variable t keeps its own bounds."""
-        step = radius * self._span
-        lb, ub = self.lb.copy(), self.ub.copy()
+        lb, ub, span = self._box
+        step = radius * span
+        lb, ub = lb.copy(), ub.copy()
         lb[:-1] = np.maximum(lb[:-1], x[:-1] - step)
         ub[:-1] = np.minimum(ub[:-1], x[:-1] + step)
         return lb, ub
@@ -295,7 +320,8 @@ class GammaControlLP:
     G = 2 kappa (Re Z[1:, 1+loaded] pc + Im Z[1:, 1+loaded] qc). Zero-demand
     nodes carry no gamma variable and report gamma = 1. It is the response
     model with no free DER: only the constraint right-hand side depends on the
-    attack vector, so the matrix is assembled once and reused across attacks.
+    attack vector, so the matrix is assembled at most once, at the first attack
+    that needs an LP, and reused across attacks.
     """
 
     def __init__(
@@ -331,7 +357,7 @@ class GammaControlLP:
         if np.all(W * self.G.sum(axis=1) - W * (c0 - self.net.nu_lo[1:]) <= 0.0):
             return np.ones(self.net.n + 1)
         lp = self._lp
-        return lp.unpack(lp.solve(c0, lp.c, lp.lb, lp.ub))[0]
+        return lp.unpack(lp.solve(c0))[0]
 
 
 def _warm_setpoints(net: Network) -> np.ndarray:
@@ -369,7 +395,7 @@ def _optimal_response_linear(
     model: ModelTag,
 ) -> DefenderResponse:
     lp, fixed = _model_for_attack(net, psi, params, model.load_scale)
-    x = lp.solve(lp.nu_offset(fixed, np.zeros(net.n)), lp.c, lp.lb, lp.ub)
+    x = lp.solve(lp.nu_offset(fixed, np.zeros(net.n)))
     gamma, sp_d = lp.unpack(x)
     return DefenderResponse(sp_d=sp_d, gamma=gamma, converged=True)
 
@@ -412,7 +438,7 @@ def _optimal_response_npf(
         c = c + (r * fnu) @ nu_up_mat
 
         x_curr = lp.pack(best[1], best[2])
-        x = lp.solve(lp.nu_offset(fixed, state.ell[1:]), c, *lp.trust_box(x_curr, radius))
+        x = lp.solve(lp.nu_offset(fixed, state.ell[1:]), c, lp.trust_box(x_curr, radius))
         gamma, sp_d = lp.unpack(x)
         try:
             cand_state = npf_state(gamma, sp_d)

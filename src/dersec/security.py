@@ -13,7 +13,10 @@ Elsewhere Stage 1 is one pooled min-max over the full-budget security vectors
 Stage 1 itself costs little next to its sub-game: the symmetry check is one
 bottom-up pass over the tree, the security rows are one scatter of the
 combinations, and the one-shot engine ranks every DER by impact once for all
-of its rows.
+of its rows. The first row's attacks are drawn first and bounded under the
+seed response; when no attack on it can lose more than 0, it wins outright
+(no loss is negative and ties go to the first row), and no other row's
+attacks are drawn and no LP is built or solved.
 """
 
 from __future__ import annotations

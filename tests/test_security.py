@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dersec.game
 from dersec import (
     LPF,
     balanced_tree,
@@ -213,11 +214,20 @@ class TestDADLiterals:
         ("identical-rx", 2, 2, "0.0", (2, 3), (6, 7), 0),
         ("heterogeneous-rx", 2, 2, "0.0", (3, 6), (5,), 1),
         ("feeder", 2, 9, "4.203955652620499", (9, 10), tuple(range(11, 20)), 55),
+        # the seed settles every family of the first row at 0, so no other
+        # row is built and no LP is solved (ranking unexplored rows at -inf
+        # solved 742 and 421 LPs)
+        ("feeder", 4, 12, "0.0", (9, 10, 11, 12), tuple(range(13, 23)), 0),
+        ("feeder", 5, 12, "0.0", (9, 10, 11, 12, 13), tuple(range(14, 23)), 0),
+        # rows without an exact loss rank at 0, not below a row that loses 0
+        # (at -inf: 9 LPs)
+        ("identical-rx-39", 2, 4, "0.0", (1, 9), (2, 4, 6, 10), 3),
     ])
     def test_values(self, monkeypatch, case, B, M, loss, secured, attacked, lps):
         net = {
             "symmetric": lambda: balanced_tree(3, 2),
             "identical-rx": lambda: random_feasible_network(10),
+            "identical-rx-39": lambda: random_feasible_network(39),
             "heterogeneous-rx": lambda: random_feasible_network(9, identical_k=False),
             "feeder": lambda: with_gamma_lo(homogeneous37(), 0.5),
         }[case]()
@@ -250,6 +260,32 @@ class TestStage1Pool:
             dad = solve_dad(net, 1, 7, params, LPF)
             dad_lps = len(calls)
         return net, params, per_u, loop_lps, dad, dad_lps
+
+    def test_first_row_settled_at_zero_builds_no_other_row(self, monkeypatch):
+        # 2,002 security rows; the seed settles the first row's families at 0
+        net = with_gamma_lo(homogeneous37(), 0.5)
+        params = params_for(net, 10.0)
+        calls = []
+        ranked_families = dersec.game.ranked_families
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ranked_families(*args, **kwargs)
+
+        monkeypatch.setattr(dersec.game, "ranked_families", counted)
+        dad = solve_dad(net, 5, 12, params, LPF)
+        assert dad.loss == 0.0 and dad.u_star.secured == (9, 10, 11, 12, 13)
+        assert len(calls) == 1
+        # rows count toward the table cap as they enter, so the rows never
+        # built cannot exceed it
+        monkeypatch.setattr(dersec.game, "_TABLE_CAP", len(dad.ad.trace))
+        assert solve_dad(net, 5, 12, params, LPF).loss == 0.0
+
+    def test_rows_ranked_at_zero_match_bruteforce(self):
+        net = random_feasible_network(39)
+        params = params_for(net, 10.0)
+        dad = solve_dad(net, 2, 4, params, LPF)
+        assert dad.loss == bf_security(net, 2, 4, params, LPF)[1]
 
     def test_heterogeneous_value_is_least_per_u_value(self, het_stage1):
         net, params, per_u, _, dad, _ = het_stage1
