@@ -8,7 +8,7 @@ attack vector as a single-vector family, joint set-point/load-control LP), for
 one security vector or the Stage-1 min-max over rows of them. The iterative
 engine alternates the LPF greedy attack with the exact nonlinear response and
 keeps the best incumbent; a repeated attack vector certifies convergence.
-``solve_ad`` picks the engine from the model and the network.
+``solve_ad`` picks the engine and seeds the NPF greedy with the LPF attack.
 """
 
 from __future__ import annotations
@@ -475,13 +475,19 @@ def solve_ad(
     params: CostParams,
     model: ModelTag,
 ) -> ADResult:
-    """The sub-game solve for ``model``: the iterative engine (unseeded) for
-    NPF, else the exact one-shot engine on an identical-r/x network and the
-    exact exhaustive engine on any other."""
+    """The sub-game solve for ``model``: the exact one-shot engine on an
+    identical-r/x network and the exact exhaustive engine on any other; for
+    NPF the iterative engine from that LPF solve's attack, which raises
+    EnumerationCapExceeded wherever the LPF solve does."""
     if not model.is_linear:
-        return solve_ad_iterative(net, u, M, params)
+        return _npf_seeded(net, u, M, params, solve_ad(net, u, M, params, LPF))
     engine = solve_ad_oneshot if net.uniform_rx_ratio() is not None else solve_ad_exhaustive
     return engine(net, u, M, params, model)
+
+
+def _npf_seeded(net: Network, u: np.ndarray | None, M: int, params: CostParams, lpf: ADResult) -> ADResult:
+    """The NPF sub-game, the greedy started at the LPF sub-game ``lpf``'s attack."""
+    return solve_ad_iterative(net, u, M, params, seed_attack=lpf.delta_star)
 
 
 @dataclass(frozen=True)
@@ -504,15 +510,13 @@ def sandwich_bounds(
 ) -> BoundsReport:
     """Certify lower/upper bracketing of the nonlinear sub-game value.
 
-    The linear lower-bound game's optimal attack seeds the nonlinear engine,
-    so the certified chain is evaluated on genuinely comparable incumbents.
+    Each model's value is its ``solve_ad`` result; the LPF result is solved
+    once and seeds the NPF one, so every value equals ``solve_ad``'s.
     """
     if eps is None:
         eps = calibrate_epsilon(net).eps
-    u = _zero_u(net, u)
-    lo = solve_ad_oneshot(net, u, M, params, LPF)
-    hi = solve_ad_oneshot(net, u, M, params, eps_lpf(eps))
-    mid = solve_ad_iterative(net, u, M, params, seed_attack=lo.delta_star)
+    lo, hi = (solve_ad(net, u, M, params, model) for model in (LPF, eps_lpf(eps)))
+    mid = _npf_seeded(net, u, M, params, lo)
     slack = line_loss_cap(net)
     holds = (
         lo.loss.total <= mid.loss.total + _BOUND_SLACK

@@ -55,6 +55,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +112,8 @@ _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
 # linprog's feasibility check on the returned solution, at its default tol 1e-9
 _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
+# one solver per thread, options set once; passModel resets it, so LPs start cold
+_solver = threading.local()
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,10 @@ def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
     lp.col_upper_ = ub.tolist()
     lp.row_lower_ = [-math.inf] * b_ub.size
     lp.row_upper_ = b_ub.tolist()
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = getattr(_solver, "highs", None)
+    if highs is None:
+        highs = _solver.highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise InfeasibleLP("LP solver rejected the model")
     highs.run()
@@ -388,18 +393,6 @@ def _model_for_attack(
     return _ResponseModel(net, params, kappa, free), fixed
 
 
-def _optimal_response_linear(
-    net: Network,
-    psi: AttackStrategy,
-    params: CostParams,
-    model: ModelTag,
-) -> DefenderResponse:
-    lp, fixed = _model_for_attack(net, psi, params, model.load_scale)
-    x = lp.solve(lp.nu_offset(fixed, np.zeros(net.n)))
-    gamma, sp_d = lp.unpack(x)
-    return DefenderResponse(sp_d=sp_d, gamma=gamma, converged=True)
-
-
 def _optimal_response_npf(
     net: Network,
     psi: AttackStrategy,
@@ -468,10 +461,13 @@ def optimal_response(
     params: CostParams,
     model: ModelTag,
 ) -> DefenderResponse:
-    """Loss-minimizing (set-points, load control) for a fixed attack."""
-    if model.is_linear:
-        return _optimal_response_linear(net, psi, params, model)
-    return _optimal_response_npf(net, psi, params)
+    """Loss-minimizing (set-points, load control) for a fixed attack: one LP
+    for a linear model, sequential LP for NPF."""
+    if not model.is_linear:
+        return _optimal_response_npf(net, psi, params)
+    lp, fixed = _model_for_attack(net, psi, params, model.load_scale)
+    gamma, sp_d = lp.unpack(lp.solve(lp.nu_offset(fixed, np.zeros(net.n))))
+    return DefenderResponse(sp_d=sp_d, gamma=gamma)
 
 
 def response_state(

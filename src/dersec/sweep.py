@@ -1,8 +1,8 @@
 """Sweep driver: evaluate the sub-game over a grid of (M, W/C, gamma_lo).
 
 Each row is one ``solve_ad`` call, so the model and the network pick the
-engine: iterative for NPF, one-shot for a linear model on an identical-r/x
-network, exhaustive on any other.
+engine: iterative from the LPF attack for NPF, one-shot for a linear model
+on an identical-r/x network, exhaustive on any other.
 
 Rows are computed independently, optionally on a thread pool, and always
 emitted in sorted grid order, so output is deterministic regardless of
@@ -12,8 +12,8 @@ family bounds, LP assembly and the small power-flow sweeps run one thread at
 a time. Extra workers therefore help grids whose rows are LP-bound and can
 slow grids whose rows are Python-bound: on 2 cores (Intel Xeon), 2 workers
 made a 48-row LPF one-shot grid at M <= 7 (0.14-0.17 s serial, at most one
-LP per row) about 1.7x slower than serial, and a 4-row iterative NPF grid
-about 1.4x faster.
+LP per row) about 1.7x slower than serial, and a 4-row NPF grid (M 4..7,
+0.43-0.63 s serial) 1.4-2.2x faster over five runs.
 """
 
 from __future__ import annotations

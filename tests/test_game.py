@@ -449,13 +449,50 @@ class TestSolveAd:
             with pytest.raises(ValueError, match="budget M"):
                 solve()
 
-    def test_npf_is_unseeded_iterative(self, tree22):
+    def test_npf_is_lpf_seeded_iterative(self, tree22):
         from dersec import NPF
 
-        params = params_for(tree22, 10.0)
-        res = solve_ad(tree22, None, 2, params, NPF)
-        _same_result(res, solve_ad_iterative(tree22, None, 2, params))
-        assert res.model == NPF
+        het = random_feasible_network(9, identical_k=False)
+        for net, lpf_engine in ((tree22, solve_ad_oneshot), (het, solve_ad_exhaustive)):
+            params = params_for(net, 10.0)
+            res = solve_ad(net, None, 2, params, NPF)
+            seed = lpf_engine(net, None, 2, params, LPF).delta_star
+            _same_result(res, solve_ad_iterative(net, None, 2, params, seed_attack=seed))
+            assert res.model == NPF
+
+    def test_npf_feeder_point_pays_two_responses(self, homog37, monkeypatch):
+        # the unseeded start answered the empty attack first: 3 responses
+        from dersec import NPF
+
+        net = with_gamma_lo(homog37, 0.5)
+        calls = []
+        monkeypatch.setattr(dersec.game, "optimal_response",
+                            lambda *args: calls.append(args) or optimal_response(*args))
+        solve_ad(net, None, 6, CostParams.from_ratio(net, 10.0), NPF)
+        assert len(calls) == 2
+
+    def test_npf_raises_above_the_cap_where_lpf_does(self, monkeypatch):
+        from dersec import NPF
+        from dersec.sweep import SweepConfig, run_sweep
+
+        # 14 DERs: 14 full-budget vectors at M=1, 91 at M=2, 364 at M=3
+        net = with_gamma_lo(heterogeneous37(0), 0.5)
+        params = params_for(net, 10.0)
+        monkeypatch.setattr(dersec.game, "_EXHAUSTIVE_CAP", 100)
+        raised = {}
+        for model in (LPF, NPF):
+            for M in range(5):
+                try:
+                    solve_ad(net, None, M, params, model)
+                    raised[model, M] = False
+                except EnumerationCapExceeded:
+                    raised[model, M] = True
+        assert [raised[LPF, M] for M in range(5)] == [False, False, False, True, True]
+        assert all(raised[NPF, M] == raised[LPF, M] for M in range(5))
+        cfg = SweepConfig(M_values=(2, 3), wc_ratios=(10.0,), gamma_lo_values=(0.5,), model="npf")
+        ok, capped = run_sweep(heterogeneous37(0), cfg)
+        assert ok.error == ""
+        assert capped.error.startswith("EnumerationCapExceeded")
 
 
 class TestIterative:
@@ -653,3 +690,13 @@ class TestSandwich:
             params = params_for(net, 10.0)
             rep = sandwich_bounds(net, None, 2, params)
             assert rep.holds, (seed, rep)
+
+    def test_heterogeneous_instances_hold(self):
+        # every model goes through solve_ad, so heterogeneous r/x takes the
+        # exhaustive engine instead of raising HeterogeneousRxRatio
+        for seed in range(6):
+            net = random_feasible_network(seed, identical_k=False)
+            params = params_for(net, 10.0)
+            rep = sandwich_bounds(net, None, 2, params)
+            assert rep.holds, (seed, rep)
+            assert rep.l_lpf == solve_ad_exhaustive(net, None, 2, params, LPF).loss.total

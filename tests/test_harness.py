@@ -18,6 +18,7 @@ from dersec import (
     NPF,
     CostParams,
     balanced_tree,
+    compare_strategies,
     gen_case,
     heterogeneous37,
     homogeneous37,
@@ -29,6 +30,7 @@ from dersec import (
     precedence_example,
     random_feasible_network,
     response_state,
+    sandwich_bounds,
     save_network,
     solve_ad,
     solve_ad_exhaustive,
@@ -49,7 +51,7 @@ from dersec.cases import (
 from dersec.cli import main as cli_main
 from dersec.errors import InvalidNetwork
 from dersec.netio import CSV_HEADER, sweep_rows_to_csv
-from dersec.sweep import SweepConfig, SweepRow, run_sweep, with_gamma_lo
+from dersec.sweep import SweepConfig, SweepRow, _delta_string, run_sweep, with_gamma_lo
 
 
 class TestCases:
@@ -215,7 +217,9 @@ class TestSweep:
         cfg = SweepConfig(M_values=(0, 2), wc_ratios=(10.0,), gamma_lo_values=(0.5,), model="npf")
         net = with_gamma_lo(tree22, 0.5)
         for row in run_sweep(tree22, cfg):
-            expected = solve_ad_iterative(net, None, row.M, CostParams.from_ratio(net, 10.0))
+            params = CostParams.from_ratio(net, 10.0)
+            seed = solve_ad_oneshot(net, None, row.M, params, LPF).delta_star
+            expected = solve_ad_iterative(net, None, row.M, params, seed_attack=seed)
             assert row.error == ""
             assert (row.total, row.ll, row.iterations) == (
                 expected.loss.total, expected.loss.ll, expected.iterations)
@@ -478,6 +482,36 @@ def test_solve_ad_npf_process_prints_one_document_and_nothing_else(tmp_path, tre
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     assert json.loads(out.stdout)["model"] == "npf"
+
+
+@pytest.mark.parametrize("case,M", [("homogeneous37", 6), ("random8", 1)])
+def test_every_npf_entry_point_returns_the_same_result(tmp_path, case, M):
+    # random_feasible_network(8) at M=1 is a point where the unseeded greedy
+    # found a weaker attack (node 7) than the LPF-seeded one (node 1)
+    net = homogeneous37() if case == "homogeneous37" else random_feasible_network(8)
+    net_gl = with_gamma_lo(net, 0.5)
+    params = CostParams.from_ratio(net_gl, 10.0)
+    res = solve_ad(net_gl, None, M, params, NPF)
+    want = (res.loss.total, _delta_string(net, res.delta_star))
+
+    got = {}
+    (row,) = run_sweep(net, SweepConfig(M_values=(M,), wc_ratios=(10.0,), gamma_lo_values=(0.5,),
+                                        model="npf"))
+    got["run_sweep"] = (row.total, row.delta_star)
+    rep = sandwich_bounds(net_gl, None, M, params)
+    got["sandwich_bounds"] = (rep.l_npf, _delta_string(net, rep.results["npf"].delta_star))
+    comparison = compare_strategies(net_gl, np.zeros(net.n + 1, dtype=int), np.zeros(net.n + 1, dtype=int),
+                                    M, params, NPF)
+    net_path = tmp_path / "net.json"
+    save_network(net, net_path)
+    common = ("--network", str(net_path), "-M", str(M), "--wc-ratio", "10", "--gamma-lo", "0.5")
+    doc = json.loads(_cli("solve-ad", *common, "--model", "npf").stdout)
+    got["dersec solve-ad"] = (doc["loss"]["total"], doc["delta_star"])
+    assert got == dict.fromkeys(got, want)
+    assert (comparison.loss1, comparison.loss2) == (want[0], want[0])
+    assert json.loads(_cli("verify-bounds", *common).stdout)["l_npf"] == want[0]
+    if case == "random8":
+        assert solve_ad_iterative(net_gl, None, M, params).loss.total < want[0]
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
