@@ -99,6 +99,13 @@ def _zero_u(net: Network, u: np.ndarray | None) -> np.ndarray:
     return np.asarray(u, dtype=int)
 
 
+def _impacts(lp: GammaControlLP, sp_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lp``'s model impacts on nodes 1..N and its voltages at gamma = 0
+    with no attack, under ``sp_d``."""
+    no_attack = np.zeros(lp.net.n + 1, dtype=int)
+    return impact_matrix(lp.net, sp_d, lp.model)[1:, :], lp.nu_intercept(no_attack, sp_d=sp_d)
+
+
 class _FamilyTable:
     """Attack families with their bounds over a pool of linear responses.
 
@@ -109,17 +116,22 @@ class _FamilyTable:
     the pool is the family's bound. Every pooled response is feasible for
     every vector, so a bound is never below a member's exact loss, and a bound
     of 0 is exact, since no loss is negative. The pool starts at the seed
-    (``lp.sp_d``, gamma = 1).
+    (``lp.sp_d``, gamma = 1). Its impacts and no-attack voltages, as
+    ``impacts`` returns them, come in ``seed``, or are computed from ``lp``.
     """
 
-    def __init__(self, lp: GammaControlLP, index: dict[PivotFamily, int]):
+    def __init__(
+        self,
+        lp: GammaControlLP,
+        index: dict[PivotFamily, int],
+        seed: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
         net = lp.net
         self.lp = lp
         self.W = lp.params.W[1:]
         self.nu_lo = net.nu_lo[1:]
         self.voll_rate = lp.params.C[1:] * np.real(net.sc_nom)[1:]
-        self.seed_D = impact_matrix(net, lp.sp_d, lp.model)[1:, :]
-        self.seed_nu = lp.nu_intercept(np.zeros(net.n + 1, dtype=int))
+        self.seed_D, self.seed_nu = _impacts(lp, lp.sp_d) if seed is None else seed
         self.pool = [DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))]
         self.fams: list[PivotFamily] = []
         self.index = index                               # family -> row, in row order
@@ -137,9 +149,7 @@ class _FamilyTable:
         attack, under ``sp_d`` (the seed's are kept)."""
         if np.array_equal(sp_d, self.lp.sp_d):
             return self.seed_D, self.seed_nu
-        lp = self.lp
-        no_attack = np.zeros(lp.net.n + 1, dtype=int)
-        return impact_matrix(lp.net, sp_d, lp.model)[1:, :], lp.nu_intercept(no_attack, sp_d=sp_d)
+        return _impacts(self.lp, sp_d)
 
     def intercept(self, sp_d: np.ndarray, ks=slice(None)) -> np.ndarray:
         """Voltages at gamma = 0 under ``sp_d`` at the per-node worst members
@@ -228,14 +238,25 @@ class _FamilyTable:
         return min(tuple(sorted(f.taken + tuple(fill))) for fill in fills.tolist())
 
 
+def _seed_intercept(lp: GammaControlLP, setpoints: str) -> np.ndarray:
+    """``lp``'s voltages at gamma = 0 with no attack, which read the network,
+    the set-points and the load scale alone: kept on the network under the
+    name of the engine's set-point rule and the load scale."""
+    net = lp.net
+    return net.derived(("no_attack_nu", setpoints, lp.model.load_scale),
+                       lambda: lp.nu_intercept(np.zeros(net.n + 1, dtype=int)))
+
+
 def _pooled_best_first(
     lp: GammaControlLP,
+    seed: tuple[np.ndarray, np.ndarray],
     secured: np.ndarray,
     row_families: Iterable[Iterable[PivotFamily]],
     respond: Callable[[np.ndarray], DefenderResponse],
 ) -> ADResult:
     """Min over the rows u of ``secured`` of the exact linear sub-game maximum
     over each row's own attack families, by best-first branch-and-bound.
+    ``seed`` holds the seed's impacts and no-attack voltages (``_FamilyTable``).
 
     No response reads u; each row's attacks skip its secured DERs, so one
     ``_FamilyTable`` serves every row. The first row enters alone; the rest
@@ -260,7 +281,7 @@ def _pooled_best_first(
     members: list[np.ndarray] = []
     cells = 0
     rows = iter(row_families)
-    table = _FamilyTable(lp, index)
+    table = _FamilyTable(lp, index, seed)
     for batch in (itertools.islice(rows, 1), rows):
         for families in batch:
             members.append(np.fromiter((index.setdefault(f, len(index)) for f in families), dtype=np.intp))
@@ -348,9 +369,10 @@ def solve_ad_oneshot(
     the load-control vector gamma; a vector's exact response is its LP. Each
     row's attacks are its ``ranked_families``, at most one per pivot, read
     from one ranking of every DER by LPF impact at each pivot, made once per
-    solve. They are bounded as families, so no candidate vector is listed and
-    no candidate cap applies. A 2-D ``u`` holds rows of alternative security
-    vectors; the result is the least row's (``_pooled_best_first``).
+    solve from the impact matrix that also seeds the bounds. They are bounded
+    as families, so no candidate vector is listed and no candidate cap
+    applies. A 2-D ``u`` holds rows of alternative security vectors; the
+    result is the least row's (``_pooled_best_first``).
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
@@ -358,9 +380,13 @@ def solve_ad_oneshot(
     secured = np.atleast_2d(_zero_u(net, u))
     sp_d = fixed_angle_setpoints(net)
     lp = GammaControlLP(net, params, model, sp_d)
-    ranking = impact_ranking(impact_matrix(net, sp_d, LPF)[1:], net.der_nodes)
+    D = impact_matrix(net, sp_d, LPF)[1:]
+    ranking = impact_ranking(D, net.der_nodes)
     rows = (ranked_families(ranking, M, row) for row in secured)
-    return _pooled_best_first(lp, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)))
+    # the model's impacts are the LPF ones scaled by its load scale, as
+    # impact_matrix scales them
+    seed = model.load_scale * D, _seed_intercept(lp, "fixed_angle")
+    return _pooled_best_first(lp, seed, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)))
 
 
 def solve_ad_exhaustive(
@@ -401,11 +427,12 @@ def solve_ad_exhaustive(
         for p in pools
     )
     lp = GammaControlLP(net, params, model, polygon_setpoints(net))
+    seed = impact_matrix(net, lp.sp_d, model)[1:], _seed_intercept(lp, "polygon")
 
     def respond(delta: np.ndarray) -> DefenderResponse:
         return optimal_response(net, attack_strategy(net, delta), params, model)
 
-    return _pooled_best_first(lp, secured, rows, respond)
+    return _pooled_best_first(lp, seed, secured, rows, respond)
 
 
 def solve_ad_iterative(

@@ -4,12 +4,25 @@ Nodes are dense integers 0..N with 0 the substation; every per-node quantity
 is stored in a length-(N+1) array indexed by node id, and every per-edge
 quantity is keyed by the downstream node of the edge. All electrical values
 are per-unit.
+
+Some constants the solvers derive from a network alone are kept on it,
+built on first use through ``Network.derived`` and read-only: the uniform
+r/x ratio, the symmetry check, the load-control model's flow and voltage
+matrices per load scale, and the exact engines' no-attack voltages at their
+seed set-points per load scale. None is the result of an impact matrix, a
+power flow or an LP, so a solve on a used network makes those calls as
+often as on a fresh one and saves only the work beside them. Nothing is
+built with the network, and a copy made with ``dataclasses.replace``
+(``with_gamma_lo``, for one) starts empty. What reads the cost weights, an
+attack or a response is built per solve.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
@@ -23,6 +36,7 @@ from .errors import (
 )
 
 NodeId = int
+T = TypeVar("T")
 
 _RX_RTOL = 1e-9
 
@@ -105,6 +119,23 @@ class Network:
     labels: tuple[str, ...]
     tree: TreeIndex = field(repr=False)
     Z: np.ndarray = field(repr=False)   # (N+1, N+1) complex common-path impedance
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The network constant ``key``: ``build()`` on first use, then the
+        value kept from it. ``build`` must read nothing but this network and
+        what ``key`` names, since every later call gets its value; the arrays
+        in it, alone or in a tuple, are made read-only. A copy made with
+        ``dataclasses.replace`` starts with none kept."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = build()
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        # two threads may build the same key; both keep the first value
+        return self._derived.setdefault(key, value)
 
     @property
     def z(self) -> np.ndarray:
@@ -122,6 +153,9 @@ class Network:
     def uniform_rx_ratio(self) -> float | None:
         """The common r/x ratio K, or None if the ratios differ by more than
         1e-9 relative."""
+        return self.derived("uniform_rx_ratio", self._uniform_rx_ratio)
+
+    def _uniform_rx_ratio(self) -> float | None:
         k = self.r[1:] / self.x[1:]
         k0 = float(k[0])
         if np.all(np.abs(k - k0) <= _RX_RTOL * max(1.0, abs(k0))):

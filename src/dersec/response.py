@@ -8,7 +8,9 @@ the facet rows of an inner polygon of its first-quadrant disk form one
 matrix; the base objective, the variable bounds and the per-variable trust
 spans are fixed arrays. All of that is assembled once per model, on its
 first solve: the pooled bounds read only the flow and voltage matrices, which
-are built with the model, and many load-control models never solve. A solve
+are built with the model, and many load-control models never solve. Those of
+the load-control model read nothing but the network and the load scale, so
+they are built once per network and scale and kept on the network. A solve
 changes only the voltage offset (set by the generation the attack fixes and,
 for the nonlinear model, the loss flows ell frozen at the last power-flow
 state), which gives the right-hand side, plus the objective and the box:
@@ -194,6 +196,28 @@ def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
     return x
 
 
+def _flow_matrices(
+    net: Network, kappa: float, free: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loaded nodes (0-based into nodes 1..N) and the P, Q and nu
+    matrices of the response model over ``free``'s DERs at load scale
+    ``kappa``."""
+    pc = np.real(net.sc_nom)[1:]
+    qc = np.imag(net.sc_nom)[1:]
+    loaded = np.flatnonzero((pc > 0.0) | (qc > 0.0))
+    n_gamma = loaded.size
+    p_cols = n_gamma + 2 * np.arange(free.size)
+    Msub = net.tree.subtree_mask[1:, 1:]
+    P_mat = np.zeros((net.n, n_gamma + 2 * free.size + 1))
+    Q_mat = np.zeros_like(P_mat)
+    P_mat[:, :n_gamma] = kappa * Msub[:, loaded] * pc[loaded][None, :]
+    Q_mat[:, :n_gamma] = kappa * Msub[:, loaded] * qc[loaded][None, :]
+    P_mat[:, p_cols] = -kappa * Msub[:, free - 1]
+    Q_mat[:, p_cols + 1] = -kappa * Msub[:, free - 1]
+    nu_mat = -2.0 * ((Msub.T * net.r[1:][None, :]) @ P_mat + (Msub.T * net.x[1:][None, :]) @ Q_mat)
+    return loaded, P_mat, Q_mat, nu_mat
+
+
 class _ResponseModel:
     """Affine (P, Q, nu) = offset + mat @ x over x = [gamma of the loaded
     nodes, (pg, qg) per free DER, t], with its LP rows, base objective,
@@ -205,27 +229,15 @@ class _ResponseModel:
     """
 
     def __init__(self, net: Network, params: CostParams, kappa: float, free: np.ndarray):
-        n = net.n
-        pc = np.real(net.sc_nom)[1:]
-        qc = np.imag(net.sc_nom)[1:]
-        loaded = np.flatnonzero((pc > 0.0) | (qc > 0.0))   # 0-based into nodes 1..N
-        n_gamma = loaded.size
-        p_cols = n_gamma + 2 * np.arange(free.size)         # qg columns follow
-        n_vars = n_gamma + 2 * free.size + 1
-        self.net, self.params, self.kappa, self.loaded, self.free = net, params, kappa, loaded, free
-        self._p_cols = p_cols
-        self._Msub = Msub = net.tree.subtree_mask[1:, 1:]
-        Mpath = Msub.T
-
-        self.P_mat = np.zeros((n, n_vars))
-        self.Q_mat = np.zeros((n, n_vars))
-        self.P_mat[:, :n_gamma] = kappa * Msub[:, loaded] * pc[loaded][None, :]
-        self.Q_mat[:, :n_gamma] = kappa * Msub[:, loaded] * qc[loaded][None, :]
-        self.P_mat[:, p_cols] = -kappa * Msub[:, free - 1]
-        self.Q_mat[:, p_cols + 1] = -kappa * Msub[:, free - 1]
-        self.nu_mat = -2.0 * (
-            (Mpath * net.r[1:][None, :]) @ self.P_mat + (Mpath * net.x[1:][None, :]) @ self.Q_mat
-        )
+        self.net, self.params, self.kappa, self.free = net, params, kappa, free
+        if free.size:
+            flows = _flow_matrices(net, kappa, free)
+        else:
+            # the load-control model reads the network and kappa alone
+            flows = net.derived(("load_control", kappa), lambda: _flow_matrices(net, kappa, free))
+        self.loaded, self.P_mat, self.Q_mat, self.nu_mat = flows
+        self._p_cols = self.loaded.size + 2 * np.arange(free.size)     # qg columns follow
+        self._Msub = net.tree.subtree_mask[1:, 1:]
         self._W = params.W[1:]
 
     @functools.cached_property

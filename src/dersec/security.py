@@ -17,6 +17,13 @@ of its rows. The first row's attacks are drawn first and bounded under the
 seed response; when no attack on it can lose more than 0, it wins outright
 (no loss is negative and ties go to the first row), and no other row's
 attacks are drawn and no LP is built or solved.
+
+Repeated solves on one network (every budget B, both strategies of
+``compare_strategies``) build some of its constants once: the r/x and
+symmetry checks, the load-control matrices and the seed's no-attack
+voltages are kept on the network (see ``dersec.network``), and a copy of
+the network starts without them. The impact matrices and rankings are
+built per solve.
 """
 
 from __future__ import annotations
@@ -61,8 +68,12 @@ def is_symmetric(net: Network) -> bool:
     weight and gamma_lo values agree after ``round(v, 12)`` and their own
     children are identical in turn. One pass from the deepest nodes up gives
     every subtree an id, equal exactly for identical subtrees, so each node's
-    children are compared once.
+    children are compared once. The answer is kept on the network.
     """
+    return net.derived("is_symmetric", lambda: _symmetric(net))
+
+
+def _symmetric(net: Network) -> bool:
     caps = net.der_cap[net.der_cap > 0.0]
     if caps.size and float(caps.max() - caps.min()) > 1e-12:
         return False

@@ -97,15 +97,21 @@ def _delta_string(net: Network, delta: np.ndarray) -> str:
 
 
 def run_sweep(net: Network, cfg: SweepConfig, workers: int | None = None) -> list[SweepRow]:
+    """One row per grid point, in sorted (M, W/C, gamma_lo) order, on a pool
+    of ``workers`` threads when more than one (ValueError below 1)."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     points = sorted(itertools.product(cfg.M_values, cfg.wc_ratios, cfg.gamma_lo_values))
     model = model_tag(cfg.model, net)
+    # the rows on one gamma_lo share its network, and so its derived constants
+    nets = {gl: with_gamma_lo(net, gl) for gl in cfg.gamma_lo_values}
+    params = {(gl, wc): CostParams.from_ratio(nets[gl], wc) for gl in nets for wc in cfg.wc_ratios}
 
     def evaluate(point) -> SweepRow:
         M, wc, gl = point
         start = time.perf_counter()
         try:
-            net_gl = with_gamma_lo(net, gl)
-            result = solve_ad(net_gl, None, M, CostParams.from_ratio(net_gl, wc), model)
+            result = solve_ad(nets[gl], None, M, params[(gl, wc)], model)
             solved = dict(
                 lovr=result.loss.lovr,
                 voll=result.loss.voll,

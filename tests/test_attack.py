@@ -17,6 +17,7 @@ from dersec import (
     solve_ad_oneshot,
 )
 from dersec.attack import (
+    ImpactRanking,
     PivotFamily,
     _partition_walks,
     attack_strategy,
@@ -187,6 +188,18 @@ class TestPartitionWalks:
             for row, walk in zip(D, _partition_walks(impact_ranking(D, pool), budget)):
                 taken, boundary, fill = _reference_walk(row, pool, budget)
                 assert walk == (tuple(sorted(taken)), tuple(boundary), fill)
+
+    @pytest.mark.parametrize("budget,walk", [
+        (1, PivotFamily((), (1, 2), 1)),
+        (2, PivotFamily((1, 2))),
+    ])
+    def test_chain_of_near_ties(self, budget, walk):
+        # each impact is within the tie tolerance of its neighbour, but the
+        # third is not within it of the partition's first, so it starts a
+        # new partition; a neighbour-to-neighbour test would put all three
+        # in one
+        ranking = ImpactRanking(np.array([[1, 2, 3]]), np.array([[1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9]]))
+        assert _partition_walks(ranking, budget) == [walk]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_one_ranking_serves_every_security_row(self, seed):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dersec.game
+import dersec.sweep
 from dersec import (
     LPF,
     NPF,
@@ -198,6 +199,41 @@ class TestSweep:
         assert [
             (r.M, r.wc_ratio, r.gamma_lo, r.total) for r in rows_seq
         ] == [(r.M, r.wc_ratio, r.gamma_lo, r.total) for r in rows_par]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, tree22, workers):
+        cfg = SweepConfig(M_values=(0,), wc_ratios=(10.0,), gamma_lo_values=(0.5,))
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(tree22, cfg, workers=workers)
+
+    def test_one_network_per_gamma_lo(self, monkeypatch, tree22):
+        # the rows on one gamma_lo share its network and its derived constants
+        made = []
+
+        def counted(net, gamma_lo):
+            made.append(gamma_lo)
+            return with_gamma_lo(net, gamma_lo)
+
+        monkeypatch.setattr(dersec.sweep, "with_gamma_lo", counted)
+        cfg = SweepConfig(M_values=(0, 1, 2), wc_ratios=(2.0, 10.0), gamma_lo_values=(0.5, 0.7))
+        assert len(run_sweep(tree22, cfg)) == 12
+        assert made == [0.5, 0.7]
+
+    def test_threads_fill_one_store(self):
+        # more threads than cores, switching often, build the constants of
+        # the one gamma_lo network at once; every row still equals its
+        # serial one
+        cfg = SweepConfig(M_values=tuple(range(1, 9)), wc_ratios=(2.0, 10.0, 18.0), gamma_lo_values=(0.5,))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows_par = run_sweep(homogeneous37(), cfg, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        rows_seq = run_sweep(homogeneous37(), cfg, workers=1)
+        assert [repr((r.total, r.delta_star, r.error)) for r in rows_par] == [
+            repr((r.total, r.delta_star, r.error)) for r in rows_seq
+        ]
 
     def test_config_has_no_engine(self):
         names = [f.name for f in dataclasses.fields(SweepConfig)]
@@ -431,6 +467,19 @@ class TestCLI:
             argv += ["--network", str(net_path)]
         assert cli_main(argv) == 2
         assert "error: sweep" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_sweep_bad_worker_count_exit_code(self, workers, tmp_path, capsys, tree22):
+        net_path = tmp_path / "net.json"
+        save_network(tree22, net_path)
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"M_values": [1], "wc_ratios": [10.0], "gamma_lo_values": [0.5]}))
+        out_path = tmp_path / "rows.csv"
+        argv = ["sweep", "--config", str(cfg_path), "--network", str(net_path), "--out", str(out_path),
+                "--workers", workers]
+        assert cli_main(argv) == 2
+        assert "error: workers" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_sweep_config_engine_key_ignored(self, tmp_path):

@@ -1,15 +1,26 @@
+import collections
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dersec.attack
+import dersec.game
+import dersec.response
 from dersec import (
+    LPF,
     Precedence,
+    balanced_tree,
     build_network,
     common_path_impedance,
+    eps_lpf,
+    homogeneous37,
     precedence_compare,
+    random_feasible_network,
+    sandwich_bounds,
 )
 from dersec.errors import (
     BoundOrderingViolated,
@@ -20,8 +31,11 @@ from dersec.errors import (
     RootArgument,
 )
 from dersec.network import NodeSpec
+from dersec.response import GammaControlLP, fixed_angle_setpoints, polygon_setpoints
+from dersec.security import is_symmetric, solve_dad
+from dersec.sweep import with_gamma_lo
 
-from conftest import two_bus
+from conftest import params_for, two_bus
 
 
 def random_tree(rng, n):
@@ -191,3 +205,87 @@ class TestTreeIndexAgainstNaive:
             assert net.tree.shared_depth[i, j] == len(inter)
             z_sum = sum(net.z[k] for k in inter)
             assert net.Z[i, j] == pytest.approx(z_sum, abs=1e-15)
+
+
+def _counted(calls, name, original, *args):
+    calls.append(name)
+    return original(*args)
+
+
+def _answer(ad) -> str:
+    """Everything a sub-game result reports, by ``repr``."""
+    return repr((ad.loss, ad.u.tolist(), ad.delta_star.tolist(), ad.phi_star.gamma.tolist(),
+                 ad.phi_star.sp_d.tolist(), ad.trace, ad.iterations, ad.converged))
+
+
+class TestDerivedConstants:
+    """Constants built once per network and kept on it."""
+
+    @pytest.mark.parametrize("case,M", [("feeder", 9), ("heterogeneous-rx", 2)])
+    def test_shared_network_solves_as_fresh_copies(self, case, M):
+        net = {
+            "feeder": lambda: with_gamma_lo(homogeneous37(), 0.5),
+            "heterogeneous-rx": lambda: random_feasible_network(9, identical_k=False),
+        }[case]()
+        params = params_for(net, 10.0)
+        # every solve on the shared network but the first finds its constants built
+        for B in (1, 2, 3):
+            shared = solve_dad(net, B, M, params, LPF)
+            fresh = solve_dad(dataclasses.replace(net), B, M, params, LPF)
+            assert _answer(shared.ad) == _answer(fresh.ad)
+        if case == "feeder":
+            shared = sandwich_bounds(net, None, 8, params)
+            fresh = sandwich_bounds(dataclasses.replace(net), None, 8, params)
+            for name in ("lpf", "npf", "eps_lpf"):
+                assert _answer(shared.results[name]) == _answer(fresh.results[name])
+
+    def test_kept_arrays_are_read_only(self):
+        net = homogeneous37()
+        built = []
+        value = net.derived("pair", lambda: built.append(1) or (np.zeros(2), np.ones(2)))
+        assert net.derived("pair", lambda: built.append(1)) is value and built == [1]
+        for part in value:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 5.0
+        # the load-control matrices are kept per load scale, whatever the weights
+        sp_d = fixed_angle_setpoints(net)
+        lp = GammaControlLP(net, params_for(net, 10.0), LPF, sp_d)
+        assert GammaControlLP(net, params_for(net, 2.0), LPF, sp_d)._lp.nu_mat is lp._lp.nu_mat
+        with pytest.raises(ValueError, match="read-only"):
+            lp._lp.nu_mat[0, 0] = 0.0
+        # set-points are not kept: every call returns a fresh array
+        for setpoints in (fixed_angle_setpoints, polygon_setpoints):
+            assert setpoints(net) is not setpoints(net)
+            setpoints(net)[1] = 0.0
+
+    @pytest.mark.parametrize("model", [LPF, eps_lpf(0.05)])
+    def test_used_network_makes_the_same_calls(self, monkeypatch, model):
+        # nothing kept is an impact matrix or an LP, so a solve calls them as
+        # often on a used network as on a fresh one
+        calls = []
+        for module, name in ((dersec.game, "impact_matrix"), (dersec.attack, "impact_matrix"),
+                             (dersec.response, "linprog")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, functools.partial(_counted, calls, name, original))
+        net = with_gamma_lo(homogeneous37(), 0.5)
+        params = params_for(net, 10.0)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            solve_dad(net, 2, 9, params, model)
+            counts.append(collections.Counter(calls))
+        assert net._derived
+        assert counts[0] == counts[1]
+        assert counts[0]["linprog"] > 0
+
+    def test_copies_start_empty(self):
+        net = balanced_tree(2, 2)
+        gamma_lo = net.gamma_lo.copy()
+        gamma_lo[1] = 0.3
+        uneven = dataclasses.replace(net, gamma_lo=gamma_lo)
+        assert uneven._derived == {}
+        # gamma_lo is part of every subtree's signature
+        assert is_symmetric(net) and not is_symmetric(uneven)
+        even = with_gamma_lo(uneven, 0.5)
+        assert even._derived == {}
+        assert is_symmetric(even) and not is_symmetric(uneven)
