@@ -58,8 +58,10 @@ class AsymmetricNetwork(DersecError):
 
 
 class InfeasibleLP(DersecError):
-    """The load-control LP reported infeasibility; with pure box constraints this
-    signals an internal bug, not a modelling condition."""
+    """A response LP failed: the load-control LP, the joint linear response
+    with its facet rows, or an SLP round of the nonlinear one. The solver
+    rejected the model, reported it infeasible or failed, or returned a
+    solution that fails the feasibility check on its bounds and rows."""
 
 
 class EnumerationCapExceeded(DersecError):

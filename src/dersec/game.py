@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .attack import (
     AttackStrategy,
     PivotFamily,
+    _check_budget,
     _vulnerable_nodes,
     attack_strategy,
     impact_matrix,
@@ -46,8 +46,9 @@ from .response import (
 
 _BOUND_SLACK = 1e-9
 _EXHAUSTIVE_CAP = 200_000
-_TABLE_CAP = 5_000_000          # attack families summed over the security rows entered
+_TABLE_CAP = 5_000_000          # attack families summed over the security rows drawn
 _ITERATIVE_MAX_ITER = 20
+_NONLINEAR_U = "u of a nonlinear solve"      # rows of security vectors are for linear models
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,17 @@ class ADResult:
     iterations: int = 0
 
 
-def _check_budget(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"budget {name} must be a non-negative integer, got {value!r}")
-
-
-def _zero_u(net: Network, u: np.ndarray | None) -> np.ndarray:
-    if u is None:
-        return np.zeros(net.n + 1, dtype=int)
-    return np.asarray(u, dtype=int)
-
-
-def _impacts(lp: GammaControlLP, sp_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lp``'s model impacts on nodes 1..N and its voltages at gamma = 0
-    with no attack, under ``sp_d``."""
-    no_attack = np.zeros(lp.net.n + 1, dtype=int)
-    return impact_matrix(lp.net, sp_d, lp.model)[1:, :], lp.nu_intercept(no_attack, sp_d=sp_d)
+def _vectors(net: Network, v, name: str, rows: bool = False) -> np.ndarray:
+    """``v`` as int 0/1 vectors over nodes 0..N, None being the zero vector:
+    one vector, or with ``rows`` one or more rows of them (a vector is one
+    row). Raises ValueError on any other shape or value."""
+    a = np.zeros(net.n + 1, dtype=int) if v is None else np.asarray(v)
+    if rows:
+        a = np.atleast_2d(a)
+    if a.ndim != 1 + rows or a.shape[-1] != net.n + 1 or not a.size or not ((a == 0) | (a == 1)).all():
+        what = "a 0/1 vector or rows of them" if rows else "one 0/1 vector"
+        raise ValueError(f"{name} must be {what} over nodes 0..{net.n}")
+    return np.asarray(a, dtype=int)
 
 
 class _FamilyTable:
@@ -116,25 +111,24 @@ class _FamilyTable:
     the pool is the family's bound. Every pooled response is feasible for
     every vector, so a bound is never below a member's exact loss, and a bound
     of 0 is exact, since no loss is negative. The pool starts at the seed
-    (``lp.sp_d``, gamma = 1). Its impacts and no-attack voltages, as
-    ``impacts`` returns them, come in ``seed``, or are computed from ``lp``.
+    (``lp.sp_d``, gamma = 1) with model impacts ``seed_D`` on nodes 1..N; its
+    no-attack voltages read the network, the set-points and the load scale
+    alone, and are kept on the network under those. Families enter through
+    ``add`` alone, numbered in first-seen order.
     """
 
-    def __init__(
-        self,
-        lp: GammaControlLP,
-        index: dict[PivotFamily, int],
-        seed: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
+    def __init__(self, lp: GammaControlLP, seed_D: np.ndarray):
         net = lp.net
         self.lp = lp
         self.W = lp.params.W[1:]
         self.nu_lo = net.nu_lo[1:]
         self.voll_rate = lp.params.C[1:] * np.real(net.sc_nom)[1:]
-        self.seed_D, self.seed_nu = _impacts(lp, lp.sp_d) if seed is None else seed
+        self.seed_D = seed_D
+        self.seed_nu = net.derived(("no_attack_nu", lp.sp_d.tobytes(), lp.model.load_scale),
+                                   lambda: lp.nu_intercept(np.zeros(net.n + 1, dtype=int)))
         self.pool = [DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))]
         self.fams: list[PivotFamily] = []
-        self.index = index                               # family -> row, in row order
+        self.index: dict[PivotFamily, int] = {}          # family -> its index in fams
         self.taken = np.zeros((0, net.n + 1))
         self.wide = np.zeros(0, dtype=bool)              # families of more than one vector
         self.seed_c0 = np.zeros((0, net.n))
@@ -142,14 +136,15 @@ class _FamilyTable:
         self.exact = np.zeros(0, dtype=bool)
         self.arg = np.zeros(0, dtype=np.intp)            # pool response that sets each bound
         self.solved: dict[tuple[int, ...], DefenderResponse] = {}
-        self.extend()
 
     def impacts(self, sp_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Model impacts on nodes 1..N and the voltages at gamma = 0 with no
         attack, under ``sp_d`` (the seed's are kept)."""
-        if np.array_equal(sp_d, self.lp.sp_d):
+        lp = self.lp
+        if np.array_equal(sp_d, lp.sp_d):
             return self.seed_D, self.seed_nu
-        return _impacts(self.lp, sp_d)
+        no_attack = np.zeros(lp.net.n + 1, dtype=int)
+        return impact_matrix(lp.net, sp_d, lp.model)[1:], lp.nu_intercept(no_attack, sp_d=sp_d)
 
     def intercept(self, sp_d: np.ndarray, ks=slice(None)) -> np.ndarray:
         """Voltages at gamma = 0 under ``sp_d`` at the per-node worst members
@@ -180,24 +175,16 @@ class _FamilyTable:
         lovr = np.max(self.W * np.maximum(self.nu_lo - self.voltages(phi, ks), 0.0), axis=1)
         return lovr + float(np.sum(self.voll_rate * (1.0 - phi.gamma[1:])))
 
-    def extend(self) -> None:
-        """Append the rows of the families put in ``index`` since the last
-        call."""
-        self._append(list(self.index)[len(self.fams):])
-
-    def add(self, families: list[PivotFamily]) -> list[int]:
-        """Table indices of ``families``, appending the new ones."""
-        new = [f for f in dict.fromkeys(families) if f not in self.index]
-        self.index.update(zip(new, range(len(self.fams), len(self.fams) + len(new))))
-        self._append(new)
-        return [self.index[f] for f in families]
-
-    def _append(self, new: list[PivotFamily]) -> None:
-        """Append the rows of the indexed families ``new``, with their bounds
-        over the whole pool."""
+    def add(self, families: Iterable[PivotFamily]) -> list[int]:
+        """Table indices of ``families``. The new ones are numbered in
+        first-seen order and appended, with their bounds over the whole pool."""
+        index, start = self.index, len(self.fams)
+        indices = [index.setdefault(f, len(index)) for f in families]
+        # the families just numbered, in first-seen order
+        new = list(itertools.islice(reversed(index), len(index) - start))[::-1]
         if not new:
-            return
-        ks = slice(len(self.fams), None)
+            return indices
+        ks = slice(start, None)
         self.fams += new
         taken = np.zeros((len(new), self.taken.shape[1]))
         rows = np.repeat(np.arange(len(new)), [len(f.taken) for f in new])
@@ -209,6 +196,7 @@ class _FamilyTable:
         self.bound = np.append(self.bound, np.min(values, axis=0))
         self.exact = np.append(self.exact, self.bound[ks] <= 0.0)
         self.arg = np.append(self.arg, np.argmin(values, axis=0))
+        return indices
 
     def settle(self, k: int, phi: DefenderResponse) -> None:
         """Pool ``phi``, the own response of single-vector family ``k``,
@@ -238,56 +226,49 @@ class _FamilyTable:
         return min(tuple(sorted(f.taken + tuple(fill))) for fill in fills.tolist())
 
 
-def _seed_intercept(lp: GammaControlLP, setpoints: str) -> np.ndarray:
-    """``lp``'s voltages at gamma = 0 with no attack, which read the network,
-    the set-points and the load scale alone: kept on the network under the
-    name of the engine's set-point rule and the load scale."""
-    net = lp.net
-    return net.derived(("no_attack_nu", setpoints, lp.model.load_scale),
-                       lambda: lp.nu_intercept(np.zeros(net.n + 1, dtype=int)))
-
-
 def _pooled_best_first(
     lp: GammaControlLP,
-    seed: tuple[np.ndarray, np.ndarray],
+    seed_D: np.ndarray,
     secured: np.ndarray,
-    row_families: Iterable[Iterable[PivotFamily]],
+    row_families: Iterable[Sequence[PivotFamily]],
     respond: Callable[[np.ndarray], DefenderResponse],
 ) -> ADResult:
     """Min over the rows u of ``secured`` of the exact linear sub-game maximum
     over each row's own attack families, by best-first branch-and-bound.
-    ``seed`` holds the seed's impacts and no-attack voltages (``_FamilyTable``).
+    ``seed_D`` holds the seed's model impacts (``_FamilyTable``).
 
     No response reads u; each row's attacks skip its secured DERs, so one
-    ``_FamilyTable`` serves every row. The first row enters alone; the rest
-    enter only if the seed leaves a family of the first row above 0, since a
-    first row that loses 0 wins outright (ties go to the first row). Each
-    round takes the row whose lower bound, its largest exact loss or 0 while
-    it has none (no loss is negative), is smallest (ties to the first row)
-    and its open family with the largest bound, and that family's attaining
-    member (ties to the first vector in sorted order). If the member's own
-    bound is still open, its response is solved through ``respond`` and
-    joins the pool, and the vector joins every row that holds it as an exact
-    single-vector family. If the member is exact, or its own bound is
-    closed, the open family is split on a boundary node of that member
-    instead. The row wins once none of its open bounds exceeds its largest
-    exact loss (ties to its first vector), with the winner's own response if
-    solved, else the pooled response that sets its bound (a zero bound may
-    be another vector's). Rows count toward the cap as they enter: raises
-    EnumerationCapExceeded once the entered rows hold over 5,000,000
-    families.
+    ``_FamilyTable`` serves every row. Every family enters it through its
+    ``add``: the first row's alone, the other rows' in one batch only if the
+    seed leaves a family of the first row above 0, since a first row that
+    loses 0 wins outright (ties go to the first row), and then each solved
+    vector and each split's children. Each round takes the row whose lower
+    bound, its largest exact loss or 0 while it has none (no loss is
+    negative), is smallest (ties to the first row) and its open family with
+    the largest bound, and that family's attaining member (ties to the first
+    vector in sorted order). If the member's own bound is still open, its
+    response is solved through ``respond`` and joins the pool, and the
+    vector joins every row that holds it as an exact single-vector family.
+    If the member is exact, or its own bound is closed, the open family is
+    split on a boundary node of that member instead. The row wins once none
+    of its open bounds exceeds its largest exact loss (ties to its first
+    vector), with the winner's own response if solved, else the pooled
+    response that sets its bound (a zero bound may be another vector's).
+    Rows count toward the cap as they are drawn: raises
+    EnumerationCapExceeded once the drawn rows hold over 5,000,000 families.
     """
-    index: dict[PivotFamily, int] = {}
     members: list[np.ndarray] = []
     cells = 0
     rows = iter(row_families)
-    table = _FamilyTable(lp, index, seed)
+    table = _FamilyTable(lp, seed_D)
     for batch in (itertools.islice(rows, 1), rows):
+        drawn = []
         for families in batch:
-            members.append(np.fromiter((index.setdefault(f, len(index)) for f in families), dtype=np.intp))
-            if (cells := cells + members[-1].size) > _TABLE_CAP:
+            drawn.append(families)
+            if (cells := cells + len(families)) > _TABLE_CAP:
                 raise EnumerationCapExceeded(f"security rows hold over {_TABLE_CAP} attack families")
-        table.extend()
+        ks = iter(table.add(itertools.chain.from_iterable(drawn)))
+        members += [np.fromiter(ks, dtype=np.intp, count=len(families)) for families in drawn]
         if table.exact[members[0]].all():
             break
     fams = table.fams
@@ -377,7 +358,7 @@ def solve_ad_oneshot(
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
     _check_budget("M", M)
-    secured = np.atleast_2d(_zero_u(net, u))
+    secured = _vectors(net, u, "u", rows=True)
     sp_d = fixed_angle_setpoints(net)
     lp = GammaControlLP(net, params, model, sp_d)
     D = impact_matrix(net, sp_d, LPF)[1:]
@@ -385,8 +366,8 @@ def solve_ad_oneshot(
     rows = (ranked_families(ranking, M, row) for row in secured)
     # the model's impacts are the LPF ones scaled by its load scale, as
     # impact_matrix scales them
-    seed = model.load_scale * D, _seed_intercept(lp, "fixed_angle")
-    return _pooled_best_first(lp, seed, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)))
+    return _pooled_best_first(lp, model.load_scale * D, secured, rows,
+                              lambda d: DefenderResponse(sp_d, lp.solve(d)))
 
 
 def solve_ad_exhaustive(
@@ -414,7 +395,7 @@ def solve_ad_exhaustive(
     if not model.is_linear:
         raise ValueError("exhaustive engine applies to linear models only")
     _check_budget("M", M)
-    secured = np.atleast_2d(_zero_u(net, u))
+    secured = _vectors(net, u, "u", rows=True)
     pools = [_vulnerable_nodes(net, row).tolist() for row in secured]
     counts = [math.comb(len(p), min(M, len(p))) for p in pools]
     if max(counts) > _EXHAUSTIVE_CAP or sum(counts) > _TABLE_CAP:
@@ -427,12 +408,11 @@ def solve_ad_exhaustive(
         for p in pools
     )
     lp = GammaControlLP(net, params, model, polygon_setpoints(net))
-    seed = impact_matrix(net, lp.sp_d, model)[1:], _seed_intercept(lp, "polygon")
 
     def respond(delta: np.ndarray) -> DefenderResponse:
         return optimal_response(net, attack_strategy(net, delta), params, model)
 
-    return _pooled_best_first(lp, seed, secured, rows, respond)
+    return _pooled_best_first(lp, impact_matrix(net, lp.sp_d, model)[1:], secured, rows, respond)
 
 
 def solve_ad_iterative(
@@ -448,19 +428,17 @@ def solve_ad_iterative(
     attack, keeps the best incumbent, and takes the LPF greedy attack of
     ``optimal_attack_fixed_response`` against that response. Terminates
     successfully on a repeated attack vector, and stops unconverged after 20
-    attack steps. A seed is a 0/1 vector over nodes 0..N, empty or taking
+    attack steps. ``u`` is one security vector: rows of them are for the
+    linear engines. A seed is a 0/1 vector over nodes 0..N, empty or taking
     exactly min(M, pool) DERs that ``u`` leaves vulnerable (else ValueError).
     """
     _check_budget("M", M)
-    u = _zero_u(net, u)
-    delta = np.zeros(net.n + 1, dtype=int) if seed_attack is None else np.asarray(seed_attack)
+    u = _vectors(net, u, _NONLINEAR_U)
+    delta = _vectors(net, seed_attack, "seed_attack")
     pool = _vulnerable_nodes(net, u)
     full = min(M, pool.size)
-    if delta.shape != (net.n + 1,) or not np.isin(delta, (0, 1)).all() or (
-        delta.any() and (delta.sum() != full or not np.isin(np.flatnonzero(delta), pool).all())
-    ):
-        raise ValueError(f"seed_attack must be a 0/1 vector over nodes 0..{net.n}, empty or "
-                         f"taking exactly {full} DERs, none that u secures")
+    if delta.any() and (delta.sum() != full or not np.isin(np.flatnonzero(delta), pool).all()):
+        raise ValueError(f"seed_attack must be empty or take exactly {full} DERs, none that u secures")
 
     visited: set[tuple[int, ...]] = set()
     trace: list[TraceEntry] = []
@@ -507,6 +485,7 @@ def solve_ad(
     NPF the iterative engine from that LPF solve's attack, which raises
     EnumerationCapExceeded wherever the LPF solve does."""
     if not model.is_linear:
+        u = _vectors(net, u, _NONLINEAR_U)
         return _npf_seeded(net, u, M, params, solve_ad(net, u, M, params, LPF))
     engine = solve_ad_oneshot if net.uniform_rx_ratio() is not None else solve_ad_exhaustive
     return engine(net, u, M, params, model)
@@ -540,6 +519,7 @@ def sandwich_bounds(
     Each model's value is its ``solve_ad`` result; the LPF result is solved
     once and seeds the NPF one, so every value equals ``solve_ad``'s.
     """
+    u = _vectors(net, u, _NONLINEAR_U)
     if eps is None:
         eps = calibrate_epsilon(net).eps
     lo, hi = (solve_ad(net, u, M, params, model) for model in (LPF, eps_lpf(eps)))

@@ -277,6 +277,11 @@ def build_network(
 
     r = np.array([s.r_pu for s in by_id])
     x = np.array([s.x_pu for s in by_id])
+    sc_nom = np.array([complex(s.pc_nom, s.qc_nom) for s in by_id])
+    der_cap = np.array([s.der_cap for s in by_id])
+    # a NaN passes the impedance test below, an inf the capability test
+    if not all(np.isfinite(v).all() for v in (r, x, sc_nom, der_cap, nu0)):
+        raise InvalidNetwork("r_pu, x_pu, pc_nom, qc_nom, der_cap and nu0 must be finite")
     if np.any(r[1:] <= 0.0) or np.any(x[1:] <= 0.0):
         bad = [i for i in range(1, n_total) if r[i] <= 0 or x[i] <= 0]
         raise NonPositiveImpedance(f"edges into nodes {bad} need r > 0 and x > 0")
@@ -298,11 +303,9 @@ def build_network(
     C = np.array([s.C for s in by_id])
     if not (np.all(W >= 0.0) and np.all(C >= 0.0)):
         raise InvalidNetwork("W and C must be nonnegative")
-    der_cap = np.array([s.der_cap for s in by_id])
     if not np.all(der_cap >= 0.0):
         raise InvalidNetwork("der_cap must be nonnegative")
 
-    sc_nom = np.array([complex(s.pc_nom, s.qc_nom) for s in by_id])
     labels = tuple(s.label if s.label is not None else str(s.id) for s in by_id)
 
     z = r + 1j * x

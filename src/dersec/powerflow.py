@@ -44,8 +44,8 @@ NPF = ModelTag("npf")
 
 
 def eps_lpf(eps: float) -> ModelTag:
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
     return ModelTag("eps_lpf", eps)
 
 
@@ -173,8 +173,8 @@ def solve_npf(
     The current map is a contraction in the small-impedance regime, so the
     fixed point is unique there; outside it the solve fails loudly.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     ell = np.zeros(net.n + 1)
     residual = np.inf
     for _ in range(max_iter):

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attack import _check_budget
 from .errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
-from .game import ADResult, _check_budget, solve_ad
+from .game import ADResult, solve_ad
 from .game import solve_ad_exhaustive  # noqa: F401  (public as dersec.security.solve_ad_exhaustive)
 from .loss import CostParams
 from .network import Network

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attack import _check_budget
 from .errors import DersecError, InvalidNetwork
-from .game import _check_budget, solve_ad
+from .game import solve_ad
 from .loss import CostParams
 from .network import Network
 from .powerflow import LPF, NPF, ModelTag, calibrate_epsilon, eps_lpf
@@ -58,6 +59,8 @@ class SweepConfig:
             raise ValueError(f"unknown model {self.model!r}; expected one of {_MODELS}")
         for M in self.M_values:
             _check_budget("M", M)
+        if any(isinstance(v, bool) for v in itertools.chain(self.wc_ratios, self.gamma_lo_values)):
+            raise ValueError("sweep axes take numbers, not true or false")
         if not all(isinstance(wc, numbers.Real) and math.isfinite(wc) and wc >= 0.0
                    for wc in self.wc_ratios):
             raise ValueError(f"W/C ratios must be finite and nonnegative, got {self.wc_ratios}")

@@ -118,6 +118,20 @@ class TestPivotOptimalAttack:
         assert atk.impact == 0.0
         assert atk.delta.sum() == 0
 
+    @pytest.mark.parametrize("M", [-1, 1.5, True])
+    def test_public_attack_functions_reject_a_bad_budget(self, fig2, M):
+        # a negative budget once returned the empty attack
+        sp = fixed_angle_setpoints(fig2)
+        u = zeros_u(fig2)
+        calls = (
+            lambda: pivot_optimal_attack(fig2, 3, sp, M, u),
+            lambda: optimal_attack_fixed_response(fig2, _fig2_fixed_response(fig2), M, u),
+            lambda: candidate_attack_set(fig2, sp, M, u),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="budget M"):
+                call()
+
     def test_budget_slack_attacks_everything(self, fig2):
         sp = fixed_angle_setpoints(fig2)
         atk = pivot_optimal_attack(fig2, 5, sp, 99, zeros_u(fig2))

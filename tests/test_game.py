@@ -208,15 +208,16 @@ class TestFamilyBound:
         families = ranked_families(impact_ranking(impact_matrix(net, seed_sp, LPF)[1:], net.der_nodes), M, u)
         rng = np.random.default_rng(draw)
         for model in (LPF, eps_lpf(0.3)):
-            index = {f: k for k, f in enumerate(families)}
-            table = dersec.game._FamilyTable(GammaControlLP(net, params, model, seed_sp), index)
+            table = dersec.game._FamilyTable(GammaControlLP(net, params, model, seed_sp),
+                                             impact_matrix(net, seed_sp, model)[1:])
+            assert table.add(families) == list(range(len(families)))
             # the seed's set-points, then set-points anywhere in the DER half-disks
             for sp in (seed_sp, net.der_cap * np.sqrt(rng.uniform(size=net.n + 1))
                        * np.exp(1j * np.pi * rng.uniform(-0.5, 0.5, size=net.n + 1))):
                 gamma = rng.uniform(net.gamma_lo, 1.0)
                 gamma[0] = 1.0
                 phi = DefenderResponse(sp_d=sp, gamma=gamma)
-                for family, value in zip(families, table.value(phi)):
+                for family, value in zip(families, table.value(phi), strict=True):
                     losses = []
                     for nodes in family.members():
                         delta = zeros_u(net)
@@ -448,6 +449,48 @@ class TestSolveAd:
         for solve in solves:
             with pytest.raises(ValueError, match="budget M"):
                 solve()
+
+    @pytest.mark.parametrize("case", ["no-rows", "short", "3-d", "entry-of-2", "entry-of-half"])
+    def test_linear_engines_reject_a_bad_security_vector(self, tree22, case):
+        # each once failed deep in the solve, or (entry 2) ran as secured
+        n = tree22.n + 1
+        u = zeros_u(tree22)
+        u = {
+            "no-rows": np.zeros((0, n), dtype=int),
+            "short": u[:-1],
+            "3-d": u[None, None],
+            "entry-of-2": np.where(np.arange(n) == tree22.der_nodes[0], 2, 0),
+            "entry-of-half": np.where(np.arange(n) == tree22.der_nodes[0], 0.5, 0.0),
+        }[case]
+        params = params_for(tree22, 10.0)
+        for engine in (solve_ad_oneshot, solve_ad_exhaustive):
+            with pytest.raises(ValueError, match="u must be a 0/1 vector or rows of them"):
+                engine(tree22, u, 1, params, LPF)
+
+    def test_linear_engines_read_one_row_as_the_vector(self, tree22):
+        params = params_for(tree22, 10.0)
+        u = zeros_u(tree22)
+        u[tree22.der_nodes[0]] = 1
+        for engine in (solve_ad_oneshot, solve_ad_exhaustive):
+            _same_result(engine(tree22, u[None].astype(bool), 2, params, LPF), engine(tree22, u, 2, params, LPF))
+
+    def test_nonlinear_solves_reject_rows_of_security_vectors(self, tree22, monkeypatch):
+        from dersec import NPF
+
+        # two rows once ended in an IndexError after the LPF solve
+        rows = np.zeros((2, tree22.n + 1), dtype=int)
+        rows[0, tree22.der_nodes[0]] = 1
+        params = params_for(tree22, 10.0)
+        calls = _count_lps(monkeypatch)
+        solves = (
+            lambda: solve_ad(tree22, rows, 1, params, NPF),
+            lambda: solve_ad_iterative(tree22, rows, 1, params),
+            lambda: sandwich_bounds(tree22, rows, 1, params),
+        )
+        for solve in solves:
+            with pytest.raises(ValueError, match="u of a nonlinear solve must be one 0/1 vector"):
+                solve()
+        assert calls == []
 
     def test_npf_is_lpf_seeded_iterative(self, tree22):
         from dersec import NPF

@@ -291,7 +291,8 @@ _MALFORMED = {
 }
 
 # sub-game inputs out of range, each once solved (exit 0, loss 0), crashed
-# with a traceback (W/C NaN or inf) or rejected only by a later gamma check
+# with a traceback (W/C or eps NaN or inf) or rejected only by a later gamma
+# check
 _BAD_SUBGAME_ARGS = {
     "budget_negative": ["solve-ad", "-M", "-1"],
     "wc_ratio_negative": ["solve-ad", "-M", "1", "--wc-ratio", "-1"],
@@ -301,10 +302,13 @@ _BAD_SUBGAME_ARGS = {
     "gamma_lo_above_one": ["solve-ad", "-M", "1", "--gamma-lo", "1.5"],
     "gamma_lo_nan": ["solve-ad", "-M", "1", "--gamma-lo", "nan"],
     "security_budget_negative": ["solve-dad", "-M", "2", "-B", "-1", "--wc-ratio", "10"],
+    "eps_nan": ["verify-bounds", "-M", "1", "--eps", "nan"],
+    "eps_inf": ["verify-bounds", "-M", "1", "--eps", "inf"],
 }
 
-# sweep axes out of range, each once written out as rows with total 0 or
-# crashed with a traceback (M 2.5 and the strings)
+# sweep axes out of range, each once written out as rows with total 0, run
+# as a number (true and false as 1 and 0) or crashed with a traceback (M 2.5
+# and the strings)
 _BAD_SWEEP_AXES = {
     "M_negative": ("M_values", [-1]),
     "M_not_an_integer": ("M_values", [2.5]),
@@ -312,6 +316,8 @@ _BAD_SWEEP_AXES = {
     "wc_ratio_not_a_number": ("wc_ratios", ["10"]),
     "gamma_lo_negative": ("gamma_lo_values", [-0.2]),
     "gamma_lo_not_a_number": ("gamma_lo_values", ["0.5"]),
+    "wc_ratio_bool": ("wc_ratios", [True]),
+    "gamma_lo_bool": ("gamma_lo_values", [False]),
 }
 
 

@@ -75,6 +75,19 @@ class TestBuild:
         with pytest.raises(InvalidNetwork):
             build_network(specs)
 
+    @pytest.mark.parametrize("field", ["r_pu", "x_pu", "pc_nom", "qc_nom", "der_cap", "nu0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        # a NaN r_pu once passed the r <= 0 test, and an infinite der_cap
+        # crashed the one-shot engine; only the JSON reader caught these
+        spec = NodeSpec(id=1, parent=0, r_pu=0.01, x_pu=0.012, pc_nom=0.02, qc_nom=0.01, der_cap=0.01)
+        if field == "nu0":
+            specs, options = [NodeSpec(id=0, parent=None), spec], {"nu0": value}
+        else:
+            specs, options = [NodeSpec(id=0, parent=None), dataclasses.replace(spec, **{field: value})], {}
+        with pytest.raises(InvalidNetwork, match="finite"):
+            build_network(specs, **options)
+
     def test_missing_parent_reference(self):
         specs = [
             NodeSpec(id=0, parent=None),

@@ -4,6 +4,7 @@ import pytest
 from dersec import (
     Injection,
     calibrate_epsilon,
+    eps_lpf,
     injection,
     nominal_injection,
     solve_eps_lpf,
@@ -100,8 +101,20 @@ class TestEpsLPF:
                 hi.nu - net.nu0, (1 + eps) * (lo.nu - net.nu0), rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            eps_lpf(eps)
+
 
 class TestNPF:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol once ran every sweep and raised NonConvergent
+        net = two_bus()
+        with pytest.raises(ValueError, match="tol"):
+            solve_npf(net, _inj(net, {1: 0.1 + 0.05j}), tol=tol)
+
     def test_zero_injection(self, homog37):
         st = solve_npf(homog37, _inj(homog37, {}))
         assert np.all(st.S == 0)
