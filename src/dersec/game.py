@@ -115,6 +115,11 @@ class _FamilyTable:
     no-attack voltages read the network, the set-points and the load scale
     alone, and are kept on the network under those. Families enter through
     ``add`` alone, numbered in first-seen order.
+
+    The per-family arrays ``taken``, ``wide``, ``seed_c0``, ``bound``,
+    ``exact`` and ``arg`` are views of the filled rows of buffers that grow in
+    place, doubling when full: ``add`` computes only the new rows, and
+    ``settle`` updates the bounds in place.
     """
 
     def __init__(self, lp: GammaControlLP, seed_D: np.ndarray):
@@ -129,19 +134,40 @@ class _FamilyTable:
         self.pool = [DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))]
         self.fams: list[PivotFamily] = []
         self.index: dict[PivotFamily, int] = {}          # family -> its index in fams
-        self.taken = np.zeros((0, net.n + 1))
-        self.wide = np.zeros(0, dtype=bool)              # families of more than one vector
-        self.seed_c0 = np.zeros((0, net.n))
-        self.bound = np.zeros(0)
-        self.exact = np.zeros(0, dtype=bool)
-        self.arg = np.zeros(0, dtype=np.intp)            # pool response that sets each bound
         self.solved: dict[tuple[int, ...], DefenderResponse] = {}
+        self._buffers = [
+            np.zeros((0, net.n + 1)),                    # taken
+            np.zeros(0, dtype=bool),                     # wide: families of more than one vector
+            np.zeros((0, net.n)),                        # seed_c0
+            np.zeros(0),                                 # bound
+            np.zeros(0, dtype=bool),                     # exact
+            np.zeros(0, dtype=np.intp),                  # arg: pool response that sets each bound
+        ]
+        self._fill(0)
+
+    def _fill(self, size: int) -> None:
+        """Point the per-family arrays at the first ``size`` rows of their
+        buffers, doubling the buffers first if they hold fewer (64 at least,
+        so that a one-shot row and its few solved vectors fit at once)."""
+        cap = len(self._buffers[0])
+        if size > cap:
+            for i, buf in enumerate(self._buffers):
+                grown = np.zeros((max(size, 2 * cap, 64), *buf.shape[1:]), dtype=buf.dtype)
+                grown[:cap] = buf
+                self._buffers[i] = grown
+        self.taken, self.wide, self.seed_c0, self.bound, self.exact, self.arg = (
+            buf[:size] for buf in self._buffers)
+
+    def _seed(self, sp_d: np.ndarray) -> bool:
+        """Whether ``sp_d`` are the seed's set-points (in the one-shot engine
+        every response's are the seed's own array)."""
+        return sp_d is self.lp.sp_d or np.array_equal(sp_d, self.lp.sp_d)
 
     def impacts(self, sp_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Model impacts on nodes 1..N and the voltages at gamma = 0 with no
         attack, under ``sp_d`` (the seed's are kept)."""
         lp = self.lp
-        if np.array_equal(sp_d, lp.sp_d):
+        if self._seed(sp_d):
             return self.seed_D, self.seed_nu
         no_attack = np.zeros(lp.net.n + 1, dtype=int)
         return impact_matrix(lp.net, sp_d, lp.model)[1:], lp.nu_intercept(no_attack, sp_d=sp_d)
@@ -154,20 +180,22 @@ class _FamilyTable:
         rows = np.arange(len(self.fams))[ks]
         wide = np.flatnonzero(self.wide[rows])
         if wide.size:
-            # per node, the boundary impacts in decreasing order and their running sums
-            boundary = np.zeros((wide.size, D.shape[1]), dtype=bool)
-            fill = np.zeros(wide.size, dtype=np.intp)
-            for r, k in enumerate(rows[wide]):
-                boundary[r, list(self.fams[k].boundary)] = True
-                fill[r] = self.fams[k].fill
-            ranked = -np.sort(np.where(boundary[:, None, :], -D[None], np.inf), axis=2)
+            # per node, the boundary impacts in decreasing order and their
+            # running sums; a last column of +inf pads the shorter boundaries
+            fams = [self.fams[k] for k in rows[wide].tolist()]
+            size = np.array([len(f.boundary) for f in fams])
+            index = np.full((wide.size, size.max()), D.shape[1])
+            index[np.arange(size.max()) < size[:, None]] = list(
+                itertools.chain.from_iterable(f.boundary for f in fams))
+            padded = np.hstack([-D, np.full((D.shape[0], 1), np.inf)])
+            ranked = -np.sort(padded[:, index].transpose(1, 0, 2), axis=2)
+            fill = np.array([f.fill for f in fams])
             drop[wide] += np.cumsum(ranked, axis=2)[np.arange(wide.size), :, fill - 1]
         return nu - drop
 
     def voltages(self, phi: DefenderResponse, ks=slice(None)) -> np.ndarray:
         # the seed's intercept serves every response that keeps its set-points
-        same = np.array_equal(phi.sp_d, self.lp.sp_d)
-        c0 = self.seed_c0[ks] if same else self.intercept(phi.sp_d, ks)
+        c0 = self.seed_c0[ks] if self._seed(phi.sp_d) else self.intercept(phi.sp_d, ks)
         return c0 - self.lp.G @ phi.gamma[1 + self.lp.loaded]
 
     def value(self, phi: DefenderResponse, ks=slice(None)) -> np.ndarray:
@@ -186,16 +214,15 @@ class _FamilyTable:
             return indices
         ks = slice(start, None)
         self.fams += new
-        taken = np.zeros((len(new), self.taken.shape[1]))
-        rows = np.repeat(np.arange(len(new)), [len(f.taken) for f in new])
-        taken[rows, list(itertools.chain.from_iterable(f.taken for f in new))] = 1.0
-        self.taken = np.vstack([self.taken, taken])
-        self.wide = np.append(self.wide, [bool(f.boundary) for f in new])
-        self.seed_c0 = np.vstack([self.seed_c0, self.intercept(self.lp.sp_d, ks)])
+        self._fill(len(self.fams))
+        rows = np.repeat(np.arange(start, len(self.fams)), [len(f.taken) for f in new])
+        self.taken[rows, list(itertools.chain.from_iterable(f.taken for f in new))] = 1.0
+        self.wide[ks] = [bool(f.boundary) for f in new]
+        self.seed_c0[ks] = self.intercept(self.lp.sp_d, ks)
         values = [self.value(phi, ks) for phi in self.pool]
-        self.bound = np.append(self.bound, np.min(values, axis=0))
-        self.exact = np.append(self.exact, self.bound[ks] <= 0.0)
-        self.arg = np.append(self.arg, np.argmin(values, axis=0))
+        self.bound[ks] = np.min(values, axis=0)
+        self.exact[ks] = self.bound[ks] <= 0.0
+        self.arg[ks] = np.argmin(values, axis=0)
         return indices
 
     def settle(self, k: int, phi: DefenderResponse) -> None:
@@ -205,7 +232,7 @@ class _FamilyTable:
         self.pool.append(phi)
         v = self.value(phi)
         self.arg[v < self.bound] = len(self.pool) - 1
-        self.bound = np.minimum(self.bound, v)
+        np.minimum(self.bound, v, out=self.bound)
         self.exact |= self.bound <= 0.0
         self.exact[k] = True
 
@@ -298,6 +325,8 @@ def _pooled_best_first(
             vector = table.attaining(k)
             if not pick or vector < pick[0]:
                 pick = (vector, k)
+        if pick is None:
+            raise ValueError(f"security row {u_row}: an attack family's bound is not a number")
         vector, k = pick
         (single,) = table.add([PivotFamily(vector)])
         # a member whose own bound is closed, or exact, is not worth an LP
@@ -349,11 +378,14 @@ def solve_ad_oneshot(
     Set-points are fixed in closed form, so pooled responses differ only in
     the load-control vector gamma; a vector's exact response is its LP. Each
     row's attacks are its ``ranked_families``, at most one per pivot, read
-    from one ranking of every DER by LPF impact at each pivot, made once per
-    solve from the impact matrix that also seeds the bounds. They are bounded
-    as families, so no candidate vector is listed and no candidate cap
-    applies. A 2-D ``u`` holds rows of alternative security vectors; the
-    result is the least row's (``_pooled_best_first``).
+    from one ranking of every DER by LPF impact at each pivot. Every solve
+    computes the impact matrix, which also seeds the bounds; the ranking,
+    and the families of a row that secures nothing, read that matrix and M
+    alone, so they are kept on the network under its bytes (rows that secure
+    a node are ranked per solve: Stage 1 draws up to millions of them). They
+    are bounded as families, so no candidate vector is listed and no
+    candidate cap applies. A 2-D ``u`` holds rows of alternative security
+    vectors; the result is the least row's (``_pooled_best_first``).
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
@@ -362,8 +394,11 @@ def solve_ad_oneshot(
     sp_d = fixed_angle_setpoints(net)
     lp = GammaControlLP(net, params, model, sp_d)
     D = impact_matrix(net, sp_d, LPF)[1:]
-    ranking = impact_ranking(D, net.der_nodes)
-    rows = (ranked_families(ranking, M, row) for row in secured)
+    key = D.tobytes()
+    ranking = net.derived(("impact_ranking", key), lambda: impact_ranking(D, net.der_nodes))
+    rows = (ranked_families(ranking, M, row) if row.any() else
+            net.derived(("unsecured_families", key, M), lambda: ranked_families(ranking, M, row))
+            for row in secured)
     # the model's impacts are the LPF ones scaled by its load scale, as
     # impact_matrix scales them
     return _pooled_best_first(lp, model.load_scale * D, secured, rows,

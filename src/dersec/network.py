@@ -8,13 +8,16 @@ are per-unit.
 Some constants the solvers derive from a network alone are kept on it,
 built on first use through ``Network.derived`` and read-only: the uniform
 r/x ratio, the symmetry check, the load-control model's flow and voltage
-matrices per load scale, and the exact engines' no-attack voltages at their
-seed set-points per load scale. None is the result of an impact matrix, a
-power flow or an LP, so a solve on a used network makes those calls as
-often as on a fresh one and saves only the work beside them. Nothing is
-built with the network, and a copy made with ``dataclasses.replace``
-(``with_gamma_lo``, for one) starts empty. What reads the cost weights, an
-attack or a response is built per solve.
+matrices per load scale, the whole load-control model (LP rows, objective,
+bounds) per load scale and the bytes of the weights W and C, the exact
+engines' no-attack voltages at their seed set-points per load scale, and
+the one-shot engine's impact ranking and the pivot families of a row that
+secures nothing, per budget, under the bytes of the impact matrix they are
+read from. None stands in for an impact matrix, a power flow or an LP, so
+a solve on a used network makes those calls as often as on a fresh one and
+saves only the work beside them. Nothing is built with the network, and a
+copy made with ``dataclasses.replace`` (``with_gamma_lo``, for one) starts
+empty. What reads an attack or a response is built per solve.
 """
 
 from __future__ import annotations
@@ -124,8 +127,11 @@ class Network:
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
         """The network constant ``key``: ``build()`` on first use, then the
         value kept from it. ``build`` must read nothing but this network and
-        what ``key`` names, since every later call gets its value; the arrays
-        in it, alone or in a tuple, are made read-only. A copy made with
+        what ``key`` names, by value (a load scale, the bytes of a weight
+        array; never an ``id()``, which a later object can reuse), since every
+        later call gets its value; the arrays in it, alone or in a tuple, are
+        made read-only, and any other object in it must not change after
+        ``build``, since threads share it. A copy made with
         ``dataclasses.replace`` starts with none kept."""
         try:
             return self._derived[key]

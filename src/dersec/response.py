@@ -6,14 +6,14 @@ Every response LP is one affine model in x = [gamma of the loaded nodes,
 ``offset + mat @ x``; the epigraph rows t >= W (nu_lo - nu) and, per free DER,
 the facet rows of an inner polygon of its first-quadrant disk form one
 matrix; the base objective, the variable bounds and the per-variable trust
-spans are fixed arrays. All of that is assembled once per model, on its
-first solve: the pooled bounds read only the flow and voltage matrices, which
-are built with the model, and many load-control models never solve. Those of
-the load-control model read nothing but the network and the load scale, so
-they are built once per network and scale and kept on the network. A solve
-changes only the voltage offset (set by the generation the attack fixes and,
-for the nonlinear model, the loss flows ell frozen at the last power-flow
-state), which gives the right-hand side, plus the objective and the box:
+spans are fixed, read-only arrays. All of that is assembled with the model.
+The load-control model's flow and voltage matrices read nothing but the
+network and the load scale, so they are kept on the network per scale; the
+whole load-control model reads the weights as well, and is kept per scale
+and weights (``GammaControlLP``). A solve changes only the voltage offset
+(set by the generation the attack fixes and, for the nonlinear model, the
+loss flows ell frozen at the last power-flow state), which gives the
+right-hand side, plus the objective and the box:
 
 - the load-control LP (``GammaControlLP``) is the model with every DER fixed,
   reused across attack vectors;
@@ -52,7 +52,6 @@ it searched.
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -221,57 +220,48 @@ def _flow_matrices(
 class _ResponseModel:
     """Affine (P, Q, nu) = offset + mat @ x over x = [gamma of the loaded
     nodes, (pg, qg) per free DER, t], with its LP rows, base objective,
-    bounds and trust spans assembled on its first solve: many load-control
-    models never solve.
+    bounds and trust spans, all assembled with the model and never changed
+    after.
 
     ``free`` holds the node ids of the dispatchable DERs; every other DER's
     generation is fixed and enters only through the offset.
     """
 
     def __init__(self, net: Network, params: CostParams, kappa: float, free: np.ndarray):
-        self.net, self.params, self.kappa, self.free = net, params, kappa, free
+        self.net, self.kappa, self.free = net, kappa, free
         if free.size:
             flows = _flow_matrices(net, kappa, free)
         else:
-            # the load-control model reads the network and kappa alone
+            # the load-control model's flows read the network and kappa alone
             flows = net.derived(("load_control", kappa), lambda: _flow_matrices(net, kappa, free))
         self.loaded, self.P_mat, self.Q_mat, self.nu_mat = flows
         self._p_cols = self.loaded.size + 2 * np.arange(free.size)     # qg columns follow
         self._Msub = net.tree.subtree_mask[1:, 1:]
-        self._W = params.W[1:]
-
-    @functools.cached_property
-    def _rows(self) -> tuple[tuple[list, list, list], np.ndarray]:
-        """The LP rows, column-wise, and the right-hand side of the facet
-        rows: the epigraph rows t >= W (nu_lo - nu) and, per free DER, the
-        facet rows of its inner polygon."""
-        free, p_cols = self.free, self._p_cols
+        self._W = params.W[1:].copy()          # a kept model must not see W change
+        n_gamma = self.loaded.size
+        # the LP rows, column-wise as tuples (HiGHS copies them as fast as
+        # lists, and they cannot change), and the right-hand side of the facet
+        # rows: the epigraph rows t >= W (nu_lo - nu) and, per free DER, the
+        # facet rows of its inner polygon
         epigraph = -(self._W[:, None] * self.nu_mat)
         epigraph[:, -1] = -1.0
         rows = np.arange(free.size * _DISK_FACETS)
         facets = np.zeros((rows.size, epigraph.shape[1]))
-        facets[rows, np.repeat(p_cols, _DISK_FACETS)] = np.tile(_FACET_P, free.size)
-        facets[rows, np.repeat(p_cols + 1, _DISK_FACETS)] = np.tile(_FACET_Q, free.size)
-        b_facet = np.repeat(self.net.der_cap[free] * _FACET_SUPPORT, _DISK_FACETS)
-        return _columnwise(np.vstack([epigraph, facets])), b_facet
-
-    @functools.cached_property
-    def c(self) -> np.ndarray:
-        """The base objective: the cost of the shed load, plus t."""
-        pc = np.real(self.net.sc_nom)[1:][self.loaded]
-        c = np.zeros(self.nu_mat.shape[1])
-        c[: self.loaded.size] = -self.params.C[1:][self.loaded] * pc
-        c[-1] = 1.0
-        return c
-
-    @functools.cached_property
-    def _box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The variable bounds and the trust span of every variable but t."""
-        caps = np.repeat(self.net.der_cap[self.free], 2)
-        n_gamma = self.loaded.size
-        lb = np.concatenate([self.net.gamma_lo[1:][self.loaded], np.zeros(caps.size), [0.0]])
-        ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
-        return lb, ub, np.concatenate([np.ones(n_gamma), caps])
+        facets[rows, np.repeat(self._p_cols, _DISK_FACETS)] = np.tile(_FACET_P, free.size)
+        facets[rows, np.repeat(self._p_cols + 1, _DISK_FACETS)] = np.tile(_FACET_Q, free.size)
+        self._A = tuple(map(tuple, _columnwise(np.vstack([epigraph, facets]))))
+        self._b_facet = np.repeat(net.der_cap[free] * _FACET_SUPPORT, _DISK_FACETS)
+        # the base objective: the cost of the shed load, plus t
+        self.c = np.zeros(self.nu_mat.shape[1])
+        self.c[:n_gamma] = -params.C[1:][self.loaded] * np.real(net.sc_nom)[1:][self.loaded]
+        self.c[-1] = 1.0
+        # the variable bounds and the trust span of every variable but t
+        caps = np.repeat(net.der_cap[free], 2)
+        self._lb = np.concatenate([net.gamma_lo[1:][self.loaded], np.zeros(caps.size), [0.0]])
+        self._ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
+        self._span = np.concatenate([np.ones(n_gamma), caps])
+        for part in (self._W, self._b_facet, self.c, self._lb, self._ub, self._span):
+            part.setflags(write=False)
 
     def nu_offset(self, sg: np.ndarray, ell: np.ndarray) -> np.ndarray:
         """Voltages at x = 0, per node 1..N, under the fixed generation ``sg``
@@ -286,10 +276,9 @@ class _ResponseModel:
     ) -> np.ndarray:
         """The LP's x at the voltage offset ``nu_offset``, under the objective
         ``c`` and the bounds ``box`` = (lb, ub), by default the model's own."""
-        A, b_facet = self._rows
-        b = np.concatenate([self._W * (nu_offset - self.net.nu_lo[1:]), b_facet])
-        lb, ub = self._box[:2] if box is None else box
-        return linprog(self.c if c is None else c, A, b, lb, ub)
+        b = np.concatenate([self._W * (nu_offset - self.net.nu_lo[1:]), self._b_facet])
+        lb, ub = (self._lb, self._ub) if box is None else box
+        return linprog(self.c if c is None else c, self._A, b, lb, ub)
 
     def pack(self, gamma: np.ndarray, sp_d: np.ndarray) -> np.ndarray:
         x = np.zeros(self.nu_mat.shape[1])
@@ -298,12 +287,15 @@ class _ResponseModel:
         x[self._p_cols + 1] = sp_d[self.free].imag
         return x
 
+    def gamma(self, x: np.ndarray) -> np.ndarray:
+        """gamma over nodes 0..N from the LP's ``x``, clipped into its bounds."""
+        gamma = np.ones(self.net.n + 1)
+        gamma[1 + self.loaded] = np.clip(x[: self.loaded.size], self._lb[: self.loaded.size], 1.0)
+        return gamma
+
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         net = self.net
-        gamma = np.ones(net.n + 1)
-        gamma[1 + self.loaded] = np.clip(
-            x[: self.loaded.size], net.gamma_lo[1:][self.loaded], 1.0
-        )
+        gamma = self.gamma(x)
         pg = np.maximum(x[self._p_cols], 0.0)
         qg = np.maximum(x[self._p_cols + 1], 0.0)
         cap = net.der_cap[self.free]
@@ -320,9 +312,8 @@ class _ResponseModel:
     def trust_box(self, x: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Bounds intersected with a box of ``radius`` spans around ``x``; the
         epigraph variable t keeps its own bounds."""
-        lb, ub, span = self._box
-        step = radius * span
-        lb, ub = lb.copy(), ub.copy()
+        step = radius * self._span
+        lb, ub = self._lb.copy(), self._ub.copy()
         lb[:-1] = np.maximum(lb[:-1], x[:-1] - step)
         ub[:-1] = np.minimum(ub[:-1], x[:-1] + step)
         return lb, ub
@@ -337,8 +328,12 @@ class GammaControlLP:
     G = 2 kappa (Re Z[1:, 1+loaded] pc + Im Z[1:, 1+loaded] qc). Zero-demand
     nodes carry no gamma variable and report gamma = 1. It is the response
     model with no free DER: only the constraint right-hand side depends on the
-    attack vector, so the matrix is assembled at most once, at the first attack
-    that needs an LP, and reused across attacks.
+    attack vector. That model, with its LP rows, objective and bounds, G and
+    the term W G 1 of the no-violation test, reads only the network, the load
+    scale and the weights W and C, so it is built once per network, load
+    scale and the bytes of W and C, kept on the network read-only, and shared
+    by every load-control LP (and thread) on them; this object holds only the
+    set-points.
     """
 
     def __init__(
@@ -354,9 +349,13 @@ class GammaControlLP:
         self.params = params
         self.model = model
         self.sp_d = np.asarray(sp_d, dtype=complex)
-        self._lp = _ResponseModel(net, params, model.load_scale, np.zeros(0, dtype=int))
+        kappa = model.load_scale
+        W, C = (np.asarray(w, dtype=float) for w in (params.W, params.C))
+        self._lp, self.G, self._WG = net.derived(
+            ("load_control_model", kappa, W.tobytes(), C.tobytes()),
+            lambda: _load_control_model(net, params, kappa),
+        )
         self.loaded = self._lp.loaded
-        self.G = -self._lp.nu_mat[:, :-1]
 
     def nu_intercept(
         self, delta: np.ndarray, sp_a: np.ndarray | None = None, sp_d: np.ndarray | None = None
@@ -369,12 +368,19 @@ class GammaControlLP:
 
     def solve(self, delta: np.ndarray, sp_a: np.ndarray | None = None) -> np.ndarray:
         c0 = self.nu_intercept(delta, sp_a)
-        W = self.params.W[1:]
         # gamma = 1 is optimal whenever it produces no violation
-        if np.all(W * self.G.sum(axis=1) - W * (c0 - self.net.nu_lo[1:]) <= 0.0):
+        if np.all(self._WG - self.params.W[1:] * (c0 - self.net.nu_lo[1:]) <= 0.0):
             return np.ones(self.net.n + 1)
-        lp = self._lp
-        return lp.unpack(lp.solve(c0))[0]
+        return self._lp.gamma(self._lp.solve(c0))
+
+
+def _load_control_model(
+    net: Network, params: CostParams, kappa: float
+) -> tuple[_ResponseModel, np.ndarray, np.ndarray]:
+    """The response model with no free DER, its G and W G 1."""
+    lp = _ResponseModel(net, params, kappa, np.zeros(0, dtype=int))
+    G = -lp.nu_mat[:, :-1]
+    return lp, G, params.W[1:] * G.sum(axis=1)
 
 
 def _warm_setpoints(net: Network) -> np.ndarray:

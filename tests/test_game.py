@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -227,6 +229,27 @@ class TestFamilyBound:
                     assert value == pytest.approx(max(losses), abs=1e-9)
 
 
+    @pytest.mark.parametrize("M", [3, 8, 12])
+    def test_boundary_sums_add_the_largest_impacts_in_order(self, homog37, M):
+        # a wide family's drop at a node adds its fill largest boundary
+        # impacts one at a time, largest first; a loop checks it bit for bit
+        net = with_gamma_lo(homog37, 0.5)
+        sp = fixed_angle_setpoints(net)
+        D = impact_matrix(net, sp, LPF)[1:]
+        families = list(ranked_families(impact_ranking(D, net.der_nodes), M, zeros_u(net)))
+        # split children give boundaries of other widths
+        families += [c for f in families if f.boundary for c in f.split(f.boundary[0])]
+        table = dersec.game._FamilyTable(GammaControlLP(net, params_for(net, 10.0), LPF, sp), D)
+        table.add(families)
+        assert table.wide.any()
+        drop = table.taken @ D.T
+        for r, f in enumerate(table.fams):
+            for p in range(net.n) if f.boundary else ():
+                ranked = sorted(D[p, list(f.boundary)].tolist(), reverse=True)
+                drop[r, p] += functools.reduce(operator.add, ranked[: f.fill])
+        assert np.array_equal(table.intercept(sp), table.impacts(sp)[1] - drop)
+
+
 class TestOneShotLiterals:
     """Values, attacks and LP counts on the study feeder, as computed when
     the engine still enumerated every candidate vector."""
@@ -249,6 +272,24 @@ class TestOneShotLiterals:
         assert res.loss.total == total
         assert np.flatnonzero(res.delta_star).tolist() == list(attacked)
         assert len(calls) == lps
+
+    # each entry's least member is nodes 9..M+7 and one more node; the wide
+    # families among them are bounded through their boundary sums
+    @pytest.mark.parametrize("M,model,trace", [
+        (8, "lpf", [(16, "79.14236279047573")] * 7 + [(17, "79.14236279047573")]
+         + [(j, "79.14236279046796") for j in (18, 19, 20, 21)] + [(22, "68.80334078968042")]),
+        (8, "eps", [(16, "541.1471980957307")] * 7 + [(17, "541.1471980957307")]
+         + [(j, "541.147198095723") for j in (18, 19, 20, 21, 22)]),
+        (12, "lpf", [(20, "468.7452509252807")] * 5 + [(j, "468.7452509252807") for j in (21, 22)]),
+        (12, "eps", [(20, "1621.5636089074574")] * 5 + [(21, "1621.5636089074574"),
+                                                         (22, "1504.2585085099217")]),
+    ])
+    def test_trace_bounds(self, homog37, M, model, trace):
+        net = with_gamma_lo(homog37, 0.5)
+        tag = LPF if model == "lpf" else eps_lpf(calibrate_epsilon(homog37).eps)
+        res = solve_ad_oneshot(net, None, M, params_for(net, 10.0), tag)
+        assert [(e.delta, repr(e.loss)) for e in res.trace] == [
+            ((*range(9, M + 8), j), loss) for j, loss in trace]
 
 
 def _per_vector_value(net, M, params, model):
@@ -411,6 +452,13 @@ class TestSecurityRows:
         with pytest.raises(EnumerationCapExceeded):
             solve_ad_oneshot(net, rows, M, params, LPF)
         assert len(calls) == 2
+
+    def test_a_bound_that_is_not_a_number_is_named(self, feeder, monkeypatch):
+        net, params, _, M, _ = feeder
+        monkeypatch.setattr(dersec.game._FamilyTable, "value",
+                            lambda table, phi, ks=slice(None): np.full(len(table.fams), np.nan)[ks])
+        with pytest.raises(ValueError, match="security row 0: .* bound is not a number"):
+            solve_ad_oneshot(net, None, M, params, LPF)
 
 
 def _same_result(a, b):

@@ -581,19 +581,53 @@ def test_demo_runs(demo, tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-def test_bench_traced_names_stay_bound():
-    # the bench tracer drops the metrics of a traced name that no longer
-    # resolves, so a change that deletes one quietly changes the bench output
+def _bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_bench_traced_names_stay_bound():
+    # the bench tracer drops the metrics of a traced name that no longer
+    # resolves, so a change that deletes one quietly changes the bench output
+    tracer = _bench_tracer()
     assert tracer.TRACED
     for span, module_name, attr in tracer.TRACED:
         target = importlib.import_module(module_name)
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), (span, module_name, attr)
+
+
+@pytest.mark.parametrize("case", ["oneshot-linear", "security-plan-sym", "security-plan-het"])
+def test_used_network_makes_every_traced_call(case):
+    # the bench's traced run fails when a second pass over the same networks
+    # makes fewer traced calls than the first, as a per-network store of a
+    # traced call's result would; every traced count must repeat here too
+    make, solve = {
+        "oneshot-linear": (lambda: with_gamma_lo(homogeneous37(), 0.5),
+                           lambda net, params: solve_ad_oneshot(net, None, 12, params, LPF)),
+        "security-plan-sym": (lambda: balanced_tree(3, 2),
+                              lambda net, params: solve_dad(net, 2, 2, params, LPF)),
+        "security-plan-het": (lambda: random_feasible_network(9, identical_k=False),
+                              lambda net, params: solve_dad(net, 1, 2, params, LPF)),
+    }[case]
+    net = make()
+    params = CostParams.from_ratio(net, 10.0)
+    counts = []
+    for _ in range(2):
+        tracer = _bench_tracer().Tracer()
+        tracer.install()
+        try:
+            solve(net, params)
+        finally:
+            tracer.uninstall()
+        assert not tracer.absent
+        counts.append(dict(tracer.calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["response.linprog"] > 0 and counts[0]["attack.impact_matrix"] > 0
 
 
 def test_bench_call_shapes_stay_valid():

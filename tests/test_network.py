@@ -252,6 +252,22 @@ class TestDerivedConstants:
             for name in ("lpf", "npf", "eps_lpf"):
                 assert _answer(shared.results[name]) == _answer(fresh.results[name])
 
+    @pytest.mark.parametrize("case,M", [("feeder", 12), ("heterogeneous-rx", 2)])
+    def test_weights_keep_their_own_model(self, case, M):
+        # weights W/C 2, then 10, then 2 again, each under LPF then eps-LPF,
+        # on one network: every solve finds the models of the ones before it
+        # kept, and answers as on a fresh copy
+        net = {
+            "feeder": lambda: with_gamma_lo(homogeneous37(), 0.5),
+            "heterogeneous-rx": lambda: random_feasible_network(9, identical_k=False),
+        }[case]()
+        for wc in (2.0, 10.0, 2.0):
+            params = params_for(net, wc)
+            for model in (LPF, eps_lpf(0.05)):
+                shared = dersec.game.solve_ad(net, None, M, params, model)
+                fresh = dersec.game.solve_ad(dataclasses.replace(net), None, M, params, model)
+                assert _answer(shared) == _answer(fresh)
+
     def test_kept_arrays_are_read_only(self):
         net = homogeneous37()
         built = []
@@ -266,6 +282,17 @@ class TestDerivedConstants:
         assert GammaControlLP(net, params_for(net, 2.0), LPF, sp_d)._lp.nu_mat is lp._lp.nu_mat
         with pytest.raises(ValueError, match="read-only"):
             lp._lp.nu_mat[0, 0] = 0.0
+        # the load-control model is kept per load scale and weights: other
+        # weights get their own rows, equal weights the same model
+        other = GammaControlLP(net, params_for(net, 2.0), LPF, sp_d)._lp
+        assert other is not lp._lp and other._A[2] != lp._lp._A[2]
+        assert GammaControlLP(net, params_for(net, 10.0), LPF, sp_d)._lp is lp._lp
+        assert GammaControlLP(net, params_for(net, 10.0), eps_lpf(0.05), sp_d)._lp is not lp._lp
+        # its rows, bounds, objective and G cannot change
+        assert all(isinstance(part, tuple) for part in lp._lp._A)
+        for part in (lp._lp._W, lp._lp._b_facet, lp._lp.c, lp._lp._lb, lp._lp._ub, lp.G, lp._WG):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0.0
         # set-points are not kept: every call returns a fresh array
         for setpoints in (fixed_angle_setpoints, polygon_setpoints):
             assert setpoints(net) is not setpoints(net)
@@ -290,6 +317,21 @@ class TestDerivedConstants:
         assert net._derived
         assert counts[0] == counts[1]
         assert counts[0]["linprog"] > 0
+
+    def test_rows_that_secure_nothing_are_ranked_once(self, monkeypatch):
+        # the families of a row that secures nothing read the impact matrix
+        # and M alone and are kept; a row that secures a node is ranked anew
+        calls = []
+        monkeypatch.setattr(dersec.game, "ranked_families",
+                            functools.partial(_counted, calls, "ranked_families", dersec.game.ranked_families))
+        net = with_gamma_lo(homogeneous37(), 0.5)
+        secured = np.zeros(net.n + 1, dtype=int)
+        secured[net.der_nodes[0]] = 1
+        for wc in (2.0, 10.0):
+            for model in (LPF, eps_lpf(0.05)):
+                for u in (None, secured):
+                    dersec.game.solve_ad_oneshot(net, u, 12, params_for(net, wc), model)
+        assert len(calls) == 1 + 4
 
     def test_copies_start_empty(self):
         net = balanced_tree(2, 2)
