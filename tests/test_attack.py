@@ -21,6 +21,7 @@ from dersec.attack import (
     PivotFamily,
     _partition_walks,
     attack_strategy,
+    effective_setpoints,
     impact_matrix,
     impact_ranking,
     ranked_families,
@@ -61,6 +62,21 @@ class TestAttackerSetpoints:
         for i in np.flatnonzero(delta):
             assert np.real(psi.sp_a[i]) == 0.0
             assert abs(psi.sp_a[i]) == pytest.approx(fig2.der_cap[i])
+
+
+    def test_lists_match_arrays(self, fig2):
+        # the public edges take array-likes: a list gives the arrays an
+        # ndarray gives, of the same dtype
+        delta = _to_delta(fig2, [2, 5])
+        sp_d = fixed_angle_setpoints(fig2)
+        sp_a = attack_strategy(fig2, delta).sp_a
+        from_list = attack_strategy(fig2, delta.tolist())
+        for got, want in zip((from_list.delta, from_list.sp_a), (delta, sp_a)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for args in ((), (sp_a,)):
+            want = effective_setpoints(fig2, delta, sp_d, *args)
+            got = effective_setpoints(fig2, delta.tolist(), sp_d.tolist(), *(a.tolist() for a in args))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _setpoint_at(net, j, value):

@@ -30,6 +30,25 @@ def _inj(net, s_complex_by_node):
     return Injection(sc=sc, sg=np.zeros(net.n + 1, dtype=complex))
 
 
+class TestInjection:
+    def test_lists_match_arrays(self, homog37):
+        # the public edge takes array-likes: lists give the arrays ndarrays give
+        gamma = np.linspace(0.5, 1.0, homog37.n + 1)
+        sg = 0.5 * homog37.der_cap * np.exp(0.3j)
+        want = injection(homog37, gamma, sg)
+        got = injection(homog37, gamma.tolist(), sg.tolist())
+        for a, b in ((got.sc, want.sc), (got.sg, want.sg)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_lists_checked_as_arrays(self, homog37):
+        gamma = [1.0] * (homog37.n + 1)
+        sg = (2.0 * homog37.der_cap).tolist()
+        with pytest.raises(ValueError, match="capability"):
+            injection(homog37, gamma, sg)
+        with pytest.raises(ValueError, match="nominal"):
+            injection(homog37, [1.5] * (homog37.n + 1), [0.0] * (homog37.n + 1))
+
+
 class TestLPF:
     def test_zero_injection(self, homog37):
         st = solve_lpf(homog37, _inj(homog37, {}))

@@ -222,6 +222,12 @@ class TestDADLiterals:
         # rows without an exact loss rank at 0, not below a row that loses 0
         # (at -inf: 9 LPs)
         ("identical-rx-39", 2, 4, "0.0", (1, 9), (2, 4, 6, 10), 3),
+        # heterogeneous r/x with a loss above 0: the exhaustive engine's
+        # Stage 1 (every heterogeneous-rx stratum point above loses 0.0)
+        ("heterogeneous37", 1, 12, "355.8595925109543", (11,),
+         (9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 22), 15),
+        ("heterogeneous37", 2, 12, "195.52470758629266", (9, 11),
+         (10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22), 91),
     ])
     def test_values(self, monkeypatch, case, B, M, loss, secured, attacked, lps):
         net = {
@@ -230,6 +236,7 @@ class TestDADLiterals:
             "identical-rx-39": lambda: random_feasible_network(39),
             "heterogeneous-rx": lambda: random_feasible_network(9, identical_k=False),
             "feeder": lambda: with_gamma_lo(homogeneous37(), 0.5),
+            "heterogeneous37": lambda: with_gamma_lo(heterogeneous37(0), 0.5),
         }[case]()
         calls = _count_lps(monkeypatch)
         dad = solve_dad(net, B, M, params_for(net, 10.0), LPF)
