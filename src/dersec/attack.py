@@ -50,7 +50,7 @@ def attack_strategy(net: Network, delta: np.ndarray) -> AttackStrategy:
     vector: zero real power, full reactive withdrawal."""
     delta = np.asarray(delta)
     sp_a = np.zeros(net.n + 1, dtype=complex)
-    idx = np.flatnonzero(delta)
+    idx = delta.ravel().nonzero()[0]
     sp_a[idx] = -1j * net.der_cap[idx]
     return AttackStrategy(delta=delta.astype(int), sp_a=sp_a)
 
@@ -77,7 +77,7 @@ def impact_matrix(net: Network, sp_d: np.ndarray, model: ModelTag) -> np.ndarray
     w = np.asarray(sp_d, dtype=complex) + 1j * net.der_cap
     w = np.where(net.der_cap > 0.0, w, 0.0)
     w[0] = 0.0
-    D = 2.0 * (np.real(net.Z) * np.real(w)[None, :] + np.imag(net.Z) * np.imag(w)[None, :])
+    D = 2.0 * (net.Z.real * w.real[None, :] + net.Z.imag * w.imag[None, :])
     return model.load_scale * D
 
 
@@ -97,7 +97,7 @@ def _check_budget(name: str, value) -> None:
 
 
 def _vulnerable_nodes(net: Network, u: np.ndarray) -> np.ndarray:
-    return np.flatnonzero((net.der_cap > 0.0) & (np.asarray(u) == 0))
+    return ((net.der_cap > 0.0) & (np.asarray(u) == 0)).ravel().nonzero()[0]
 
 
 class PivotFamily(NamedTuple):
@@ -152,8 +152,8 @@ class ImpactRanking(NamedTuple):
 def impact_ranking(D: np.ndarray, pool: np.ndarray) -> ImpactRanking:
     """The ranking of ``pool`` at every row of ``D`` (the impacts at one pivot)."""
     vals = D[:, pool]
-    order = np.lexsort((np.broadcast_to(pool, vals.shape), -vals))
-    return ImpactRanking(pool[order], np.take_along_axis(vals, order, axis=1))
+    order = np.lexsort((pool[None, :].repeat(len(vals), axis=0), -vals))
+    return ImpactRanking(pool[order], vals[np.arange(len(vals))[:, None], order])
 
 
 def _partition_walks(ranking: ImpactRanking, budget: int) -> list[PivotFamily]:
@@ -214,7 +214,7 @@ def pivot_optimal_attack(
     return PivotAttack(
         pivot=pivot,
         delta=delta,
-        impact=float(D[np.flatnonzero(delta)].sum()),
+        impact=float(D[delta.nonzero()[0]].sum()),
     )
 
 

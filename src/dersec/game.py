@@ -93,8 +93,8 @@ def _vectors(net: Network, v, name: str, rows: bool = False) -> np.ndarray:
     one vector, or with ``rows`` one or more rows of them (a vector is one
     row). Raises ValueError on any other shape or value."""
     a = np.zeros(net.n + 1, dtype=int) if v is None else np.asarray(v)
-    if rows:
-        a = np.atleast_2d(a)
+    if rows and a.ndim == 1:
+        a = a[None]
     if a.ndim != 1 + rows or a.shape[-1] != net.n + 1 or not a.size or not ((a == 0) | (a == 1)).all():
         what = "a 0/1 vector or rows of them" if rows else "one 0/1 vector"
         raise ValueError(f"{name} must be {what} over nodes 0..{net.n}")
@@ -127,7 +127,7 @@ class _FamilyTable:
         self.lp = lp
         self.W = lp.params.W[1:]
         self.nu_lo = net.nu_lo[1:]
-        self.voll_rate = lp.params.C[1:] * np.real(net.sc_nom)[1:]
+        self.voll_rate = lp.params.C[1:] * net.sc_nom.real[1:]
         self.seed_D = seed_D
         self.seed_nu = net.derived(("no_attack_nu", lp.sp_d.tobytes(), lp.model.load_scale),
                                    lambda: lp.nu_intercept(np.zeros(net.n + 1, dtype=int)))
@@ -135,24 +135,24 @@ class _FamilyTable:
         self.fams: list[PivotFamily] = []
         self.index: dict[PivotFamily, int] = {}          # family -> its index in fams
         self.solved: dict[tuple[int, ...], DefenderResponse] = {}
+        # 64 rows, so that a one-shot row and its few solved vectors fit at once
         self._buffers = [
-            np.zeros((0, net.n + 1)),                    # taken
-            np.zeros(0, dtype=bool),                     # wide: families of more than one vector
-            np.zeros((0, net.n)),                        # seed_c0
-            np.zeros(0),                                 # bound
-            np.zeros(0, dtype=bool),                     # exact
-            np.zeros(0, dtype=np.intp),                  # arg: pool response that sets each bound
+            np.zeros((64, net.n + 1)),                   # taken
+            np.zeros(64, dtype=bool),                    # wide: families of more than one vector
+            np.zeros((64, net.n)),                       # seed_c0
+            np.zeros(64),                                # bound
+            np.zeros(64, dtype=bool),                    # exact
+            np.zeros(64, dtype=np.intp),                 # arg: pool response that sets each bound
         ]
         self._fill(0)
 
     def _fill(self, size: int) -> None:
         """Point the per-family arrays at the first ``size`` rows of their
-        buffers, doubling the buffers first if they hold fewer (64 at least,
-        so that a one-shot row and its few solved vectors fit at once)."""
+        buffers, doubling the buffers first if they hold fewer."""
         cap = len(self._buffers[0])
         if size > cap:
             for i, buf in enumerate(self._buffers):
-                grown = np.zeros((max(size, 2 * cap, 64), *buf.shape[1:]), dtype=buf.dtype)
+                grown = np.zeros((max(size, 2 * cap), *buf.shape[1:]), dtype=buf.dtype)
                 grown[:cap] = buf
                 self._buffers[i] = grown
         self.taken, self.wide, self.seed_c0, self.bound, self.exact, self.arg = (
@@ -178,7 +178,7 @@ class _FamilyTable:
         D, nu = self.impacts(sp_d)
         drop = self.taken[ks] @ D.T
         rows = np.arange(len(self.fams))[ks]
-        wide = np.flatnonzero(self.wide[rows])
+        wide = self.wide[rows].nonzero()[0]
         if wide.size:
             # per node, the boundary impacts in decreasing order and their
             # running sums; a last column of +inf pads the shorter boundaries
@@ -187,10 +187,11 @@ class _FamilyTable:
             index = np.full((wide.size, size.max()), D.shape[1])
             index[np.arange(size.max()) < size[:, None]] = list(
                 itertools.chain.from_iterable(f.boundary for f in fams))
-            padded = np.hstack([-D, np.full((D.shape[0], 1), np.inf)])
-            ranked = -np.sort(padded[:, index].transpose(1, 0, 2), axis=2)
+            padded = np.concatenate([-D, np.full((D.shape[0], 1), np.inf)], axis=1)
+            ranked = padded[:, index].transpose(1, 0, 2)
+            ranked.sort(axis=2)
             fill = np.array([f.fill for f in fams])
-            drop[wide] += np.cumsum(ranked, axis=2)[np.arange(wide.size), :, fill - 1]
+            drop[wide] += (-ranked).cumsum(axis=2)[np.arange(wide.size), :, fill - 1]
         return nu - drop
 
     def voltages(self, phi: DefenderResponse, ks=slice(None)) -> np.ndarray:
@@ -200,8 +201,8 @@ class _FamilyTable:
 
     def value(self, phi: DefenderResponse, ks=slice(None)) -> np.ndarray:
         """The largest member loss of each family ``ks`` under ``phi``."""
-        lovr = np.max(self.W * np.maximum(self.nu_lo - self.voltages(phi, ks), 0.0), axis=1)
-        return lovr + float(np.sum(self.voll_rate * (1.0 - phi.gamma[1:])))
+        lovr = (self.W * np.maximum(self.nu_lo - self.voltages(phi, ks), 0.0)).max(axis=1)
+        return lovr + float((self.voll_rate * (1.0 - phi.gamma[1:])).sum())
 
     def add(self, families: Iterable[PivotFamily]) -> list[int]:
         """Table indices of ``families``. The new ones are numbered in
@@ -215,14 +216,14 @@ class _FamilyTable:
         ks = slice(start, None)
         self.fams += new
         self._fill(len(self.fams))
-        rows = np.repeat(np.arange(start, len(self.fams)), [len(f.taken) for f in new])
+        rows = np.arange(start, len(self.fams)).repeat([len(f.taken) for f in new])
         self.taken[rows, list(itertools.chain.from_iterable(f.taken for f in new))] = 1.0
         self.wide[ks] = [bool(f.boundary) for f in new]
         self.seed_c0[ks] = self.intercept(self.lp.sp_d, ks)
-        values = [self.value(phi, ks) for phi in self.pool]
-        self.bound[ks] = np.min(values, axis=0)
+        values = np.array([self.value(phi, ks) for phi in self.pool])
+        self.bound[ks] = values.min(axis=0)
         self.exact[ks] = self.bound[ks] <= 0.0
-        self.arg[ks] = np.argmin(values, axis=0)
+        self.arg[ks] = values.argmin(axis=0)
         return indices
 
     def settle(self, k: int, phi: DefenderResponse) -> None:
@@ -246,9 +247,9 @@ class _FamilyTable:
             return f.taken
         phi = self.pool[self.arg[k]]
         terms = self.W * np.maximum(self.nu_lo - self.voltages(phi, [k])[0], 0.0)
-        if terms.max() <= 0.0:
+        if (peak := terms.max()) <= 0.0:
             return f.first()
-        D = self.impacts(phi.sp_d)[0][np.flatnonzero(terms == terms.max())]
+        D = self.impacts(phi.sp_d)[0][(terms == peak).nonzero()[0]]
         fills = impact_ranking(D, np.array(f.boundary)).nodes[:, : f.fill]
         return min(tuple(sorted(f.taken + tuple(fill))) for fill in fills.tolist())
 
@@ -307,10 +308,10 @@ def _pooled_best_first(
 
     while True:
         flat = np.concatenate(members)
-        starts = np.cumsum([0] + [m.size for m in members[:-1]])
+        starts = np.array([0] + [m.size for m in members[:-1]]).cumsum()
         exact, bound = table.exact, table.bound
         top = np.maximum.reduceat(np.where(exact[flat], bound[flat], 0.0), starts)
-        u_row = int(np.argmin(top))
+        u_row = int(top.argmin())
         mine = members[u_row]
         open_bound = np.where(exact[mine], -np.inf, bound[mine])
         peak = open_bound.max()
@@ -335,7 +336,7 @@ def _pooled_best_first(
             delta[list(vector)] = 1
             table.settle(single, respond(delta))
             # every row that holds the vector in a family now holds it exact
-            holders = {j for j in np.flatnonzero(table.wide).tolist() if fams[j].holds(vector)}
+            holders = {j for j in table.wide.nonzero()[0].tolist() if fams[j].holds(vector)}
             if holders:
                 for r, row in enumerate(members):
                     if single not in row and holders.intersection(row.tolist()):
@@ -346,7 +347,7 @@ def _pooled_best_first(
             if k in row:
                 put(r, children, drop=k)
 
-    k_best = int(mine[np.argmax(np.where(exact[mine], bound[mine], -np.inf))])
+    k_best = int(mine[np.where(exact[mine], bound[mine], -np.inf).argmax()])
     best = fams[k_best].first()
     phi_star = table.solved.get(best, table.pool[table.arg[k_best]])
     delta_star = np.zeros(lp.net.n + 1, dtype=int)
@@ -472,7 +473,7 @@ def solve_ad_iterative(
     delta = _vectors(net, seed_attack, "seed_attack")
     pool = _vulnerable_nodes(net, u)
     full = min(M, pool.size)
-    if delta.any() and (delta.sum() != full or not np.isin(np.flatnonzero(delta), pool).all()):
+    if delta.any() and (delta.sum() != full or not np.isin(delta.nonzero()[0], pool).all()):
         raise ValueError(f"seed_attack must be empty or take exactly {full} DERs, none that u secures")
 
     visited: set[tuple[int, ...]] = set()
@@ -480,7 +481,7 @@ def solve_ad_iterative(
     best: tuple | None = None
     converged = False
     for iterations in range(_ITERATIVE_MAX_ITER + 1):
-        key = tuple(np.flatnonzero(delta).tolist())
+        key = tuple(delta.nonzero()[0].tolist())
         if key in visited:
             converged = True
             break

@@ -48,15 +48,9 @@ class LossBreakdown:
 
 
 def check_gamma(net: Network, gamma: np.ndarray) -> None:
-    lo = net.gamma_lo
-    if np.any(gamma[1:] < lo[1:] - _GAMMA_TOL) or np.any(gamma[1:] > 1.0 + _GAMMA_TOL):
-        bad = [
-            int(i) + 1
-            for i in np.flatnonzero(
-                (gamma[1:] < lo[1:] - _GAMMA_TOL) | (gamma[1:] > 1.0 + _GAMMA_TOL)
-            )
-        ]
-        raise GammaOutOfRange(f"gamma outside [gamma_lo, 1] at nodes {bad}")
+    out = (gamma[1:] < net.gamma_lo[1:] - _GAMMA_TOL) | (gamma[1:] > 1.0 + _GAMMA_TOL)
+    if out.any():
+        raise GammaOutOfRange(f"gamma outside [gamma_lo, 1] at nodes {(out.nonzero()[0] + 1).tolist()}")
 
 
 def evaluate_loss(
@@ -73,11 +67,9 @@ def evaluate_loss(
     check_gamma(net, gamma)
 
     shortfall = np.maximum(net.nu_lo[1:] - state.nu[1:], 0.0)
-    lovr = float(np.max(params.W[1:] * shortfall)) if net.n else 0.0
-    voll = float(
-        np.sum(params.C[1:] * (1.0 - gamma[1:]) * np.real(net.sc_nom[1:]))
-    )
-    ll = float(np.sum(net.r[1:] * state.ell[1:])) if state.model.kind == "npf" else 0.0
+    lovr = float((params.W[1:] * shortfall).max()) if net.n else 0.0
+    voll = float((params.C[1:] * (1.0 - gamma[1:]) * net.sc_nom.real[1:]).sum())
+    ll = float((net.r[1:] * state.ell[1:]).sum()) if state.model.kind == "npf" else 0.0
     return LossBreakdown(lovr=lovr, voll=voll, ll=ll)
 
 

@@ -10,10 +10,11 @@ built on first use through ``Network.derived`` and read-only: the uniform
 r/x ratio, the symmetry check, the load-control model's flow and voltage
 matrices per load scale, the whole load-control model (LP rows, objective,
 bounds) per load scale and the bytes of the weights W and C, the exact
-engines' no-attack voltages at their seed set-points per load scale, and
-the one-shot engine's impact ranking and the pivot families of a row that
-secures nothing, per budget, under the bytes of the impact matrix they are
-read from. None stands in for an impact matrix, a power flow or an LP, so
+engines' no-attack voltages at their seed set-points per load scale, the
+power-flow sweep's edge terms z, conj(z) and |z|^2, and the one-shot
+engine's impact ranking and the pivot families of a row that secures
+nothing, per budget, under the bytes of the impact matrix they are read
+from. None stands in for an impact matrix, a power flow or an LP, so
 a solve on a used network makes those calls as often as on a fresh one and
 saves only the work beside them. Nothing is built with the network, and a
 copy made with ``dataclasses.replace`` (``with_gamma_lo``, for one) starts
@@ -126,7 +127,8 @@ class Network:
 
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
         """The network constant ``key``: ``build()`` on first use, then the
-        value kept from it. ``build`` must read nothing but this network and
+        value kept from it (the power-flow sweep's z, conj(z) and |z|^2
+        among them). ``build`` must read nothing but this network and
         what ``key`` names, by value (a load scale, the bytes of a weight
         array; never an ``id()``, which a later object can reuse), since every
         later call gets its value; the arrays in it, alone or in a tuple, are
@@ -154,7 +156,7 @@ class Network:
 
     @property
     def der_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.der_cap > 0.0)
+        return (self.der_cap > 0.0).nonzero()[0]
 
     def uniform_rx_ratio(self) -> float | None:
         """The common r/x ratio K, or None if the ratios differ by more than

@@ -70,11 +70,9 @@ def injection(net: Network, gamma: np.ndarray, sg: np.ndarray) -> Injection:
     tol = 1e-9
     sg = np.asarray(sg, dtype=complex)
     sc = gamma * net.sc_nom
-    if np.any(np.real(sc) > np.real(net.sc_nom) + tol) or np.any(
-        np.imag(sc) > np.imag(net.sc_nom) + tol
-    ):
+    if (sc.real > net.sc_nom.real + tol).any() or (sc.imag > net.sc_nom.imag + tol).any():
         raise ValueError("consumption above nominal demand")
-    if np.any(np.abs(sg) > net.der_cap + tol) or np.any(np.real(sg) < -tol):
+    if (abs(sg) > net.der_cap + tol).any() or (sg.real < -tol).any():
         raise ValueError("generation outside the DER capability half-disk")
     return Injection(sc=sc, sg=sg)
 
@@ -100,30 +98,29 @@ class State:
         state's model (loss terms appear only for NPF)."""
         net = self.net
         par = net.tree.parent
+        z, z_conj, z_sq = _impedance_terms(net)
         s = self.injection.net_load * self.model.load_scale
         if self.model.kind == "npf":
-            loss_term = net.z * self.ell
-            volt_term = np.abs(net.z) ** 2 * self.ell
+            loss_term = z * self.ell
+            volt_term = z_sq * self.ell
         else:
             loss_term = np.zeros(net.n + 1, dtype=complex)
             volt_term = np.zeros(net.n + 1)
 
         child_sum = np.bincount(
-            par[1:], weights=np.real(self.S[1:]), minlength=net.n + 1
-        ) + 1j * np.bincount(par[1:], weights=np.imag(self.S[1:]), minlength=net.n + 1)
-        r_cons = np.abs(self.S[1:] - (child_sum[1:] + s[1:] + loss_term[1:]))
+            par[1:], weights=self.S.real[1:], minlength=net.n + 1
+        ) + 1j * np.bincount(par[1:], weights=self.S.imag[1:], minlength=net.n + 1)
+        r_cons = abs(self.S[1:] - (child_sum[1:] + s[1:] + loss_term[1:]))
 
         nu_par = self.nu[par[1:]]
-        r_volt = np.abs(
-            self.nu[1:]
-            - (
-                nu_par
-                - 2.0 * np.real(np.conj(net.z[1:]) * self.S[1:])
-                + volt_term[1:]
-            )
-        )
-        r_cur = np.abs(self.ell[1:] * nu_par - np.abs(self.S[1:]) ** 2)
+        r_volt = abs(self.nu[1:] - (nu_par - 2.0 * (z_conj[1:] * self.S[1:]).real + volt_term[1:]))
+        r_cur = abs(self.ell[1:] * nu_par - abs(self.S[1:]) ** 2)
         return float(r_cons.max()), float(r_volt.max()), float(r_cur.max())
+
+
+def _impedance_terms(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z, conj(z) and |z|^2 per edge, kept on the network."""
+    return net.derived("impedance_terms", lambda: (net.z, np.conj(net.z), np.abs(net.z) ** 2))
 
 
 def _sweep(
@@ -136,16 +133,14 @@ def _sweep(
     with ell' = |S|^2 / nu_parent, the losses the new flows imply.
     """
     mask = net.tree.subtree_mask
-    z = net.z
+    z, z_conj, z_sq = _impedance_terms(net)
     S = mask @ (s + z * ell)
     S[0] = 0.0
-    nu = net.nu0 - mask.T @ (2.0 * np.real(np.conj(z) * S) - np.abs(z) ** 2 * ell)
-    if np.any(nu <= 0.0):
-        raise NegativeSquaredVoltage(
-            f"nu <= 0 at nodes {list(np.flatnonzero(nu <= 0.0))}"
-        )
+    nu = net.nu0 - mask.T @ (2.0 * (z_conj * S).real - z_sq * ell)
+    if (nu <= 0.0).any():
+        raise NegativeSquaredVoltage(f"nu <= 0 at nodes {(nu <= 0.0).nonzero()[0].tolist()}")
     ell_next = np.zeros(net.n + 1)
-    ell_next[1:] = np.abs(S[1:]) ** 2 / nu[net.tree.parent[1:]]
+    ell_next[1:] = abs(S[1:]) ** 2 / nu[net.tree.parent[1:]]
     return nu, S, ell_next
 
 
@@ -179,7 +174,7 @@ def solve_npf(
     residual = np.inf
     for _ in range(max_iter):
         nu, S, ell_new = _sweep(net, inj.net_load, ell)
-        residual = float(np.max(np.abs(ell_new - ell)))
+        residual = float(abs(ell_new - ell).max())
         ell = ell_new
         if residual < tol:
             state = State(net=net, model=NPF, nu=nu, ell=ell, S=S, injection=inj)

@@ -148,8 +148,8 @@ def _columnwise(A: np.ndarray) -> tuple[list, list, list]:
     if not np.isfinite(A).all():
         raise ValueError("LP constraint matrix must be finite")
     # the nonzeros column by column, rows ascending within a column
-    cols, rows = np.nonzero(A.T)
-    start = np.searchsorted(cols, np.arange(A.shape[1] + 1))
+    cols, rows = A.T.nonzero()
+    start = cols.searchsorted(np.arange(A.shape[1] + 1))
     return start.tolist(), rows.tolist(), A[rows, cols].tolist()
 
 
@@ -190,7 +190,7 @@ def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
     slack = b_ub - np.array(solution.row_value)
     tol = _FEASIBILITY_TOL
     # written so that a NaN fails
-    if not (np.all(x >= lb - tol) and np.all(x <= ub + tol) and np.all(slack >= -tol)):
+    if not ((x >= lb - tol).all() and (x <= ub + tol).all() and (slack >= -tol).all()):
         raise InfeasibleLP("LP solution violates its bounds or rows beyond tolerance")
     return x
 
@@ -201,14 +201,14 @@ def _flow_matrices(
     """The loaded nodes (0-based into nodes 1..N) and the P, Q and nu
     matrices of the response model over ``free``'s DERs at load scale
     ``kappa``."""
-    pc = np.real(net.sc_nom)[1:]
-    qc = np.imag(net.sc_nom)[1:]
-    loaded = np.flatnonzero((pc > 0.0) | (qc > 0.0))
+    pc = net.sc_nom.real[1:]
+    qc = net.sc_nom.imag[1:]
+    loaded = ((pc > 0.0) | (qc > 0.0)).nonzero()[0]
     n_gamma = loaded.size
     p_cols = n_gamma + 2 * np.arange(free.size)
     Msub = net.tree.subtree_mask[1:, 1:]
     P_mat = np.zeros((net.n, n_gamma + 2 * free.size + 1))
-    Q_mat = np.zeros_like(P_mat)
+    Q_mat = np.zeros(P_mat.shape)
     P_mat[:, :n_gamma] = kappa * Msub[:, loaded] * pc[loaded][None, :]
     Q_mat[:, :n_gamma] = kappa * Msub[:, loaded] * qc[loaded][None, :]
     P_mat[:, p_cols] = -kappa * Msub[:, free - 1]
@@ -246,17 +246,18 @@ class _ResponseModel:
         epigraph = -(self._W[:, None] * self.nu_mat)
         epigraph[:, -1] = -1.0
         rows = np.arange(free.size * _DISK_FACETS)
+        der, facet = divmod(rows, _DISK_FACETS)
         facets = np.zeros((rows.size, epigraph.shape[1]))
-        facets[rows, np.repeat(self._p_cols, _DISK_FACETS)] = np.tile(_FACET_P, free.size)
-        facets[rows, np.repeat(self._p_cols + 1, _DISK_FACETS)] = np.tile(_FACET_Q, free.size)
-        self._A = tuple(map(tuple, _columnwise(np.vstack([epigraph, facets]))))
-        self._b_facet = np.repeat(net.der_cap[free] * _FACET_SUPPORT, _DISK_FACETS)
+        facets[rows, self._p_cols[der]] = _FACET_P[facet]
+        facets[rows, self._p_cols[der] + 1] = _FACET_Q[facet]
+        self._A = tuple(map(tuple, _columnwise(np.concatenate([epigraph, facets]))))
+        self._b_facet = (net.der_cap[free] * _FACET_SUPPORT)[der]
         # the base objective: the cost of the shed load, plus t
         self.c = np.zeros(self.nu_mat.shape[1])
-        self.c[:n_gamma] = -params.C[1:][self.loaded] * np.real(net.sc_nom)[1:][self.loaded]
+        self.c[:n_gamma] = -params.C[1:][self.loaded] * net.sc_nom.real[1:][self.loaded]
         self.c[-1] = 1.0
         # the variable bounds and the trust span of every variable but t
-        caps = np.repeat(net.der_cap[free], 2)
+        caps = net.der_cap[free].repeat(2)
         self._lb = np.concatenate([net.gamma_lo[1:][self.loaded], np.zeros(caps.size), [0.0]])
         self._ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
         self._span = np.concatenate([np.ones(n_gamma), caps])
@@ -267,8 +268,8 @@ class _ResponseModel:
         """Voltages at x = 0, per node 1..N, under the fixed generation ``sg``
         (nodes 0..N) with the loss flows ``ell`` (nodes 1..N) frozen."""
         M, r, x = self._Msub, self.net.r[1:], self.net.x[1:]
-        P = -self.kappa * (M @ np.real(sg)[1:]) + M @ (r * ell)
-        Q = -self.kappa * (M @ np.imag(sg)[1:]) + M @ (x * ell)
+        P = -self.kappa * (M @ sg.real[1:]) + M @ (r * ell)
+        Q = -self.kappa * (M @ sg.imag[1:]) + M @ (x * ell)
         return self.net.nu0 - 2.0 * (M.T @ (r * P) + M.T @ (x * Q)) + M.T @ ((r**2 + x**2) * ell)
 
     def solve(
@@ -290,7 +291,7 @@ class _ResponseModel:
     def gamma(self, x: np.ndarray) -> np.ndarray:
         """gamma over nodes 0..N from the LP's ``x``, clipped into its bounds."""
         gamma = np.ones(self.net.n + 1)
-        gamma[1 + self.loaded] = np.clip(x[: self.loaded.size], self._lb[: self.loaded.size], 1.0)
+        gamma[1 + self.loaded] = x[: self.loaded.size].clip(self._lb[: self.loaded.size], 1.0)
         return gamma
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +370,7 @@ class GammaControlLP:
     def solve(self, delta: np.ndarray, sp_a: np.ndarray | None = None) -> np.ndarray:
         c0 = self.nu_intercept(delta, sp_a)
         # gamma = 1 is optimal whenever it produces no violation
-        if np.all(self._WG - self.params.W[1:] * (c0 - self.net.nu_lo[1:]) <= 0.0):
+        if (self._WG - self.params.W[1:] * (c0 - self.net.nu_lo[1:]) <= 0.0).all():
             return np.ones(self.net.n + 1)
         return self._lp.gamma(self._lp.solve(c0))
 
@@ -407,7 +408,7 @@ def _model_for_attack(
     generation the attack fixes (its attacked DERs' set-points)."""
     no_sp = np.zeros(net.n + 1, dtype=complex)
     fixed = effective_setpoints(net, psi.delta, no_sp, psi.sp_a)
-    free = 1 + np.flatnonzero((net.der_cap[1:] > 0.0) & (psi.delta[1:] != 1))
+    free = 1 + ((net.der_cap[1:] > 0.0) & (psi.delta[1:] != 1)).nonzero()[0]
     return _ResponseModel(net, params, kappa, free), fixed
 
 
@@ -421,7 +422,7 @@ def _optimal_response_npf(
     lp, fixed = _model_for_attack(net, psi, params, 1.0)
     # voltage rows of each edge's upstream node (zero at the substation)
     has_parent = par >= 1
-    nu_up_mat = np.zeros_like(lp.nu_mat)
+    nu_up_mat = np.zeros(lp.nu_mat.shape)
     nu_up_mat[has_parent] = lp.nu_mat[par[has_parent] - 1]
 
     def npf_state(gamma: np.ndarray, sp_d: np.ndarray):
@@ -442,8 +443,8 @@ def _optimal_response_npf(
     for _ in range(_MAX_SLP_ROUNDS):
         # line-loss cost through the tangent of |S|^2 / nu_up at the state
         nu_up_bar = state.nu[par]
-        fP = 2.0 * np.real(state.S)[1:] / nu_up_bar
-        fQ = 2.0 * np.imag(state.S)[1:] / nu_up_bar
+        fP = 2.0 * state.S.real[1:] / nu_up_bar
+        fQ = 2.0 * state.S.imag[1:] / nu_up_bar
         fnu = -state.ell[1:] / nu_up_bar
         c = lp.c + (r * fP) @ lp.P_mat + (r * fQ) @ lp.Q_mat
         c = c + (r * fnu) @ nu_up_mat
@@ -458,7 +459,7 @@ def _optimal_response_npf(
             continue
         loss = evaluate_loss(cand_state, gamma, params).total
         decision = x[:-1]  # epigraph variable excluded from the step size
-        step = float(np.max(np.abs(decision - x_curr[:-1]))) if decision.size else 0.0
+        step = float(abs(decision - x_curr[:-1]).max()) if decision.size else 0.0
         if loss < best[0] - _LOSS_TOL:
             best = (loss, gamma, sp_d)
             state = cand_state

@@ -10,10 +10,13 @@ scheduling. Threads overlap only the time a row spends in native code that
 releases the GIL (mainly the HiGHS solve of a response LP); partition walks,
 family bounds, LP assembly and the small power-flow sweeps run one thread at
 a time. Extra workers therefore help grids whose rows are LP-bound and can
-slow grids whose rows are Python-bound: on 2 cores (Intel Xeon), 2 workers
-made a 48-row LPF one-shot grid at M <= 7 (0.14-0.17 s serial, at most one
-LP per row) about 1.7x slower than serial, and a 4-row NPF grid (M 4..7,
-0.43-0.63 s serial) 1.4-2.2x faster over five runs.
+slow grids whose rows are Python-bound. On 2 cores (Intel Xeon), in one
+process on the feeder over ten alternated runs (wall clock), 2 workers made
+a 48-row LPF one-shot grid (M 0..7; 22-44 ms serial) about 1.5x slower at
+the median, and a 4-row NPF grid (M 4..7; 344-524 ms serial) about 1.6x
+faster. A whole ``dersec sweep`` process is start-up bound and showed
+neither effect over five runs (NPF grid 942-1,002 ms serial, 997-1,029 ms
+on 2 workers).
 """
 
 from __future__ import annotations

@@ -18,9 +18,11 @@ from dersec import (
     common_path_impedance,
     eps_lpf,
     homogeneous37,
+    nominal_injection,
     precedence_compare,
     random_feasible_network,
     sandwich_bounds,
+    solve_npf,
 )
 from dersec.errors import (
     BoundOrderingViolated,
@@ -297,6 +299,28 @@ class TestDerivedConstants:
         for setpoints in (fixed_angle_setpoints, polygon_setpoints):
             assert setpoints(net) is not setpoints(net)
             setpoints(net)[1] = 0.0
+
+    def test_sweep_impedance_terms_are_kept(self):
+        # the power-flow sweep's z, conj(z) and |z|^2 are constants of the
+        # network: kept on first use, read-only, and the states they give on a
+        # used network equal a fresh copy's bit for bit
+        net = homogeneous37()
+        inj = nominal_injection(net)
+        first = solve_npf(net, inj)
+        kept = net._derived["impedance_terms"]
+        for got, want in zip(kept, (net.z, np.conj(net.z), np.abs(net.z) ** 2), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[1] = 0.0
+        again = solve_npf(net, inj)
+        assert all(a is b for a, b in zip(net._derived["impedance_terms"], kept))
+        copy = dataclasses.replace(net)
+        assert "impedance_terms" not in copy._derived
+        fresh = solve_npf(copy, inj)
+        for state in (again, fresh):
+            for name in ("nu", "ell", "S"):
+                assert repr(getattr(state, name).tolist()) == repr(getattr(first, name).tolist())
+            assert state.residuals() == first.residuals()
 
     @pytest.mark.parametrize("model", [LPF, eps_lpf(0.05)])
     def test_used_network_makes_the_same_calls(self, monkeypatch, model):

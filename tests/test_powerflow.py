@@ -39,12 +39,9 @@ class TestInjection:
         got = injection(homog37, gamma.tolist(), sg.tolist())
         for a, b in ((got.sc, want.sc), (got.sg, want.sg)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-
-    def test_lists_checked_as_arrays(self, homog37):
-        gamma = [1.0] * (homog37.n + 1)
-        sg = (2.0 * homog37.der_cap).tolist()
+        # and are checked as arrays are
         with pytest.raises(ValueError, match="capability"):
-            injection(homog37, gamma, sg)
+            injection(homog37, [1.0] * (homog37.n + 1), (2.0 * homog37.der_cap).tolist())
         with pytest.raises(ValueError, match="nominal"):
             injection(homog37, [1.5] * (homog37.n + 1), [0.0] * (homog37.n + 1))
 
