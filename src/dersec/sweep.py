@@ -14,9 +14,9 @@ slow grids whose rows are Python-bound. On 2 cores (Intel Xeon), in one
 process on the feeder over ten alternated runs (wall clock), 2 workers made
 a 48-row LPF one-shot grid (M 0..7; 22-44 ms serial) about 1.5x slower at
 the median, and a 4-row NPF grid (M 4..7; 344-524 ms serial) about 1.6x
-faster. A whole ``dersec sweep`` process is start-up bound and showed
-neither effect over five runs (NPF grid 942-1,002 ms serial, 997-1,029 ms
-on 2 workers).
+faster. A whole ``dersec sweep`` process, which pays start-up and runs the
+grid once, showed neither effect over five runs (NPF grid 942-1,002 ms
+serial, 997-1,029 ms on 2 workers).
 """
 
 from __future__ import annotations
