@@ -522,14 +522,9 @@ def solve_ad(
     EnumerationCapExceeded wherever the LPF solve does."""
     if not model.is_linear:
         u = _vectors(net, u, _NONLINEAR_U)
-        return _npf_seeded(net, u, M, params, solve_ad(net, u, M, params, LPF))
+        return solve_ad_iterative(net, u, M, params, seed_attack=solve_ad(net, u, M, params, LPF).delta_star)
     engine = solve_ad_oneshot if net.uniform_rx_ratio() is not None else solve_ad_exhaustive
     return engine(net, u, M, params, model)
-
-
-def _npf_seeded(net: Network, u: np.ndarray | None, M: int, params: CostParams, lpf: ADResult) -> ADResult:
-    """The NPF sub-game, the greedy started at the LPF sub-game ``lpf``'s attack."""
-    return solve_ad_iterative(net, u, M, params, seed_attack=lpf.delta_star)
 
 
 @dataclass(frozen=True)
@@ -559,7 +554,7 @@ def sandwich_bounds(
     if eps is None:
         eps = calibrate_epsilon(net).eps
     lo, hi = (solve_ad(net, u, M, params, model) for model in (LPF, eps_lpf(eps)))
-    mid = _npf_seeded(net, u, M, params, lo)
+    mid = solve_ad_iterative(net, u, M, params, seed_attack=lo.delta_star)
     slack = line_loss_cap(net)
     holds = (
         lo.loss.total <= mid.loss.total + _BOUND_SLACK

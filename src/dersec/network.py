@@ -7,8 +7,7 @@ are per-unit.
 
 Some constants the solvers derive from a network alone are kept on it,
 built on first use through ``Network.derived`` and read-only: the uniform
-r/x ratio, the symmetry check, the load-control model's flow and voltage
-matrices per load scale, the whole load-control model (LP rows, objective,
+r/x ratio, the symmetry check, the load-control model (LP rows, objective,
 bounds) per load scale and the bytes of the weights W and C, the exact
 engines' no-attack voltages at their seed set-points per load scale, the
 power-flow sweep's edge terms z, conj(z) and |z|^2, and the one-shot
@@ -177,58 +176,37 @@ class Network:
         return self.labels.index(label)
 
 
-def _build_tree_index(parent: np.ndarray) -> TreeIndex:
+def _build_tree_index(parent: np.ndarray) -> tuple[TreeIndex, np.ndarray]:
+    """The tree index of a checked ``parent`` array, and its root-path matrix."""
     n_total = parent.shape[0]
     children: list[list[int]] = [[] for _ in range(n_total)]
     for i in range(1, n_total):
-        p = int(parent[i])
-        if p < 0 or p >= n_total:
-            raise DisconnectedNode(f"node {i} references unknown parent {p}")
-        children[p].append(i)
+        children[int(parent[i])].append(i)
 
+    # one BFS walk: a node's root path is its parent's plus itself, as the tuple
+    # paths[i] and as row i of path_mask (1 at every node of it but the substation)
     depth = np.full(n_total, -1, dtype=int)
     depth[0] = 0
+    paths: list[tuple[int, ...]] = [()] * n_total
+    path_mask = np.zeros((n_total, n_total))
     order = [0]
-    queue = [0]
-    while queue:
-        node = queue.pop(0)
+    for node in order:
         for c in children[node]:
             depth[c] = depth[node] + 1
+            paths[c] = paths[node] + (c,)
+            path_mask[c] = path_mask[node]
+            path_mask[c, c] = 1.0
             order.append(c)
-            queue.append(c)
-    unreached = np.flatnonzero(depth < 0)
-    if unreached.size:
-        # Distinguish a cycle (nodes reachable from each other but not the root)
-        # from a dangling reference for the error message.
-        i = int(unreached[0])
-        seen = set()
-        k = i
-        while k not in seen and k > 0:
+    if len(order) < n_total:
+        # every parent is a node id, so a node the walk missed leads into a cycle
+        k, seen = int((depth < 0).nonzero()[0][0]), set()
+        while k not in seen:
             seen.add(k)
             k = int(parent[k])
-        if k in seen:
-            raise CycleDetected(f"nodes {sorted(seen)} form a parent cycle")
-        raise DisconnectedNode(f"node {i} never reaches the substation")
+        raise CycleDetected(f"nodes {sorted(seen)} form a parent cycle")
 
-    paths: list[tuple[int, ...]] = [()] * n_total
-    for node in order[1:]:
-        paths[node] = paths[int(parent[node])] + (node,)
-
-    subtree_mask = np.zeros((n_total, n_total))
-    for i in range(n_total):
-        subtree_mask[i, i] = 1.0
-    for node in reversed(order):
-        p = int(parent[node])
-        if p >= 0:
-            subtree_mask[p] += subtree_mask[node]
-    np.clip(subtree_mask, 0.0, 1.0, out=subtree_mask)
-
-    # path_mask[i, k] = 1 iff edge k lies on the root path of i == k in Λ-transpose
-    path_mask = subtree_mask.T.copy()
-    path_mask[:, 0] = 0.0
-    np.fill_diagonal(path_mask, 1.0)
-    path_mask[0, :] = 0.0
-    shared = (path_mask @ path_mask.T).astype(int)
+    subtree_mask = path_mask.T.copy()
+    subtree_mask[0] = 1.0
 
     return TreeIndex(
         parent=parent,
@@ -238,8 +216,8 @@ def _build_tree_index(parent: np.ndarray) -> TreeIndex:
         children=tuple(tuple(c) for c in children),
         paths=tuple(paths),
         subtree_mask=subtree_mask,
-        shared_depth=shared,
-    )
+        shared_depth=(path_mask @ path_mask.T).astype(int),
+    ), path_mask
 
 
 def build_network(
@@ -281,7 +259,7 @@ def build_network(
             raise CycleDetected(f"node {spec.id} is its own parent")
         parent[spec.id] = spec.parent
 
-    tree = _build_tree_index(parent)
+    tree, path_mask = _build_tree_index(parent)
 
     r = np.array([s.r_pu for s in by_id])
     x = np.array([s.x_pu for s in by_id])
@@ -316,11 +294,7 @@ def build_network(
 
     labels = tuple(s.label if s.label is not None else str(s.id) for s in by_id)
 
-    z = r + 1j * x
-    path_mask = tree.subtree_mask.T.copy()
-    Z = (path_mask * z[None, :]) @ path_mask.T
-    Z[0, :] = 0.0
-    Z[:, 0] = 0.0
+    Z = (path_mask * (r + 1j * x)) @ path_mask.T
 
     for arr in (parent, r, x, sc_nom, der_cap, nu_lo, nu_hi, W, C, gamma_lo, Z):
         arr.setflags(write=False)

@@ -247,63 +247,58 @@ class A0Report:
 
 
 def validate_assumptions(net: Network, nominal: State) -> A0Report:
-    """Check the standing assumption set against a nominal NPF state."""
+    """Check the standing assumption set against a nominal NPF state.
+
+    Each check's report field and failure message read one mask of failing
+    nodes (or one flag); the bound masks are written so that a NaN fails.
+    """
     failures: dict[str, str] = {}
     tol = 1e-9
 
-    lpf_state = solve_lpf(net, nominal.injection)
-    nu_n = nominal.nu[1:]
-    nu_l = lpf_state.nu[1:]
-    ok0 = bool(
-        np.all(nu_n >= net.nu_lo[1:] - tol)
-        and np.all(nu_n <= net.nu_hi[1:] + tol)
-        and np.all(nu_l >= net.nu_lo[1:] - tol)
-        and np.all(nu_l <= net.nu_hi[1:] + tol)
-    )
-    if not ok0:
-        bad = [int(i) + 1 for i in np.flatnonzero((nu_n < net.nu_lo[1:] - tol) | (nu_n > net.nu_hi[1:] + tol))]
-        failures["voltage_quality"] = f"soft bound violated at nodes {bad}"
+    def nodes(mask: np.ndarray) -> list[int]:
+        return [int(i) + 1 for i in mask.nonzero()[0]]
 
-    ok1 = bool(np.all(nu_n >= net.mu_lo - tol) and np.all(nu_n <= net.mu_hi + tol))
-    if not ok1:
-        bad = [int(i) + 1 for i in np.flatnonzero((nu_n < net.mu_lo - tol) | (nu_n > net.mu_hi + tol))]
-        failures["safety"] = f"hard bound violated at nodes {bad}"
+    nu_n = nominal.nu[1:]
+    nu_l = solve_lpf(net, nominal.injection).nu[1:]
+    soft = ~((np.minimum(nu_n, nu_l) >= net.nu_lo[1:] - tol) & (np.maximum(nu_n, nu_l) <= net.nu_hi[1:] + tol))
+    if soft.any():
+        failures["voltage_quality"] = f"soft bound violated at nodes {nodes(soft)}"
+
+    hard = ~((nu_n >= net.mu_lo - tol) & (nu_n <= net.mu_hi + tol))
+    if hard.any():
+        failures["safety"] = f"hard bound violated at nodes {nodes(hard)}"
 
     S = nominal.S[1:]
-    rev = np.flatnonzero((np.real(S) < -tol) | (np.imag(S) < -tol))
-    ok2 = rev.size == 0
-    if not ok2:
-        failures["no_reverse_flow"] = f"reverse flow on edges into nodes {[int(i) + 1 for i in rev]}"
+    rev = (S.real < -tol) | (S.imag < -tol)
+    if rev.any():
+        failures["no_reverse_flow"] = f"reverse flow on edges into nodes {nodes(rev)}"
 
     r_cap = net.mu_lo**2 / (4.0 * net.mu_lo + 8.0)
+    big = ~((net.r[1:] <= r_cap + tol) & (net.x[1:] <= r_cap + tol))
     diag = np.diagonal(net.Z)[1:]
-    ok3 = bool(
-        np.all(net.r[1:] <= r_cap + tol)
-        and np.all(net.x[1:] <= r_cap + tol)
-        and np.all(np.real(diag) <= 1.0 + tol)
-        and np.all(np.imag(diag) <= 1.0 + tol)
+    rest_ok = bool(
+        (diag.real <= 1.0 + tol).all()
+        and (diag.imag <= 1.0 + tol).all()
         and abs(net.nu0 - 1.0) <= 1e-6
-        and np.all(np.abs(S) < 1.0)
+        and (np.abs(S) < 1.0).all()
     )
-    if not ok3:
-        bad = [int(i) + 1 for i in np.flatnonzero((net.r[1:] > r_cap + tol) | (net.x[1:] > r_cap + tol))]
+    if big.any() or not rest_ok:
         failures["small_impedance"] = (
-            f"impedance cap {r_cap:.5f} exceeded on edges into nodes {bad}"
-            if bad
+            f"impedance cap {r_cap:.5f} exceeded on edges into nodes {nodes(big)}"
+            if big.any()
             else "path impedance, nu0, or |S| bound violated"
         )
 
     eps0 = _loss_ratio(net, nominal)
-    ok4 = 0.0 <= eps0 < _EPS0_MAX
-    if not ok4:
+    if not 0.0 <= eps0 < _EPS0_MAX:
         failures["small_losses"] = f"eps0 = {eps0:.4f} not below {_EPS0_MAX}"
 
     return A0Report(
-        voltage_quality=ok0,
-        safety=ok1,
-        no_reverse_flow=ok2,
-        small_impedance=ok3,
-        small_losses=ok4,
+        voltage_quality="voltage_quality" not in failures,
+        safety="safety" not in failures,
+        no_reverse_flow="no_reverse_flow" not in failures,
+        small_impedance="small_impedance" not in failures,
+        small_losses="small_losses" not in failures,
         eps0=eps0,
         failures=failures,
     )

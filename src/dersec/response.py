@@ -7,10 +7,9 @@ Every response LP is one affine model in x = [gamma of the loaded nodes,
 the facet rows of an inner polygon of its first-quadrant disk form one
 matrix; the base objective, the variable bounds and the per-variable trust
 spans are fixed, read-only arrays. All of that is assembled with the model.
-The load-control model's flow and voltage matrices read nothing but the
-network and the load scale, so they are kept on the network per scale; the
-whole load-control model reads the weights as well, and is kept per scale
-and weights (``GammaControlLP``). A solve changes only the voltage offset
+The load-control model reads nothing but the network, the load scale and
+the weights, so it is kept on the network per scale and weights
+(``GammaControlLP``). A solve changes only the voltage offset
 (set by the generation the attack fixes and, for the nonlinear model, the
 loss flows ell frozen at the last power-flow state), which gives the
 right-hand side, plus the objective and the box:
@@ -67,7 +66,7 @@ from .attack import AttackStrategy, effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
 from .loss import CostParams, evaluate_loss
 from .network import Network
-from .powerflow import ModelTag, injection, solve_eps_lpf, solve_lpf, solve_npf
+from .powerflow import NPF, ModelTag, injection, solve_eps_lpf, solve_lpf, solve_npf
 
 # facet count sets the inner-polygon radius deficit cap*(1-cos(pi/4/F)); 96
 # keeps the induced loss error beneath the 1e-3 oracle agreement tolerance
@@ -229,12 +228,7 @@ class _ResponseModel:
 
     def __init__(self, net: Network, params: CostParams, kappa: float, free: np.ndarray):
         self.net, self.kappa, self.free = net, kappa, free
-        if free.size:
-            flows = _flow_matrices(net, kappa, free)
-        else:
-            # the load-control model's flows read the network and kappa alone
-            flows = net.derived(("load_control", kappa), lambda: _flow_matrices(net, kappa, free))
-        self.loaded, self.P_mat, self.Q_mat, self.nu_mat = flows
+        self.loaded, self.P_mat, self.Q_mat, self.nu_mat = _flow_matrices(net, kappa, free)
         self._p_cols = self.loaded.size + 2 * np.arange(free.size)     # qg columns follow
         self._Msub = net.tree.subtree_mask[1:, 1:]
         self._W = params.W[1:].copy()          # a kept model must not see W change
@@ -261,7 +255,8 @@ class _ResponseModel:
         self._lb = np.concatenate([net.gamma_lo[1:][self.loaded], np.zeros(caps.size), [0.0]])
         self._ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
         self._span = np.concatenate([np.ones(n_gamma), caps])
-        for part in (self._W, self._b_facet, self.c, self._lb, self._ub, self._span):
+        for part in (self.loaded, self.P_mat, self.Q_mat, self.nu_mat,
+                     self._W, self._b_facet, self.c, self._lb, self._ub, self._span):
             part.setflags(write=False)
 
     def nu_offset(self, sg: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -425,13 +420,9 @@ def _optimal_response_npf(
     nu_up_mat = np.zeros(lp.nu_mat.shape)
     nu_up_mat[has_parent] = lp.nu_mat[par[has_parent] - 1]
 
-    def npf_state(gamma: np.ndarray, sp_d: np.ndarray):
-        sg = effective_setpoints(net, psi.delta, sp_d, psi.sp_a)
-        return solve_npf(net, injection(net, gamma, sg))
-
     gamma = np.ones(net.n + 1)
     sp_d = _warm_setpoints(net)
-    state = npf_state(gamma, sp_d)
+    state = response_state(net, psi, DefenderResponse(sp_d=sp_d, gamma=gamma), NPF)
     best_loss = evaluate_loss(state, gamma, params).total
     best = (best_loss, gamma, sp_d)
 
@@ -453,7 +444,7 @@ def _optimal_response_npf(
         x = lp.solve(lp.nu_offset(fixed, state.ell[1:]), c, lp.trust_box(x_curr, radius))
         gamma, sp_d = lp.unpack(x)
         try:
-            cand_state = npf_state(gamma, sp_d)
+            cand_state = response_state(net, psi, DefenderResponse(sp_d=sp_d, gamma=gamma), NPF)
         except (NonConvergent, NegativeSquaredVoltage):
             radius *= 0.5
             continue

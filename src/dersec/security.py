@@ -4,8 +4,9 @@ the full trilevel solve, and strategy comparison.
 On a symmetric identical-r/x network the optimal budget-B placement secures
 DER levels whole from the deepest level upward and spreads the partial
 top-most secured level uniformly across sibling groups; any uniform choice is
-equivalent up to a tree automorphism, so the deterministic round-robin here
-attains the optimum.
+equivalent up to a tree automorphism, so the first B DERs of one fixed
+ordering (deepest first, then by rank within the sibling group) attain the
+optimum.
 
 Elsewhere Stage 1 is one pooled min-max over the full-budget security vectors
 (securing more never raises the loss); ties go to the first in enumeration order.
@@ -20,7 +21,7 @@ attacks are drawn and no LP is built or solved.
 
 Repeated solves on one network (every budget B, both strategies of
 ``compare_strategies``) build some of its constants once: the r/x and
-symmetry checks, the load-control matrices and the seed's no-attack
+symmetry checks, the load-control model and the seed's no-attack
 voltages are kept on the network (see ``dersec.network``), and a copy of
 the network starts without them. The impact matrices and rankings are
 built per solve.
@@ -94,12 +95,12 @@ def _symmetric(net: Network) -> bool:
 
 
 def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
-    """Bottom-up whole-level securing with a round-robin partial level.
-
-    Requires a symmetric network with identical r/x ratio; the partial
-    top-most secured level distributes nodes across sibling groups lowest-id
-    first, which realizes the uniform choice deterministically.
-    """
+    """The first B DERs sorted by (-depth, rank among the DERs that share
+    their parent, parent id, id): whole levels deepest first, and the partial
+    top-most level dealt round-robin over its sibling groups, which realizes
+    the uniform choice deterministically. Requires a symmetric network with
+    identical r/x ratio and a non-negative integer B."""
+    _check_budget("B", B)
     if net.uniform_rx_ratio() is None:
         raise HeterogeneousRxRatio("optimal placement requires identical r/x")
     if not is_symmetric(net):
@@ -108,34 +109,16 @@ def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
 
 
 def _placement(net: Network, B: int) -> np.ndarray:
-    """The bottom-up placement of ``optimal_security_strategy``, unchecked."""
-    der = set(int(i) for i in net.der_nodes)
+    """The placement of ``optimal_security_strategy``, unchecked."""
+    depth, parent = net.tree.depth, net.tree.parent
+    rank: dict[int, int] = {}      # der_nodes ascend: rank p's DERs by id
+    keys = []
+    for i in net.der_nodes.tolist():
+        p = int(parent[i])
+        rank[p] = rank.get(p, -1) + 1
+        keys.append((-depth[i], rank[p], p, i))
     u = np.zeros(net.n + 1, dtype=int)
-    remaining = min(B, len(der))
-    depth = net.tree.depth
-    for level in range(net.tree.height, 0, -1):
-        level_ders = sorted(i for i in der if depth[i] == level)
-        if not level_ders:
-            continue
-        if remaining >= len(level_ders):
-            u[level_ders] = 1
-            remaining -= len(level_ders)
-            if remaining == 0:
-                break
-        else:
-            groups: dict[int, list[int]] = {}
-            for i in level_ders:
-                groups.setdefault(int(net.tree.parent[i]), []).append(i)
-            queues = [sorted(g) for _, g in sorted(groups.items())]
-            picked: list[int] = []
-            round_idx = 0
-            while len(picked) < remaining:
-                for q in queues:
-                    if round_idx < len(q) and len(picked) < remaining:
-                        picked.append(q[round_idx])
-                round_idx += 1
-            u[picked] = 1
-            break
+    u[[key[-1] for key in sorted(keys)[:B]]] = 1
     return u
 
 

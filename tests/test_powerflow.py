@@ -248,6 +248,33 @@ class TestAssumptionValidator:
         assert not report.small_impedance
         assert "1" in report.failures["small_impedance"]
 
+    def test_soft_bound_names_npf_nodes(self):
+        # nominal voltages 0.99837, 0.99728, 0.99673 under NPF (LPF alike)
+        net = chain_network(3, nu_lo=0.998)
+        report = validate_assumptions(net, solve_npf(net, nominal_injection(net)))
+        assert not report.voltage_quality
+        assert report.failures == {"voltage_quality": "soft bound violated at nodes [2, 3]"}
+
+    def test_soft_bound_names_lpf_only_node(self):
+        # node 2 generating 1.34: NPF nu_2 = 1.10052 keeps the soft bound
+        # 1.1025, LPF nu_2 = 1.10564 leaves it
+        net = chain_network(2, z=0.02 + 0.02j, load=0.01 + 0.003j, caps={2: 1.34})
+        sg = np.zeros(3, dtype=complex)
+        sg[2] = 1.34
+        st = solve_npf(net, injection(net, np.ones(3), sg))
+        assert st.nu[2] <= 1.1025 < solve_lpf(net, st.injection).nu[2]
+        report = validate_assumptions(net, st)
+        assert not report.voltage_quality
+        assert report.failures["voltage_quality"] == "soft bound violated at nodes [2]"
+
+    def test_hard_bound_violation_names_node(self):
+        # nominal NPF voltages 0.849 and 0.777 against the hard floor 0.8
+        net = chain_network(2, z=0.05 + 0.05j, load=0.5 + 0.2j)
+        report = validate_assumptions(net, solve_npf(net, nominal_injection(net)))
+        assert not report.safety
+        assert report.failures["safety"] == "hard bound violated at nodes [2]"
+        assert report.failures["voltage_quality"] == "soft bound violated at nodes [1, 2]"
+
     def test_reverse_flow_detected(self):
         net = chain_network(2, caps={2: 0.05}, load=0.005 + 0.0015j)
         sg = np.zeros(3, dtype=complex)

@@ -91,6 +91,35 @@ class TestPlacement:
                     if tree23.tree.depth[j] > tree23.tree.depth[i]:
                         assert u[j] == 1
 
+    # every budget up to all DERs, on the two shapes with a partial level
+    # spread over more than one sibling group
+    _SECURED = {
+        (2, 3): [(), (7,), (7, 9), (7, 9, 11), (7, 9, 11, 13), (7, 8, 9, 11, 13),
+                 (7, 8, 9, 10, 11, 13), (7, 8, 9, 10, 11, 12, 13), (7, 8, 9, 10, 11, 12, 13, 14),
+                 (3, 7, 8, 9, 10, 11, 12, 13, 14), (3, 5, 7, 8, 9, 10, 11, 12, 13, 14),
+                 (3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14), (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+                 (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+                 (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14)],
+        (3, 2): [(), (4,), (4, 7), (4, 7, 10), (4, 5, 7, 10), (4, 5, 7, 8, 10),
+                 (4, 5, 7, 8, 10, 11), (4, 5, 6, 7, 8, 10, 11), (4, 5, 6, 7, 8, 9, 10, 11),
+                 (4, 5, 6, 7, 8, 9, 10, 11, 12), (1, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+                 (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_SECURED))
+    def test_secured_sets(self, shape):
+        net = balanced_tree(*shape)
+        want = self._SECURED[shape]
+        assert len(want) == len(net.der_nodes) + 1
+        for B, secured in enumerate(want):
+            s = optimal_security_strategy(net, B)
+            assert s.secured == secured and s.budget == B
+
+    @pytest.mark.parametrize("B", [-1, 2.5, True])
+    def test_rejects_bad_budget(self, tree22, B):
+        with pytest.raises(ValueError, match="budget B"):
+            optimal_security_strategy(tree22, B)
+
     def test_preconditions(self):
         specs = [
             NodeSpec(id=0, parent=None),
