@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 2 on validation errors (bad networks, bad
-arguments, infeasible preconditions), 3 on solver non-convergence.
+arguments, infeasible preconditions), 3 on solver non-convergence or when
+verify-bounds finds that the bound chain does not hold.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ def _result_doc(net, result) -> dict:
     }
 
 
+def _emit(doc: dict, out: str | None) -> None:
+    """Write the JSON document to ``out``, or print it when there is none."""
+    text = json.dumps(doc, indent=2)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
+
+
 def _cmd_gen_case(args) -> int:
     net = gen_case(args.kind, seed=args.seed, arity=args.arity, height=args.height)
     save_network(net, args.out)
@@ -65,29 +75,19 @@ def _prepared(args):
 def _cmd_solve_ad(args) -> int:
     net, params = _prepared(args)
     result = solve_ad(net, None, args.M, params, model_tag(args.model, net))
-    doc = _result_doc(net, result)
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    else:
-        print(json.dumps(doc, indent=2))
-    if not result.converged:
-        return _EXIT_NONCONVERGENT
-    return 0
+    _emit(_result_doc(net, result), args.out)
+    return 0 if result.converged else _EXIT_NONCONVERGENT
 
 
 def _cmd_solve_dad(args) -> int:
     net, params = _prepared(args)
     result = solve_dad(net, args.budget, args.M, params, model_tag(args.model, net))
-    doc = {
+    _emit({
         "budget": args.budget,
         "secured_nodes": [int(i) for i in np.flatnonzero(result.u_star.u)],
         "loss": result.loss,
         "subgame": _result_doc(net, result.ad),
-    }
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    else:
-        print(json.dumps(doc, indent=2))
+    }, args.out)
     return 0
 
 
@@ -118,19 +118,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     net, params = _prepared(args)
     report = sandwich_bounds(net, None, args.M, params, eps=args.eps)
-    print(
-        json.dumps(
-            {
-                "l_lpf": report.l_lpf,
-                "l_npf": report.l_npf,
-                "l_eps": report.l_eps,
-                "eps": report.eps,
-                "slack_term": report.slack_term,
-                "holds": bool(report.holds),
-            },
-            indent=2,
-        )
-    )
+    _emit({
+        "l_lpf": report.l_lpf,
+        "l_npf": report.l_npf,
+        "l_eps": report.l_eps,
+        "eps": report.eps,
+        "slack_term": report.slack_term,
+        "holds": bool(report.holds),
+    }, None)
     return 0 if report.holds else _EXIT_NONCONVERGENT
 
 

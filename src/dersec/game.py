@@ -380,9 +380,9 @@ def solve_ad_oneshot(
     the load-control vector gamma; a vector's exact response is its LP. Each
     row's attacks are its ``ranked_families``, at most one per pivot, read
     from one ranking of every DER by LPF impact at each pivot. Every solve
-    computes the impact matrix, which also seeds the bounds; the ranking,
-    and the families of a row that secures nothing, read that matrix and M
-    alone, so they are kept on the network under its bytes (rows that secure
+    computes the impact matrix, which also seeds the bounds; it is that of
+    the network's own set-points, so the ranking, and per M the families of
+    a row that secures nothing, are kept on the network (rows that secure
     a node are ranked per solve: Stage 1 draws up to millions of them). They
     are bounded as families, so no candidate vector is listed and no
     candidate cap applies. A 2-D ``u`` holds rows of alternative security
@@ -395,10 +395,9 @@ def solve_ad_oneshot(
     sp_d = fixed_angle_setpoints(net)
     lp = GammaControlLP(net, params, model, sp_d)
     D = impact_matrix(net, sp_d, LPF)[1:]
-    key = D.tobytes()
-    ranking = net.derived(("impact_ranking", key), lambda: impact_ranking(D, net.der_nodes))
+    ranking = net.derived("impact_ranking", lambda: impact_ranking(D, net.der_nodes))
     rows = (ranked_families(ranking, M, row) if row.any() else
-            net.derived(("unsecured_families", key, M), lambda: ranked_families(ranking, M, row))
+            net.derived(("unsecured_families", M), lambda: ranked_families(ranking, M, row))
             for row in secured)
     # the model's impacts are the LPF ones scaled by its load scale, as
     # impact_matrix scales them

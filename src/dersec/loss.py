@@ -15,16 +15,23 @@ _GAMMA_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CostParams:
-    """Weights: W in $/(pu^2 voltage violation), C in $/(pu real power shed)."""
+    """Weights: W in $/(pu^2 voltage violation), C in $/(pu real power shed).
+
+    The weights are owned: W and C hold read-only float64 copies of what was
+    given (a list, say), so a solve slices them and keys on their bytes as
+    they are.
+    """
 
     W: np.ndarray
     C: np.ndarray
 
     def __post_init__(self):
         for name in ("W", "C"):
-            values = np.asarray(getattr(self, name), dtype=float)
+            values = np.array(getattr(self, name), dtype=float)
             if not (np.isfinite(values).all() and (values >= 0.0).all()):
                 raise ValueError(f"cost weights {name} must be finite and nonnegative")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @classmethod
     def from_network(cls, net: Network) -> "CostParams":

@@ -32,7 +32,7 @@ def network_to_json(net: Network) -> str:
         "nodes": [
             {
                 "id": i,
-                "parent": None if i == 0 else int(net.parent[i]),
+                "parent": None if i == 0 else int(net.tree.parent[i]),
                 "r_pu": float(net.r[i]),
                 "x_pu": float(net.x[i]),
                 "pc_nom": float(net.sc_nom[i].real),
@@ -64,6 +64,14 @@ def _integer(field: str, value) -> int:
     return int(value)
 
 
+def _check_fields(row: dict, fields: set[str], message: str) -> None:
+    """Reject ``row``'s unknown fields, then its missing ones; ``message``
+    takes the word ("unknown" or "missing") and the sorted field names."""
+    for word, names in (("unknown", set(row) - fields), ("missing", fields - set(row))):
+        if names:
+            raise InvalidNetwork(message.format(word, sorted(names)))
+
+
 def network_from_json(text: str) -> Network:
     try:
         doc = json.loads(text)
@@ -71,12 +79,7 @@ def network_from_json(text: str) -> Network:
         raise InvalidNetwork(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidNetwork("top-level JSON value must be an object")
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise InvalidNetwork(f"unknown fields {sorted(unknown)} in network document")
-    missing = _DOC_FIELDS - set(doc)
-    if missing:
-        raise InvalidNetwork(f"missing fields {sorted(missing)} in network document")
+    _check_fields(doc, _DOC_FIELDS, "{} fields {} in network document")
 
     for field in sorted(_DOC_FIELDS - {"nodes"}):
         _number(field, doc[field])
@@ -87,12 +90,7 @@ def network_from_json(text: str) -> Network:
     for row in doc["nodes"]:
         if not isinstance(row, dict):
             raise InvalidNetwork(f"node {row!r} is not an object")
-        unknown = set(row) - _NODE_FIELDS
-        if unknown:
-            raise InvalidNetwork(f"unknown node fields {sorted(unknown)}")
-        missing = _NODE_FIELDS - set(row)
-        if missing:
-            raise InvalidNetwork(f"missing node fields {sorted(missing)}")
+        _check_fields(row, _NODE_FIELDS, "{} node fields {}")
         specs.append(
             NodeSpec(
                 id=_integer("id", row["id"]),

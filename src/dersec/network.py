@@ -12,10 +12,9 @@ bounds) per load scale and the bytes of the weights W and C, the exact
 engines' no-attack voltages at their seed set-points per load scale, the
 power-flow sweep's edge terms z, conj(z) and |z|^2, and the one-shot
 engine's impact ranking and the pivot families of a row that secures
-nothing, per budget, under the bytes of the impact matrix they are read
-from. None stands in for an impact matrix, a power flow or an LP, so
-a solve on a used network makes those calls as often as on a fresh one and
-saves only the work beside them. Nothing is built with the network, and a
+nothing, per budget. None stands in for an impact matrix, a power flow or
+an LP, so a solve on a used network makes those calls as often as on a
+fresh one and saves only the work beside them. Nothing is built with the network, and a
 copy made with ``dataclasses.replace`` (``with_gamma_lo``, for one) starts
 empty. What reads an attack or a response is built per solve.
 """
@@ -106,7 +105,6 @@ class Network:
     """
 
     n: int                        # number of non-substation nodes
-    parent: np.ndarray
     r: np.ndarray
     x: np.ndarray
     sc_nom: np.ndarray            # complex nominal demand
@@ -303,7 +301,6 @@ def build_network(
 
     return Network(
         n=n_total - 1,
-        parent=parent,
         r=r,
         x=x,
         sc_nom=sc_nom,

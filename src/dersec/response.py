@@ -194,28 +194,6 @@ def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
     return x
 
 
-def _flow_matrices(
-    net: Network, kappa: float, free: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The loaded nodes (0-based into nodes 1..N) and the P, Q and nu
-    matrices of the response model over ``free``'s DERs at load scale
-    ``kappa``."""
-    pc = net.sc_nom.real[1:]
-    qc = net.sc_nom.imag[1:]
-    loaded = ((pc > 0.0) | (qc > 0.0)).nonzero()[0]
-    n_gamma = loaded.size
-    p_cols = n_gamma + 2 * np.arange(free.size)
-    Msub = net.tree.subtree_mask[1:, 1:]
-    P_mat = np.zeros((net.n, n_gamma + 2 * free.size + 1))
-    Q_mat = np.zeros(P_mat.shape)
-    P_mat[:, :n_gamma] = kappa * Msub[:, loaded] * pc[loaded][None, :]
-    Q_mat[:, :n_gamma] = kappa * Msub[:, loaded] * qc[loaded][None, :]
-    P_mat[:, p_cols] = -kappa * Msub[:, free - 1]
-    Q_mat[:, p_cols + 1] = -kappa * Msub[:, free - 1]
-    nu_mat = -2.0 * ((Msub.T * net.r[1:][None, :]) @ P_mat + (Msub.T * net.x[1:][None, :]) @ Q_mat)
-    return loaded, P_mat, Q_mat, nu_mat
-
-
 class _ResponseModel:
     """Affine (P, Q, nu) = offset + mat @ x over x = [gamma of the loaded
     nodes, (pg, qg) per free DER, t], with its LP rows, base objective,
@@ -228,11 +206,20 @@ class _ResponseModel:
 
     def __init__(self, net: Network, params: CostParams, kappa: float, free: np.ndarray):
         self.net, self.kappa, self.free = net, kappa, free
-        self.loaded, self.P_mat, self.Q_mat, self.nu_mat = _flow_matrices(net, kappa, free)
-        self._p_cols = self.loaded.size + 2 * np.arange(free.size)     # qg columns follow
-        self._Msub = net.tree.subtree_mask[1:, 1:]
-        self._W = params.W[1:].copy()          # a kept model must not see W change
-        n_gamma = self.loaded.size
+        pc, qc = net.sc_nom.real[1:], net.sc_nom.imag[1:]
+        # the loaded nodes, 0-based into nodes 1..N
+        self.loaded = loaded = ((pc > 0.0) | (qc > 0.0)).nonzero()[0]
+        n_gamma = loaded.size
+        self._p_cols = n_gamma + 2 * np.arange(free.size)     # qg columns follow
+        self._Msub = M = net.tree.subtree_mask[1:, 1:]
+        self._W = params.W[1:]
+        P = self.P_mat = np.zeros((net.n, n_gamma + 2 * free.size + 1))
+        Q = self.Q_mat = np.zeros(P.shape)
+        P[:, :n_gamma] = kappa * M[:, loaded] * pc[loaded][None, :]
+        Q[:, :n_gamma] = kappa * M[:, loaded] * qc[loaded][None, :]
+        P[:, self._p_cols] = -kappa * M[:, free - 1]
+        Q[:, self._p_cols + 1] = -kappa * M[:, free - 1]
+        self.nu_mat = -2.0 * ((M.T * net.r[1:][None, :]) @ P + (M.T * net.x[1:][None, :]) @ Q)
         # the LP rows, column-wise as tuples (HiGHS copies them as fast as
         # lists, and they cannot change), and the right-hand side of the facet
         # rows: the epigraph rows t >= W (nu_lo - nu) and, per free DER, the
@@ -248,15 +235,14 @@ class _ResponseModel:
         self._b_facet = (net.der_cap[free] * _FACET_SUPPORT)[der]
         # the base objective: the cost of the shed load, plus t
         self.c = np.zeros(self.nu_mat.shape[1])
-        self.c[:n_gamma] = -params.C[1:][self.loaded] * net.sc_nom.real[1:][self.loaded]
+        self.c[:n_gamma] = -params.C[1:][loaded] * pc[loaded]
         self.c[-1] = 1.0
         # the variable bounds and the trust span of every variable but t
         caps = net.der_cap[free].repeat(2)
-        self._lb = np.concatenate([net.gamma_lo[1:][self.loaded], np.zeros(caps.size), [0.0]])
+        self._lb = np.concatenate([net.gamma_lo[1:][loaded], np.zeros(caps.size), [0.0]])
         self._ub = np.concatenate([np.ones(n_gamma), caps, [np.inf]])
         self._span = np.concatenate([np.ones(n_gamma), caps])
-        for part in (self.loaded, self.P_mat, self.Q_mat, self.nu_mat,
-                     self._W, self._b_facet, self.c, self._lb, self._ub, self._span):
+        for part in (loaded, P, Q, self.nu_mat, self._b_facet, self.c, self._lb, self._ub, self._span):
             part.setflags(write=False)
 
     def nu_offset(self, sg: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -346,9 +332,8 @@ class GammaControlLP:
         self.model = model
         self.sp_d = np.asarray(sp_d, dtype=complex)
         kappa = model.load_scale
-        W, C = (np.asarray(w, dtype=float) for w in (params.W, params.C))
         self._lp, self.G, self._WG = net.derived(
-            ("load_control_model", kappa, W.tobytes(), C.tobytes()),
+            ("load_control_model", kappa, params.W.tobytes(), params.C.tobytes()),
             lambda: _load_control_model(net, params, kappa),
         )
         self.loaded = self._lp.loaded

@@ -161,18 +161,11 @@ class StrategyComparison:
     loss2: float
 
     @property
-    def first_at_most_second(self) -> bool:
-        return self.loss1 <= self.loss2 + 1e-9
-
-    @property
-    def second_at_most_first(self) -> bool:
-        return self.loss2 <= self.loss1 + 1e-9
-
-    @property
     def relation(self) -> str:
-        if self.first_at_most_second and self.second_at_most_first:
+        first = self.loss1 <= self.loss2 + 1e-9
+        if first and self.loss2 <= self.loss1 + 1e-9:
             return "equal"
-        return "u1 more secure" if self.first_at_most_second else "u2 more secure"
+        return "u1 more secure" if first else "u2 more secure"
 
 
 def compare_strategies(

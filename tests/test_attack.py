@@ -27,7 +27,7 @@ from dersec.attack import (
     ranked_families,
 )
 from dersec.cases import random_feasible_network
-from dersec.errors import EnumerationCapExceeded
+from dersec.errors import EnumerationCapExceeded, RootArgument
 from dersec.network import NodeSpec, build_network
 from dersec.response import DefenderResponse, fixed_angle_setpoints
 
@@ -147,6 +147,10 @@ class TestPivotOptimalAttack:
         for call in calls:
             with pytest.raises(ValueError, match="budget M"):
                 call()
+
+    def test_substation_pivot_rejected(self, fig2):
+        with pytest.raises(RootArgument, match="pivot"):
+            pivot_optimal_attack(fig2, 0, fixed_angle_setpoints(fig2), 2, zeros_u(fig2))
 
     def test_budget_slack_attacks_everything(self, fig2):
         sp = fixed_angle_setpoints(fig2)

@@ -540,6 +540,27 @@ class TestSolveAd:
                 solve()
         assert calls == []
 
+    @pytest.mark.parametrize("entry,match", [
+        ("solve_ad_oneshot", "one-shot engine applies to linear models only"),
+        ("solve_ad_exhaustive", "exhaustive engine applies to linear models only"),
+        ("GammaControlLP", "load-control LP applies to linear models only"),
+        ("solve_dad", "solve_dad applies to linear models"),
+    ])
+    def test_linear_entry_points_reject_npf(self, tree22, entry, match, monkeypatch):
+        from dersec import NPF, solve_dad
+
+        params = params_for(tree22, 10.0)
+        calls = _count_lps(monkeypatch)
+        solve = {
+            "solve_ad_oneshot": lambda: solve_ad_oneshot(tree22, None, 1, params, NPF),
+            "solve_ad_exhaustive": lambda: solve_ad_exhaustive(tree22, None, 1, params, NPF),
+            "GammaControlLP": lambda: GammaControlLP(tree22, params, NPF, polygon_setpoints(tree22)),
+            "solve_dad": lambda: solve_dad(tree22, 1, 1, params, NPF),
+        }[entry]
+        with pytest.raises(ValueError, match=match):
+            solve()
+        assert calls == []
+
     def test_npf_is_lpf_seeded_iterative(self, tree22):
         from dersec import NPF
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dersec.cli
 import dersec.game
 import dersec.sweep
 from dersec import (
@@ -50,7 +51,7 @@ from dersec.cases import (
     si_to_per_unit_power,
 )
 from dersec.cli import main as cli_main
-from dersec.errors import InvalidNetwork
+from dersec.errors import InvalidNetwork, NonConvergent
 from dersec.netio import CSV_HEADER, sweep_rows_to_csv
 from dersec.sweep import SweepConfig, SweepRow, _delta_string, run_sweep, with_gamma_lo
 
@@ -120,7 +121,7 @@ class TestJSON:
         doc = network_to_json(homog37)
         back = network_from_json(doc)
         assert back.n == homog37.n
-        assert np.array_equal(back.parent, homog37.parent)
+        assert np.array_equal(back.tree.parent, homog37.tree.parent)
         for field in ("r", "x", "der_cap", "nu_lo", "nu_hi", "W", "C", "gamma_lo"):
             assert np.allclose(getattr(back, field), getattr(homog37, field))
         assert np.allclose(back.sc_nom, homog37.sc_nom)
@@ -182,6 +183,12 @@ class TestCSV:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("axis", ["M_values", "wc_ratios", "gamma_lo_values"])
+    def test_empty_axis_rejected(self, axis):
+        axes = {"M_values": (1,), "wc_ratios": (10.0,), "gamma_lo_values": (0.5,), axis: ()}
+        with pytest.raises(ValueError, match="sweep axes must be nonempty"):
+            SweepConfig(**axes)
+
     def test_zero_budget_rows(self, tree22):
         cfg = SweepConfig(M_values=(0,), wc_ratios=(10.0,), gamma_lo_values=(0.5,))
         rows = run_sweep(tree22, cfg)
@@ -487,6 +494,33 @@ class TestCLI:
         assert cli_main(argv) == 2
         assert "error: workers" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def _tree22_argv(self, tmp_path, tree22, command="solve-ad"):
+        net_path = tmp_path / "net.json"
+        save_network(tree22, net_path)
+        return [command, "--network", str(net_path), "-M", "2", "--wc-ratio", "10"]
+
+    def test_solve_ad_nonconvergent_exit_code(self, tmp_path, capsys, tree22, monkeypatch):
+        def diverge(*args):
+            raise NonConvergent(1e-3, 200)
+
+        monkeypatch.setattr(dersec.cli, "solve_ad", diverge)
+        assert cli_main(self._tree22_argv(tmp_path, tree22)) == 3
+        assert "solver did not converge" in capsys.readouterr().err
+
+    def test_solve_ad_unconverged_result_exit_code(self, tmp_path, capsys, tree22, monkeypatch):
+        solve = dersec.cli.solve_ad
+        monkeypatch.setattr(dersec.cli, "solve_ad",
+                            lambda *args: dataclasses.replace(solve(*args), converged=False))
+        assert cli_main(self._tree22_argv(tmp_path, tree22)) == 3
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+
+    def test_verify_bounds_chain_broken_exit_code(self, tmp_path, capsys, tree22, monkeypatch):
+        bounds = dersec.cli.sandwich_bounds
+        monkeypatch.setattr(dersec.cli, "sandwich_bounds",
+                            lambda *args, **kw: dataclasses.replace(bounds(*args, **kw), holds=False))
+        assert cli_main(self._tree22_argv(tmp_path, tree22, "verify-bounds")) == 3
+        assert json.loads(capsys.readouterr().out)["holds"] is False
 
     def test_sweep_config_engine_key_ignored(self, tmp_path):
         net_path = tmp_path / "net.json"

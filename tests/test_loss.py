@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
-from dersec import CostParams, evaluate_loss, line_loss_cap, nominal_injection, solve_npf
+from dersec import (
+    LPF,
+    NPF,
+    CostParams,
+    balanced_tree,
+    evaluate_loss,
+    homogeneous37,
+    line_loss_cap,
+    nominal_injection,
+    solve_ad,
+    solve_dad,
+    solve_npf,
+)
 from dersec.errors import GammaOutOfRange
 from dersec.cases import random_feasible_network
 from dersec.network import NodeSpec, build_network
 from dersec.powerflow import Injection, solve_lpf
+from dersec.sweep import with_gamma_lo
 
 
 def _single_node_net(W=2.0, C=1.0, pc=0.15, nu_lo=0.9025):
@@ -97,3 +110,40 @@ def test_line_loss_cap_holds_on_feasible_instances():
         st = solve_npf(net, nominal_injection(net))
         ll = float(np.sum(net.r[1:] * st.ell[1:]))
         assert ll <= line_loss_cap(net) + 1e-12
+
+
+def _solve_case(case, weights):
+    """The sub-game answer, by ``repr``, of ``case`` on a fresh network, under
+    ``CostParams.from_ratio(net, 10)`` given as arrays or as lists."""
+    if case == "solve_ad_npf":
+        net = with_gamma_lo(homogeneous37(), 0.5)
+    else:
+        net = balanced_tree(2, 2)
+    params = CostParams.from_ratio(net, 10.0)
+    if weights == "lists":
+        params = CostParams(W=list(params.W), C=list(params.C))
+    for w in (params.W, params.C):
+        assert w.dtype == np.float64 and not w.flags.writeable
+    if case == "solve_ad_npf":
+        ad, u = solve_ad(net, None, 4, params, NPF), None
+    else:
+        dad = solve_dad(net, 1, 1, params, LPF)
+        ad, u = dad.ad, dad.u_star.u.tolist()
+    return repr((u, ad.loss, ad.u.tolist(), ad.delta_star.tolist(), ad.phi_star.gamma.tolist(),
+                 ad.phi_star.sp_d.tolist(), ad.iterations, ad.converged))
+
+
+@pytest.mark.parametrize("case", ["solve_ad_npf", "solve_dad_lpf"])
+def test_list_weights_solve_as_the_arrays_do(case):
+    # lists once reached the response model unconverted and raised TypeError
+    assert _solve_case(case, "lists") == _solve_case(case, "arrays")
+
+
+def test_weights_are_owned_copies():
+    W = np.full(3, 2.0)
+    params = CostParams(W=W, C=[1, 1, 1])
+    W[1] = 5.0
+    assert params.W.tolist() == [2.0, 2.0, 2.0]
+    assert params.C.dtype == np.float64
+    with pytest.raises(ValueError):
+        params.W[1] = 5.0

@@ -132,6 +132,17 @@ class TestBuild:
         with pytest.raises(InvalidNetwork):
             build_network([NodeSpec(id=0, parent=None)])
 
+    @pytest.mark.parametrize("ids_parents,error,match", [
+        (((0, None), (2, 0)), InvalidNetwork, "dense integers"),
+        (((0, 1), (1, None)), InvalidNetwork, "exactly node 0"),
+        (((0, None), (1, 1)), CycleDetected, "node 1 is its own parent"),
+    ], ids=["ids_not_dense", "root_not_node_0", "own_parent"])
+    def test_bad_ids_rejected(self, ids_parents, error, match):
+        specs = [NodeSpec(id=i, parent=p, r_pu=0.01 if i else 0.0, x_pu=0.01 if i else 0.0)
+                 for i, p in ids_parents]
+        with pytest.raises(error, match=match):
+            build_network(specs)
+
 
 class TestCommonPathImpedance:
     def test_single_shared_edge(self):
@@ -164,6 +175,17 @@ class TestPrecedence:
     def test_fig2_equal(self, fig2):
         i, e, k = (fig2.node_by_label(c) for c in "iek")
         assert precedence_compare(fig2, i, e, k) is Precedence.EQUAL
+
+    def test_fig2_strict_reversed(self, fig2):
+        i, j, k = (fig2.node_by_label(c) for c in "ijk")
+        assert precedence_compare(fig2, i, k, j) is Precedence.K_PRECEDES_J
+
+    @pytest.mark.parametrize("where", range(3))
+    def test_root_argument(self, fig2, where):
+        nodes = [fig2.node_by_label(c) for c in "ijk"]
+        nodes[where] = 0
+        with pytest.raises(RootArgument):
+            precedence_compare(fig2, *nodes)
 
     def test_reflexive(self, fig2):
         j = fig2.node_by_label("j")

@@ -24,7 +24,7 @@ from dersec import (
 )
 from dersec.attack import attack_strategy, effective_setpoints
 from dersec.cases import random_feasible_network
-from dersec.errors import HeterogeneousRxRatio, InfeasibleLP
+from dersec.errors import HeterogeneousRxRatio, InfeasibleLP, NonConvergent
 from dersec.game import solve_ad_oneshot
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import GridSpec, _grid_min_response
@@ -184,6 +184,32 @@ class TestOptimalResponse:
         # polygon of the disk, so it can only lose the facet granularity
         assert fixed <= joint + 1e-9
         assert joint - fixed < 1e-3
+
+    def test_npf_failed_candidate_halves_the_radius(self, homog37, monkeypatch):
+        # a candidate whose power flow fails is rejected and the next round
+        # searches half as far; the best state found so far is kept
+        params = params_for(homog37, 10.0)
+        delta = np.zeros(37, dtype=int)
+        delta[homog37.der_nodes[-4:]] = 1
+        psi = attack_strategy(homog37, delta)
+        real = dersec.response.response_state
+        start = DefenderResponse(sp_d=dersec.response._warm_setpoints(homog37), gamma=np.ones(37))
+        start_loss = evaluate_loss(real(homog37, psi, start, NPF), start.gamma, params).total
+        calls, radii = [], []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 2:     # the first candidate; the first call is the start
+                raise NonConvergent(1e-3, 200)
+            return real(*args)
+
+        trust_box = dersec.response._ResponseModel.trust_box
+        monkeypatch.setattr(dersec.response, "response_state", flaky)
+        monkeypatch.setattr(dersec.response._ResponseModel, "trust_box",
+                            lambda lp, x, radius: radii.append(radius) or trust_box(lp, x, radius))
+        phi = optimal_response(homog37, psi, params, NPF)
+        assert radii[:2] == [1.0, 0.5]
+        assert evaluate_loss(real(homog37, psi, phi, NPF), phi.gamma, params).total <= start_loss
 
     def test_npf_no_attack_prefers_active_power(self, homog37):
         params = params_for(homog37, 10.0)

@@ -23,6 +23,7 @@ from dersec import (
 from dersec.errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import _rounded_properties, _subtree_signature, bf_security
+from dersec.security import StrategyComparison
 from dersec.sweep import with_gamma_lo
 
 from conftest import params_for
@@ -366,6 +367,12 @@ class TestStage1Pool:
             tracemalloc.stop()
         assert peak < 253 * 82160 // 4
 
+    def test_row_cap(self):
+        # counted before any row is built or any sub-game solved
+        net = random_feasible_network(0, n_max=40, identical_k=False)
+        with pytest.raises(EnumerationCapExceeded, match="33649 security strategies exceed cap 20000"):
+            solve_dad(net, 5, 1, params_for(net, 10.0), LPF)
+
 
 class TestComparisons:
     def test_equal_strategies(self, tree32):
@@ -395,6 +402,35 @@ class TestComparisons:
         assert cmp.loss1 == solve_ad_exhaustive(net, u1, 2, params, LPF).loss.total
         assert cmp.loss2 == solve_ad_exhaustive(net, u2, 2, params, LPF).loss.total
         assert cmp.loss1 != cmp.loss2
+
+    @pytest.mark.parametrize("M", [3, 4])
+    def test_fig4_relation(self, tree23, M):
+        u1, u2 = fig4_strategies(tree23)
+        cmp = compare_strategies(tree23, u1, u2, M, params_for(tree23, 10.0), LPF)
+        assert cmp.relation == "u2 more secure"
+
+    @pytest.mark.parametrize("swap,relation", [(False, "u2 more secure"), (True, "u1 more secure")])
+    def test_heterogeneous_relation(self, swap, relation):
+        net = random_feasible_network(9, identical_k=False)
+        ders = [int(i) for i in net.der_nodes]
+        u1 = np.zeros(net.n + 1, dtype=int)
+        u1[ders[0]] = 1
+        u2 = np.zeros(net.n + 1, dtype=int)
+        u2[ders[-1]] = 1
+        if swap:
+            u1, u2 = u2, u1
+        cmp = compare_strategies(net, u1, u2, 2, params_for(net, 10.0), LPF)
+        assert sorted((cmp.loss1, cmp.loss2)) == [0.0, pytest.approx(5.619094742784498, rel=1e-9)]
+        assert cmp.relation == relation
+
+    @pytest.mark.parametrize("loss1,loss2,relation", [
+        (1.0, 1.0 + 5e-10, "equal"),
+        (1.0 + 5e-10, 1.0, "equal"),
+        (1.0, 1.0 + 2e-9, "u1 more secure"),
+        (1.0 + 2e-9, 1.0, "u2 more secure"),
+    ])
+    def test_relation_tolerance(self, loss1, loss2, relation):
+        assert StrategyComparison(loss1=loss1, loss2=loss2).relation == relation
 
     def test_child_node_swap_never_hurts(self, tree32):
         # moving a secured bit from an ancestor to a descendant keeps the
