@@ -9,6 +9,7 @@ import numpy as np
 
 from dersec import (
     LPF,
+    CostParams,
     bf_attack_fixed_response,
     optimal_attack_fixed_response,
     pivot_optimal_attack,
@@ -36,7 +37,7 @@ print("\ngreedy 2-DER attack at pivot m:",
       sorted(net.label_of(i) for i in np.flatnonzero(atk.delta)),
       f"(total drop {atk.impact:.6f})")
 
-best = optimal_attack_fixed_response(net, phi, 2, u)
+best = optimal_attack_fixed_response(net, phi, 2, u, CostParams.from_network(net))
 print("best attack over all pivots:",
       sorted(net.label_of(i) for i in np.flatnonzero(best)))
 

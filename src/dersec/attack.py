@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EnumerationCapExceeded, RootArgument
+from .loss import CostParams, check_weights
 from .network import Network
 from .powerflow import LPF, ModelTag, injection, solve_lpf
 
@@ -39,10 +40,6 @@ class AttackStrategy:
 
     delta: np.ndarray
     sp_a: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.delta.sum())
 
 
 def attack_strategy(net: Network, delta: np.ndarray) -> AttackStrategy:
@@ -192,12 +189,10 @@ def pivot_optimal_attack(
     sp_d: np.ndarray,
     M: int,
     u: np.ndarray,
-    rng: np.random.Generator | None = None,
 ) -> PivotAttack:
     """Take whole equal-impact partitions in decreasing order until the budget
-    cut, then fill from the boundary partition deterministically (lowest id),
-    or uniformly at random when ``rng`` is given; either completion has the
-    same impact at the pivot (LPF impacts)."""
+    cut, then fill from the boundary partition by lowest id; any other fill
+    has the same impact at the pivot (LPF impacts)."""
     if pivot == 0:
         raise RootArgument("pivot must be a non-substation node")
     _check_budget("M", M)
@@ -205,12 +200,7 @@ def pivot_optimal_attack(
     D = impact_matrix(net, sp_d, LPF)[pivot]
     (walk,) = _partition_walks(impact_ranking(D[None, :], pool), min(M, pool.size))
     delta = np.zeros(net.n + 1, dtype=int)
-    if rng is None:
-        delta[list(walk.first())] = 1
-    else:
-        delta[list(walk.taken)] = 1
-        if walk.boundary:
-            delta[rng.choice(walk.boundary, size=walk.fill, replace=False)] = 1
+    delta[list(walk.first())] = 1
     return PivotAttack(
         pivot=pivot,
         delta=delta,
@@ -223,18 +213,17 @@ def optimal_attack_fixed_response(
     phi,
     M: int,
     u: np.ndarray,
-    W: np.ndarray | None = None,
+    params: CostParams,
 ) -> np.ndarray:
     """Optimal attack vector against a fixed defender response.
 
     Evaluates every node as pivot, applies its greedy pivot attack to the
     no-attack LPF state, and returns the attack of the pivot with the
-    largest weighted soft-bound violation (ties to the lowest pivot id).
-    ``W`` defaults to the network's violation weights.
+    largest soft-bound violation weighted by ``params.W`` (ties to the
+    lowest pivot id).
     """
     _check_budget("M", M)
-    if W is None:
-        W = net.W
+    check_weights(net, params)
     sg0 = effective_setpoints(net, np.zeros(net.n + 1, dtype=int), phi.sp_d)
     base = solve_lpf(net, injection(net, phi.gamma, sg0))
 
@@ -246,7 +235,7 @@ def optimal_attack_fixed_response(
     for pivot, walk in zip(net.nodes, _partition_walks(impact_ranking(D[1:], pool), budget)):
         nodes = list(walk.first())
         impact = float(D[pivot, nodes].sum())
-        score = W[pivot] * (net.nu_lo[pivot] - (base.nu[pivot] - impact))
+        score = params.W[pivot] * (net.nu_lo[pivot] - (base.nu[pivot] - impact))
         if score > best_score + 1e-15:
             best_score = score
             best_nodes = nodes

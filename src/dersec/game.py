@@ -492,7 +492,7 @@ def solve_ad_iterative(
         if best is None or loss.total > best[2].total:
             best = (psi, phi, loss)
         if iterations < _ITERATIVE_MAX_ITER:
-            delta = optimal_attack_fixed_response(net, phi, M, u, W=params.W)
+            delta = optimal_attack_fixed_response(net, phi, M, u, params)
 
     psi_star, phi_star, loss_star = best
     return ADResult(

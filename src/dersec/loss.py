@@ -13,13 +13,13 @@ from .powerflow import State
 _GAMMA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostParams:
     """Weights: W in $/(pu^2 voltage violation), C in $/(pu real power shed).
 
     The weights are owned: W and C hold read-only float64 copies of what was
     given (a list, say), so a solve slices them and keys on their bytes as
-    they are.
+    they are. They are the only weights a solve reads.
     """
 
     W: np.ndarray
@@ -54,6 +54,12 @@ class LossBreakdown:
         return self.lovr + self.voll + self.ll
 
 
+def check_weights(net: Network, params: CostParams) -> None:
+    if not params.W.shape == params.C.shape == (net.n + 1,):
+        raise ValueError(f"cost weights W and C need {net.n + 1} entries (nodes 0..{net.n}), "
+                         f"got shapes {params.W.shape} and {params.C.shape}")
+
+
 def check_gamma(net: Network, gamma: np.ndarray) -> None:
     out = (gamma[1:] < net.gamma_lo[1:] - _GAMMA_TOL) | (gamma[1:] > 1.0 + _GAMMA_TOL)
     if out.any():
@@ -71,6 +77,7 @@ def evaluate_loss(
     games' losses.
     """
     net = state.net
+    check_weights(net, params)
     check_gamma(net, gamma)
 
     shortfall = np.maximum(net.nu_lo[1:] - state.nu[1:], 0.0)

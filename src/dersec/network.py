@@ -3,12 +3,13 @@
 Nodes are dense integers 0..N with 0 the substation; every per-node quantity
 is stored in a length-(N+1) array indexed by node id, and every per-edge
 quantity is keyed by the downstream node of the edge. All electrical values
-are per-unit.
+are per-unit. W and C are the file's default weights, read only through
+``CostParams.from_network`` and ``CostParams.from_ratio``.
 
 Some constants the solvers derive from a network alone are kept on it,
 built on first use through ``Network.derived`` and read-only: the uniform
-r/x ratio, the symmetry check, the load-control model (LP rows, objective,
-bounds) per load scale and the bytes of the weights W and C, the exact
+r/x ratio, the symmetry answer and the load-control model (LP rows,
+objective, bounds, per load scale) per bytes of the solve's weights, the exact
 engines' no-attack voltages at their seed set-points per load scale, the
 power-flow sweep's edge terms z, conj(z) and |z|^2, and the one-shot
 engine's impact ranking and the pivot families of a row that secures
@@ -96,7 +97,7 @@ class Precedence(enum.Enum):
     EQUAL = "equal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Immutable radial distribution network (per-unit).
 

@@ -133,8 +133,8 @@ def bf_ad(
     return psi, phi, loss
 
 
-def _rounded_properties(net: Network) -> list[tuple]:
-    """Per node, the ten properties that decide symmetry, rounded."""
+def _rounded_properties(net: Network, params: CostParams) -> list[tuple]:
+    """Per node, the ten properties that decide symmetry under ``params``, rounded."""
     return [
         (
             round(net.r[i], 12),
@@ -144,8 +144,8 @@ def _rounded_properties(net: Network) -> list[tuple]:
             round(float(net.der_cap[i]), 12),
             round(float(net.nu_lo[i]), 12),
             round(float(net.nu_hi[i]), 12),
-            round(float(net.W[i]), 12),
-            round(float(net.C[i]), 12),
+            round(float(params.W[i]), 12),
+            round(float(params.C[i]), 12),
             round(float(net.gamma_lo[i]), 12),
         )
         for i in range(net.n + 1)
@@ -171,8 +171,8 @@ def bf_security(
 ) -> tuple[np.ndarray, float]:
     """Exact Stage-1 minimizer over enumerated security strategies.
 
-    Symmetric-equivalent strategies are collapsed through a canonical tree
-    signature, which changes nothing about the exact value.
+    Strategies symmetric-equivalent under the weights of ``params`` are
+    collapsed through a canonical tree signature, which keeps the exact value.
     """
     der = [int(i) for i in np.flatnonzero(net.der_cap > 0.0)]
     budget = min(B, len(der))
@@ -180,7 +180,7 @@ def bf_security(
     if total * max(len(_enumerate_deltas(net, M, np.zeros(net.n + 1))), 1) > _ENUM_GUARD:
         raise TooLargeToEnumerate("security enumeration exceeds the oracle guard")
 
-    props = _rounded_properties(net)
+    props = _rounded_properties(net, params)
     seen: dict = {}
     best: tuple[float, np.ndarray] | None = None
     for k in range(budget + 1):

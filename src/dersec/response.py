@@ -64,7 +64,7 @@ import scipy
 
 from .attack import AttackStrategy, effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
-from .loss import CostParams, evaluate_loss
+from .loss import CostParams, check_weights, evaluate_loss
 from .network import Network
 from .powerflow import NPF, ModelTag, injection, solve_eps_lpf, solve_lpf, solve_npf
 
@@ -205,6 +205,7 @@ class _ResponseModel:
     """
 
     def __init__(self, net: Network, params: CostParams, kappa: float, free: np.ndarray):
+        check_weights(net, params)
         self.net, self.kappa, self.free = net, kappa, free
         pc, qc = net.sc_nom.real[1:], net.sc_nom.imag[1:]
         # the loaded nodes, 0-based into nodes 1..N

@@ -1,12 +1,12 @@
 """Stage-1 security investment: bottom-up placement on symmetric networks,
 the full trilevel solve, and strategy comparison.
 
-On a symmetric identical-r/x network the optimal budget-B placement secures
-DER levels whole from the deepest level upward and spreads the partial
-top-most secured level uniformly across sibling groups; any uniform choice is
-equivalent up to a tree automorphism, so the first B DERs of one fixed
-ordering (deepest first, then by rank within the sibling group) attain the
-optimum.
+On an identical-r/x network symmetric under the solve's weights, the optimal
+budget-B placement secures DER levels whole from the deepest level upward and
+spreads the partial top-most secured level uniformly across sibling groups;
+any uniform choice is equivalent up to a tree automorphism, so the first B
+DERs of one fixed ordering (deepest first, then by rank within the sibling
+group) attain the optimum.
 
 Elsewhere Stage 1 is one pooled min-max over the full-budget security vectors
 (securing more never raises the loss); ties go to the first in enumeration order.
@@ -20,11 +20,11 @@ seed response; when no attack on it can lose more than 0, it wins outright
 attacks are drawn and no LP is built or solved.
 
 Repeated solves on one network (every budget B, both strategies of
-``compare_strategies``) build some of its constants once: the r/x and
-symmetry checks, the load-control model and the seed's no-attack
-voltages are kept on the network (see ``dersec.network``), and a copy of
-the network starts without them. The impact matrices and rankings are
-built per solve.
+``compare_strategies``) build some of its constants once: the r/x check,
+the symmetry check per weights, the load-control model and the seed's
+no-attack voltages are kept on the network (see ``dersec.network``), and a
+copy of the network starts without them. The impact matrices and rankings
+are built per solve.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .attack import _check_budget
 from .errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from .game import ADResult, solve_ad
 from .game import solve_ad_exhaustive  # noqa: F401  (public as dersec.security.solve_ad_exhaustive)
-from .loss import CostParams
+from .loss import CostParams, check_weights
 from .network import Network
 from .powerflow import ModelTag
 
@@ -64,42 +64,48 @@ class DADResult:
 
 
 def is_symmetric(net: Network) -> bool:
-    """Sibling subtrees identical everywhere, and all DER capabilities equal.
+    """Sibling subtrees identical everywhere under the solve's weights, here
+    the network's own, and all DER capabilities equal.
 
     Two siblings are identical when their roots' edge, demand, DER, bound,
     weight and gamma_lo values agree after ``round(v, 12)`` and their own
     children are identical in turn. One pass from the deepest nodes up gives
     every subtree an id, equal exactly for identical subtrees, so each node's
-    children are compared once. The answer is kept on the network.
+    children are compared once. The answer is kept on the network per weights.
     """
-    return net.derived("is_symmetric", lambda: _symmetric(net))
+    return _symmetric(net, CostParams.from_network(net))
 
 
-def _symmetric(net: Network) -> bool:
-    caps = net.der_cap[net.der_cap > 0.0]
-    if caps.size and float(caps.max() - caps.min()) > 1e-12:
-        return False
-    columns = np.array([net.r, net.x, net.sc_nom.real, net.sc_nom.imag, net.der_cap,
-                        net.nu_lo, net.nu_hi, net.W, net.C, net.gamma_lo])
-    # nodes share most values: round each distinct one once
-    values, where = np.unique(columns, return_inverse=True)
-    props = np.array([round(v, 12) for v in values.tolist()])[where.reshape(columns.shape)].T.tolist()
-    ids: dict[tuple, int] = {}
-    sig = [0] * (net.n + 1)
-    for i in reversed(net.tree.order.tolist()):
-        kids = tuple(sig[c] for c in net.tree.children[i])
-        if len(set(kids)) > 1:
+def _symmetric(net: Network, params: CostParams) -> bool:
+    """``is_symmetric`` under the weights W and C of ``params``."""
+    def build() -> bool:
+        caps = net.der_cap[net.der_cap > 0.0]
+        if caps.size and float(caps.max() - caps.min()) > 1e-12:
             return False
-        sig[i] = ids.setdefault((tuple(props[i]), kids), len(ids))
-    return True
+        columns = np.array([net.r, net.x, net.sc_nom.real, net.sc_nom.imag, net.der_cap,
+                            net.nu_lo, net.nu_hi, params.W, params.C, net.gamma_lo])
+        # nodes share most values: round each distinct one once
+        values, where = np.unique(columns, return_inverse=True)
+        props = np.array([round(v, 12) for v in values.tolist()])[where.reshape(columns.shape)].T.tolist()
+        ids: dict[tuple, int] = {}
+        sig = [0] * (net.n + 1)
+        for i in reversed(net.tree.order.tolist()):
+            kids = tuple(sig[c] for c in net.tree.children[i])
+            if len(set(kids)) > 1:
+                return False
+            sig[i] = ids.setdefault((tuple(props[i]), kids), len(ids))
+        return True
+
+    return net.derived(("is_symmetric", params.W.tobytes(), params.C.tobytes()), build)
 
 
 def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
     """The first B DERs sorted by (-depth, rank among the DERs that share
     their parent, parent id, id): whole levels deepest first, and the partial
     top-most level dealt round-robin over its sibling groups, which realizes
-    the uniform choice deterministically. Requires a symmetric network with
-    identical r/x ratio and a non-negative integer B."""
+    the uniform choice deterministically. Requires a network symmetric under
+    the solve's weights, here its own, with identical r/x ratio and a
+    non-negative integer B."""
     _check_budget("B", B)
     if net.uniform_rx_ratio() is None:
         raise HeterogeneousRxRatio("optimal placement requires identical r/x")
@@ -129,10 +135,11 @@ def solve_dad(
     params: CostParams,
     model: ModelTag,
 ) -> DADResult:
-    """Trilevel solve: closed-form placement when the symmetry and ratio
-    preconditions hold, else one pooled Stage-1 min-max whose rows are the
-    full-budget vectors in ``itertools.combinations`` order (at most 20,000);
-    u* is the first of them with the least sub-game value.
+    """Trilevel solve: closed-form placement when the ratio and symmetry
+    preconditions hold, symmetric under the solve's weights ``params``, else
+    one pooled Stage-1 min-max whose rows are the full-budget vectors in
+    ``itertools.combinations`` order (at most 20,000); u* is the first of
+    them with the least sub-game value.
 
     The preconditions are checked once, here; the placement is then that of
     ``optimal_security_strategy``.
@@ -140,7 +147,8 @@ def solve_dad(
     if not model.is_linear:
         raise ValueError("solve_dad applies to linear models")
     _check_budget("B", B)      # M is checked by the engine
-    if net.uniform_rx_ratio() is not None and is_symmetric(net):
+    check_weights(net, params)
+    if net.uniform_rx_ratio() is not None and _symmetric(net, params):
         secured = _placement(net, B)
     else:
         der = [int(i) for i in net.der_nodes]

@@ -193,7 +193,7 @@ class TestCriterion4GreedyExactness:
             phi = DefenderResponse(sp_d=sp, gamma=np.ones(net.n + 1))
             params = CostParams.from_network(net)
             M = int(np.random.default_rng(seed).integers(1, 4))
-            greedy = optimal_attack_fixed_response(net, phi, M, u)
+            greedy = optimal_attack_fixed_response(net, phi, M, u, params)
             psi = attack_strategy(net, greedy)
             st = response_state(net, psi, phi, LPF)
             mine = evaluate_loss(st, phi.gamma, params).total

@@ -141,7 +141,8 @@ class TestPivotOptimalAttack:
         u = zeros_u(fig2)
         calls = (
             lambda: pivot_optimal_attack(fig2, 3, sp, M, u),
-            lambda: optimal_attack_fixed_response(fig2, _fig2_fixed_response(fig2), M, u),
+            lambda: optimal_attack_fixed_response(fig2, _fig2_fixed_response(fig2), M, u,
+                                                  CostParams.from_network(fig2)),
             lambda: candidate_attack_set(fig2, sp, M, u),
         )
         for call in calls:
@@ -171,12 +172,12 @@ class TestPivotOptimalAttack:
 class TestOptimalAttackFixedResponse:
     def test_budget_zero(self, fig2):
         phi = _fig2_fixed_response(fig2)
-        delta = optimal_attack_fixed_response(fig2, phi, 0, zeros_u(fig2))
+        delta = optimal_attack_fixed_response(fig2, phi, 0, zeros_u(fig2), CostParams.from_network(fig2))
         assert delta.sum() == 0
 
     def test_fig2_optimum(self, fig2):
         phi = _fig2_fixed_response(fig2)
-        delta = optimal_attack_fixed_response(fig2, phi, 2, zeros_u(fig2))
+        delta = optimal_attack_fixed_response(fig2, phi, 2, zeros_u(fig2), CostParams.from_network(fig2))
         chosen = {fig2.label_of(i) for i in np.flatnonzero(delta)}
         assert chosen == {"i", "m"}
 
@@ -421,10 +422,9 @@ class TestSecuredDERsAreNeverAttacked:
             gamma[0] = 1.0
             phi = DefenderResponse(sp_d=sp, gamma=gamma)
             for M in range(net.der_nodes.size + 1):
-                vectors = [optimal_attack_fixed_response(net, phi, M, u)]
+                vectors = [optimal_attack_fixed_response(net, phi, M, u, CostParams.from_network(net))]
                 for pivot in net.nodes:
                     vectors.append(pivot_optimal_attack(net, pivot, sp, M, u).delta)
-                    vectors.append(pivot_optimal_attack(net, pivot, sp, M, u, rng=rng).delta)
                 for nodes in candidate_attack_set(net, sp, M, u):
                     vectors.append(_to_delta(net, nodes))
                 for delta in vectors:

@@ -10,14 +10,19 @@ from dersec import (
     homogeneous37,
     line_loss_cap,
     nominal_injection,
+    optimal_attack_fixed_response,
+    optimal_response,
+    response_state,
     solve_ad,
     solve_dad,
     solve_npf,
 )
+from dersec.attack import attack_strategy
 from dersec.errors import GammaOutOfRange
 from dersec.cases import random_feasible_network
 from dersec.network import NodeSpec, build_network
 from dersec.powerflow import Injection, solve_lpf
+from dersec.response import DefenderResponse, fixed_angle_setpoints
 from dersec.sweep import with_gamma_lo
 
 
@@ -147,3 +152,35 @@ def test_weights_are_owned_copies():
     assert params.C.dtype == np.float64
     with pytest.raises(ValueError):
         params.W[1] = 5.0
+
+
+@pytest.mark.parametrize("length", [7, 38, 1])
+def test_weight_length_is_checked_against_the_network(length):
+    # a wrong length once failed deep in the response model with numpy's
+    # "operands could not be broadcast together"
+    net = homogeneous37()
+    params = CostParams(W=np.full(length, 7e4), C=np.full(length, 7e3))
+    psi = attack_strategy(net, np.zeros(net.n + 1, dtype=int))
+    phi = DefenderResponse(sp_d=fixed_angle_setpoints(net), gamma=np.ones(net.n + 1))
+    state = response_state(net, psi, phi, LPF)
+    calls = (
+        lambda: solve_ad(net, None, 2, params, LPF),
+        lambda: solve_ad(net, None, 2, params, NPF),
+        lambda: solve_dad(net, 1, 2, params, LPF),
+        lambda: optimal_response(net, psi, params, LPF),
+        lambda: optimal_response(net, psi, params, NPF),
+        lambda: evaluate_loss(state, phi.gamma, params),
+        lambda: optimal_attack_fixed_response(net, phi, 2, psi.delta, params),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"weights W and C need 37 entries"):
+            call()
+
+
+def test_networks_and_weights_compare_by_identity():
+    # equal-valued objects once raised "truth value of an array is ambiguous"
+    nets = balanced_tree(2, 2), balanced_tree(2, 2)
+    params = [CostParams.from_ratio(net, 10.0) for net in nets]
+    for a, b in (nets, params):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2

@@ -56,7 +56,7 @@ class TestBFAttack:
             phi = _fixed_phi(net)
             params = CostParams.from_network(net)
             for M in (1, 2, 3):
-                greedy = optimal_attack_fixed_response(net, phi, M, zeros_u(net))
+                greedy = optimal_attack_fixed_response(net, phi, M, zeros_u(net), params)
                 psi = attack_strategy(net, greedy)
                 from dersec import evaluate_loss, response_state
 

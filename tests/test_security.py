@@ -8,6 +8,8 @@ import pytest
 import dersec.game
 from dersec import (
     LPF,
+    NPF,
+    CostParams,
     balanced_tree,
     compare_strategies,
     fig4_strategies,
@@ -16,6 +18,8 @@ from dersec import (
     is_symmetric,
     optimal_security_strategy,
     random_feasible_network,
+    sandwich_bounds,
+    solve_ad,
     solve_ad_exhaustive,
     solve_ad_oneshot,
     solve_dad,
@@ -23,7 +27,7 @@ from dersec import (
 from dersec.errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import _rounded_properties, _subtree_signature, bf_security
-from dersec.security import StrategyComparison
+from dersec.security import StrategyComparison, _placement, _symmetric
 from dersec.sweep import with_gamma_lo
 
 from conftest import params_for
@@ -36,7 +40,7 @@ def _recursive_symmetric(net):
     caps = net.der_cap[net.der_cap > 0.0]
     if caps.size and float(caps.max() - caps.min()) > 1e-12:
         return False
-    props = _rounded_properties(net)
+    props = _rounded_properties(net, CostParams.from_network(net))
     return all(len({_subtree_signature(net, c, props) for c in kids}) <= 1
                for kids in net.tree.children)
 
@@ -232,6 +236,79 @@ class TestDAD:
                 val = solve_ad_oneshot(net, u, 2, params, LPF).loss.total
                 best = val if best is None else min(best, val)
         assert dad.loss == pytest.approx(best, abs=1e-9)
+
+
+def _weighted(net, nodes, factor=4.0):
+    """``CostParams.from_ratio(net, 10)`` with W at ``nodes`` times ``factor``."""
+    params = CostParams.from_ratio(net, 10.0)
+    W = params.W.copy()
+    W[nodes] *= factor
+    return CostParams(W=W, C=params.C)
+
+
+def _pooled(net, B, M, params):
+    """The Stage-1 min-max over every full-budget row, as one pooled solve."""
+    combos = list(itertools.combinations(net.der_nodes.tolist(), min(B, len(net.der_nodes))))
+    rows = np.zeros((len(combos), net.n + 1), dtype=int)
+    for row, combo in zip(rows, combos):
+        row[list(combo)] = 1
+    return solve_ad(net, rows, M, params, LPF)
+
+
+def _answer(ad):
+    """A sub-game result by ``repr``, arrays written out in full."""
+    return repr((ad.loss, ad.u.tolist(), ad.delta_star.tolist(), ad.phi_star.gamma.tolist(),
+                 ad.phi_star.sp_d.tolist(), ad.trace, ad.iterations, ad.converged))
+
+
+class TestStage1Weights:
+    """Stage 1 is priced by the solve's weights, not the network's own."""
+
+    @pytest.mark.parametrize("shape,node,loss,secured", [
+        ((2, 2), 6, "103.45727680970418", {1: [6], 2: [1, 6]}),
+        ((3, 2), 12, "31.970343619396324", {1: [12], 2: [1, 12]}),
+    ])
+    @pytest.mark.parametrize("B", [1, 2])
+    def test_weighted_leaf_is_priced(self, shape, node, loss, secured, B):
+        # the network's own weights are symmetric, the solve's are not: the
+        # closed-form placement once lost 361.329... and 75.381... here
+        net = balanced_tree(*shape)
+        params = _weighted(net, [node])
+        dad = solve_dad(net, B, 2, params, LPF)
+        pooled = _pooled(net, B, 2, params)
+        assert repr(dad.loss) == loss and dad.loss == pooled.loss.total
+        assert list(dad.u_star.secured) == secured[B] == pooled.u.nonzero()[0].tolist()
+        _, bf_loss = bf_security(net, B, 2, params, LPF)
+        assert bf_loss == pytest.approx(dad.loss, abs=1e-9)
+        assert is_symmetric(net) and not _symmetric(net, params)
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_level_weights_keep_the_placement(self, B):
+        net = balanced_tree(3, 2)
+        params = _weighted(net, net.tree.depth == net.tree.height)
+        # the pooled min-max ties, and would keep the first row, u = [1, ...]
+        dad = solve_dad(net, B, 2, params, LPF)
+        assert dad.u_star.u.tolist() == _placement(net, B).tolist()
+        assert repr(dad.loss) == "85.25424965173099"
+        assert dad.loss == pytest.approx(_pooled(net, B, 2, params).loss.total, abs=1e-9)
+
+    def test_network_weights_do_not_price_a_solve(self):
+        # solve_dad once moved from u = [3] to u = [1] when only net.W changed
+        net = balanced_tree(2, 2)
+        W = net.W.copy()
+        W[6] *= 4.0
+        params = CostParams.from_ratio(net, 10.0)
+        answers = []
+        for case in (net, dataclasses.replace(net, W=W)):
+            dad = solve_dad(case, 1, 2, params, LPF)
+            answers.append((
+                repr(dad.u_star.u.tolist()), repr(dad.loss), _answer(dad.ad),
+                _answer(solve_ad(case, None, 2, params, LPF)),
+                _answer(solve_ad(case, None, 2, params, NPF)),
+                repr(sandwich_bounds(case, None, 2, params)),
+            ))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == repr([0, 0, 0, 1, 0, 0, 0])
 
 
 class TestDADLiterals:
