@@ -41,6 +41,6 @@ best = optimal_attack_fixed_response(net, phi, 2, u, CostParams.from_network(net
 print("best attack over all pivots:",
       sorted(net.label_of(i) for i in np.flatnonzero(best)))
 
-bf, _ = bf_attack_fixed_response(net, phi, 2, u)
+bf, _ = bf_attack_fixed_response(net, phi, 2, u, CostParams.from_network(net))
 print("exhaustive search agrees:  ",
       sorted(net.label_of(i) for i in np.flatnonzero(bf)))

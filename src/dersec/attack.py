@@ -18,7 +18,6 @@ grows.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import EnumerationCapExceeded, RootArgument
 from .loss import CostParams, check_weights
-from .network import Network
+from .network import Network, check_budget
 from .powerflow import LPF, ModelTag, injection, solve_lpf
 
 _TIE_RTOL = 1e-9
@@ -85,12 +84,6 @@ class PivotAttack:
     pivot: int
     delta: np.ndarray
     impact: float
-
-
-def _check_budget(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"budget {name} must be a non-negative integer, got {value!r}")
 
 
 def _vulnerable_nodes(net: Network, u: np.ndarray) -> np.ndarray:
@@ -195,7 +188,7 @@ def pivot_optimal_attack(
     has the same impact at the pivot (LPF impacts)."""
     if pivot == 0:
         raise RootArgument("pivot must be a non-substation node")
-    _check_budget("M", M)
+    check_budget("M", M)
     pool = _vulnerable_nodes(net, u)
     D = impact_matrix(net, sp_d, LPF)[pivot]
     (walk,) = _partition_walks(impact_ranking(D[None, :], pool), min(M, pool.size))
@@ -222,7 +215,7 @@ def optimal_attack_fixed_response(
     largest soft-bound violation weighted by ``params.W`` (ties to the
     lowest pivot id).
     """
-    _check_budget("M", M)
+    check_budget("M", M)
     check_weights(net, params)
     sg0 = effective_setpoints(net, np.zeros(net.n + 1, dtype=int), phi.sp_d)
     base = solve_lpf(net, injection(net, phi.gamma, sg0))
@@ -274,7 +267,7 @@ def candidate_attack_set(
     combinatorial; the expansion raises EnumerationCapExceeded as soon as it
     holds more than 10,000 distinct vectors.
     """
-    _check_budget("M", M)
+    check_budget("M", M)
     vectors: set[tuple[int, ...]] = set()
     ranking = impact_ranking(impact_matrix(net, sp_d, LPF)[1:], _vulnerable_nodes(net, u))
     for family in ranked_families(ranking, M, u):

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 2 on validation errors (bad networks, bad
-arguments, infeasible preconditions), 3 on solver non-convergence or when
-verify-bounds finds that the bound chain does not hold.
+arguments, infeasible preconditions), 3 on solver non-convergence (in
+verify-bounds, of its NPF solve) or when verify-bounds finds that the bound
+chain does not hold.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     net, params = _prepared(args)
     report = sandwich_bounds(net, None, args.M, params, eps=args.eps)
+    converged = bool(report.results["npf"].converged)
     _emit({
         "l_lpf": report.l_lpf,
         "l_npf": report.l_npf,
@@ -125,8 +127,9 @@ def _cmd_verify_bounds(args) -> int:
         "eps": report.eps,
         "slack_term": report.slack_term,
         "holds": bool(report.holds),
+        "converged": converged,
     }, None)
-    return 0 if report.holds else _EXIT_NONCONVERGENT
+    return 0 if report.holds and converged else _EXIT_NONCONVERGENT
 
 
 def build_parser() -> argparse.ArgumentParser:

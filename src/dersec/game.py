@@ -23,7 +23,6 @@ import numpy as np
 from .attack import (
     AttackStrategy,
     PivotFamily,
-    _check_budget,
     _vulnerable_nodes,
     attack_strategy,
     impact_matrix,
@@ -33,7 +32,7 @@ from .attack import (
 )
 from .errors import EnumerationCapExceeded
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
-from .network import Network
+from .network import Network, check_budget, check_vectors
 from .powerflow import LPF, ModelTag, NPF, calibrate_epsilon, eps_lpf
 from .response import (
     DefenderResponse,
@@ -86,19 +85,6 @@ class ADResult:
     converged: bool
     u: np.ndarray                # the security vector the result belongs to
     iterations: int = 0
-
-
-def _vectors(net: Network, v, name: str, rows: bool = False) -> np.ndarray:
-    """``v`` as int 0/1 vectors over nodes 0..N, None being the zero vector:
-    one vector, or with ``rows`` one or more rows of them (a vector is one
-    row). Raises ValueError on any other shape or value."""
-    a = np.zeros(net.n + 1, dtype=int) if v is None else np.asarray(v)
-    if rows and a.ndim == 1:
-        a = a[None]
-    if a.ndim != 1 + rows or a.shape[-1] != net.n + 1 or not a.size or not ((a == 0) | (a == 1)).all():
-        what = "a 0/1 vector or rows of them" if rows else "one 0/1 vector"
-        raise ValueError(f"{name} must be {what} over nodes 0..{net.n}")
-    return np.asarray(a, dtype=int)
 
 
 class _FamilyTable:
@@ -390,8 +376,8 @@ def solve_ad_oneshot(
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
-    _check_budget("M", M)
-    secured = _vectors(net, u, "u", rows=True)
+    check_budget("M", M)
+    secured = check_vectors(net, u, "u", rows=True)
     sp_d = fixed_angle_setpoints(net)
     lp = GammaControlLP(net, params, model, sp_d)
     D = impact_matrix(net, sp_d, LPF)[1:]
@@ -429,8 +415,8 @@ def solve_ad_exhaustive(
     """
     if not model.is_linear:
         raise ValueError("exhaustive engine applies to linear models only")
-    _check_budget("M", M)
-    secured = _vectors(net, u, "u", rows=True)
+    check_budget("M", M)
+    secured = check_vectors(net, u, "u", rows=True)
     pools = [_vulnerable_nodes(net, row).tolist() for row in secured]
     counts = [math.comb(len(p), min(M, len(p))) for p in pools]
     if max(counts) > _EXHAUSTIVE_CAP or sum(counts) > _TABLE_CAP:
@@ -467,9 +453,9 @@ def solve_ad_iterative(
     linear engines. A seed is a 0/1 vector over nodes 0..N, empty or taking
     exactly min(M, pool) DERs that ``u`` leaves vulnerable (else ValueError).
     """
-    _check_budget("M", M)
-    u = _vectors(net, u, _NONLINEAR_U)
-    delta = _vectors(net, seed_attack, "seed_attack")
+    check_budget("M", M)
+    u = check_vectors(net, u, _NONLINEAR_U)
+    delta = check_vectors(net, seed_attack, "seed_attack")
     pool = _vulnerable_nodes(net, u)
     full = min(M, pool.size)
     if delta.any() and (delta.sum() != full or not np.isin(delta.nonzero()[0], pool).all()):
@@ -520,7 +506,7 @@ def solve_ad(
     NPF the iterative engine from that LPF solve's attack, which raises
     EnumerationCapExceeded wherever the LPF solve does."""
     if not model.is_linear:
-        u = _vectors(net, u, _NONLINEAR_U)
+        u = check_vectors(net, u, _NONLINEAR_U)
         return solve_ad_iterative(net, u, M, params, seed_attack=solve_ad(net, u, M, params, LPF).delta_star)
     engine = solve_ad_oneshot if net.uniform_rx_ratio() is not None else solve_ad_exhaustive
     return engine(net, u, M, params, model)
@@ -549,7 +535,7 @@ def sandwich_bounds(
     Each model's value is its ``solve_ad`` result; the LPF result is solved
     once and seeds the NPF one, so every value equals ``solve_ad``'s.
     """
-    u = _vectors(net, u, _NONLINEAR_U)
+    u = check_vectors(net, u, _NONLINEAR_U)
     if eps is None:
         eps = calibrate_epsilon(net).eps
     lo, hi = (solve_ad(net, u, M, params, model) for model in (LPF, eps_lpf(eps)))

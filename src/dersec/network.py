@@ -23,6 +23,7 @@ empty. What reads an attack or a response is built per solve.
 from __future__ import annotations
 
 import enum
+import numbers
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import TypeVar
@@ -342,3 +343,22 @@ def precedence_compare(net: Network, pivot: NodeId, j: NodeId, k: NodeId) -> Pre
     if dk < dj:
         return Precedence.K_PRECEDES_J
     return Precedence.EQUAL
+
+
+def check_budget(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"budget {name} must be a non-negative integer, got {value!r}")
+
+
+def check_vectors(net: Network, v, name: str, rows: bool = False) -> np.ndarray:
+    """``v`` as int 0/1 vectors over nodes 0..N, None being the zero vector:
+    one vector, or with ``rows`` one or more rows of them (a vector is one
+    row). Raises ValueError on any other shape or value."""
+    a = np.zeros(net.n + 1, dtype=int) if v is None else np.asarray(v)
+    if rows and a.ndim == 1:
+        a = a[None]
+    if a.ndim != 1 + rows or a.shape[-1] != net.n + 1 or not a.size or not ((a == 0) | (a == 1)).all():
+        what = "a 0/1 vector or rows of them" if rows else "one 0/1 vector"
+        raise ValueError(f"{name} must be {what} over nodes 0..{net.n}")
+    return np.asarray(a, dtype=int)

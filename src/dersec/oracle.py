@@ -18,8 +18,8 @@ import numpy as np
 
 from .attack import AttackStrategy, attack_strategy
 from .errors import HeterogeneousRxRatio, TooLargeToEnumerate
-from .loss import CostParams, evaluate_loss
-from .network import Network
+from .loss import CostParams, check_weights, evaluate_loss
+from .network import Network, check_budget, check_vectors
 from .powerflow import LPF, ModelTag
 from .response import DefenderResponse, GammaControlLP, fixed_angle_setpoints, response_state
 
@@ -39,24 +39,33 @@ class GridSpec:
         if min(self.gamma_step, self.setpoint_angle_step, self.setpoint_mag_step) <= 0:
             raise ValueError("grid steps must be positive")
 
-    def refined(self, factor: float = 0.5) -> "GridSpec":
-        return GridSpec(
-            gamma_step=self.gamma_step * factor,
-            setpoint_angle_step=self.setpoint_angle_step * factor,
-            setpoint_mag_step=self.setpoint_mag_step * factor,
-        )
+    def refined(self) -> "GridSpec":
+        """The grid at half of every step."""
+        return GridSpec(self.gamma_step / 2, self.setpoint_angle_step / 2, self.setpoint_mag_step / 2)
 
 
-def _enumerate_deltas(net: Network, M: int, u: np.ndarray) -> list[tuple[int, ...]]:
-    pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (np.asarray(u) == 0))]
-    budget = min(M, len(pool))
-    total = sum(math.comb(len(pool), k) for k in range(budget + 1))
+def _count(size: int, budget: int) -> int:
+    """How many subsets of at most ``budget`` of ``size`` items there are."""
+    return sum(math.comb(size, k) for k in range(min(budget, size) + 1))
+
+
+def _worst_attack(net: Network, M: int, u: np.ndarray, evaluate):
+    """The first strict maximum by loss of ``evaluate(delta) -> (loss, ...)``
+    over every attack vector of at most M DERs that ``u`` leaves vulnerable,
+    by size and then in ``itertools.combinations`` order."""
+    pool = [int(i) for i in np.flatnonzero((net.der_cap > 0.0) & (u == 0))]
+    total = _count(len(pool), M)
     if total > _ENUM_GUARD:
         raise TooLargeToEnumerate(f"{total} attack vectors exceed the oracle guard")
-    out: list[tuple[int, ...]] = []
-    for k in range(budget + 1):
-        out.extend(itertools.combinations(pool, k))
-    return out
+    best: tuple | None = None
+    for k in range(min(M, len(pool)) + 1):
+        for combo in itertools.combinations(pool, k):
+            delta = np.zeros(net.n + 1, dtype=int)
+            delta[list(combo)] = 1
+            value = evaluate(delta)
+            if best is None or value[0] > best[0] + 1e-15:
+                best = value
+    return best
 
 
 def bf_attack_fixed_response(
@@ -64,28 +73,24 @@ def bf_attack_fixed_response(
     phi: DefenderResponse,
     M: int,
     u: np.ndarray,
-    model: ModelTag = LPF,
-    params: CostParams | None = None,
+    params: CostParams,
 ) -> tuple[np.ndarray, float]:
     """Exact worst attack for a completely fixed defender response.
 
-    Enumerates every feasible attack vector, evaluates the linear state
+    Enumerates every feasible attack vector, evaluates the LPF state
     exactly, and returns the loss maximizer (first in enumeration order on
     ties).
     """
-    deltas = _enumerate_deltas(net, M, u)
-    params = params or CostParams.from_network(net)
-    best: tuple[float, np.ndarray] | None = None
-    for combo in deltas:
-        delta = np.zeros(net.n + 1, dtype=int)
-        delta[list(combo)] = 1
-        psi = attack_strategy(net, delta)
-        state = response_state(net, psi, phi, model)
-        loss = evaluate_loss(state, phi.gamma, params).total
-        if best is None or loss > best[0] + 1e-15:
-            best = (loss, delta)
-    assert best is not None
-    return best[1], best[0]
+    check_budget("M", M)
+    u = check_vectors(net, u, "u")
+    check_weights(net, params)
+
+    def evaluate(delta):
+        state = response_state(net, attack_strategy(net, delta), phi, LPF)
+        return evaluate_loss(state, phi.gamma, params).total, delta
+
+    loss, delta = _worst_attack(net, M, u, evaluate)
+    return delta, loss
 
 
 def bf_ad(
@@ -102,34 +107,29 @@ def bf_ad(
     required) and load control solved as an exact LP per attack. Nonlinear:
     defender response by grid search at the GridSpec resolution.
     """
-    deltas = _enumerate_deltas(net, M, u)
-    best: tuple[float, AttackStrategy, DefenderResponse] | None = None
+    check_budget("M", M)
+    u = check_vectors(net, u, "u")
+    check_weights(net, params)
     if model.is_linear:
         if net.uniform_rx_ratio() is None:
             raise HeterogeneousRxRatio("linear oracle needs identical r/x")
         sp_d = fixed_angle_setpoints(net)
         load_control = GammaControlLP(net, params, model, sp_d)
-        for combo in deltas:
-            delta = np.zeros(net.n + 1, dtype=int)
-            delta[list(combo)] = 1
-            gamma = load_control.solve(delta)
+
+        def evaluate(delta):
             psi = attack_strategy(net, delta)
-            phi = DefenderResponse(sp_d=sp_d, gamma=gamma)
+            phi = DefenderResponse(sp_d=sp_d, gamma=load_control.solve(delta))
             state = response_state(net, psi, phi, model)
-            loss = evaluate_loss(state, gamma, params).total
-            if best is None or loss > best[0] + 1e-15:
-                best = (loss, psi, phi)
+            return evaluate_loss(state, phi.gamma, params).total, psi, phi
     else:
         grid = grid or GridSpec()
-        for combo in deltas:
-            delta = np.zeros(net.n + 1, dtype=int)
-            delta[list(combo)] = 1
+
+        def evaluate(delta):
             psi = attack_strategy(net, delta)
             loss, phi = _grid_min_response(net, psi, u, params, grid)
-            if best is None or loss > best[0] + 1e-15:
-                best = (loss, psi, phi)
-    assert best is not None
-    loss, psi, phi = best
+            return loss, psi, phi
+
+    loss, psi, phi = _worst_attack(net, M, u, evaluate)
     return psi, phi, loss
 
 
@@ -174,16 +174,18 @@ def bf_security(
     Strategies symmetric-equivalent under the weights of ``params`` are
     collapsed through a canonical tree signature, which keeps the exact value.
     """
+    check_budget("B", B)
+    check_budget("M", M)
+    check_weights(net, params)
     der = [int(i) for i in np.flatnonzero(net.der_cap > 0.0)]
-    budget = min(B, len(der))
-    total = sum(math.comb(len(der), k) for k in range(budget + 1))
-    if total * max(len(_enumerate_deltas(net, M, np.zeros(net.n + 1))), 1) > _ENUM_GUARD:
+    # with nothing secured, every DER is open to attack
+    if _count(len(der), B) * _count(len(der), M) > _ENUM_GUARD:
         raise TooLargeToEnumerate("security enumeration exceeds the oracle guard")
 
     props = _rounded_properties(net, params)
     seen: dict = {}
     best: tuple[float, np.ndarray] | None = None
-    for k in range(budget + 1):
+    for k in range(min(B, len(der)) + 1):
         for combo in itertools.combinations(der, k):
             u = np.zeros(net.n + 1, dtype=int)
             u[list(combo)] = 1
@@ -261,10 +263,8 @@ def _grid_min_response(
     return float(totals[j]), DefenderResponse(sp_d=sp_best, gamma=gammas[:, j].copy())
 
 
-def _solve_npf_batch(
-    net: Network, s_batch: np.ndarray, iters: int = 60
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward/forward sweeps on a batch of net-load columns.
+def _solve_npf_batch(net: Network, s_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At most 60 backward/forward sweeps on a batch of net-load columns.
 
     Returns (nu, ell, residual-per-column); callers must discard columns whose
     residual stayed large (injections outside the contraction regime).
@@ -273,11 +273,9 @@ def _solve_npf_batch(
     par = net.tree.parent
     z = net.z[:, None]
     zabs2 = np.abs(net.z)[:, None] ** 2
-    G = s_batch.shape[1]
-    ell = np.zeros((net.n + 1, G))
-    nu = np.full((net.n + 1, G), net.nu0)
-    resid = np.full(G, np.inf)
-    for _ in range(iters):
+    ell = np.zeros(s_batch.shape)
+    nu = np.full(s_batch.shape, net.nu0)
+    for _ in range(60):
         S = s_batch + z * ell
         for node in order[:0:-1]:
             S[par[node]] += S[node]

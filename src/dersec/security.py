@@ -35,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import _check_budget
 from .errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from .game import ADResult, solve_ad
 from .game import solve_ad_exhaustive  # noqa: F401  (public as dersec.security.solve_ad_exhaustive)
 from .loss import CostParams, check_weights
-from .network import Network
+from .network import Network, check_budget, check_vectors
 from .powerflow import ModelTag
 
 _U_ENUM_CAP = 20_000
@@ -106,7 +105,7 @@ def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
     the uniform choice deterministically. Requires a network symmetric under
     the solve's weights, here its own, with identical r/x ratio and a
     non-negative integer B."""
-    _check_budget("B", B)
+    check_budget("B", B)
     if net.uniform_rx_ratio() is None:
         raise HeterogeneousRxRatio("optimal placement requires identical r/x")
     if not is_symmetric(net):
@@ -146,7 +145,7 @@ def solve_dad(
     """
     if not model.is_linear:
         raise ValueError("solve_dad applies to linear models")
-    _check_budget("B", B)      # M is checked by the engine
+    check_budget("B", B)      # M is checked by the engine
     check_weights(net, params)
     if net.uniform_rx_ratio() is not None and _symmetric(net, params):
         secured = _placement(net, B)
@@ -178,15 +177,15 @@ class StrategyComparison:
 
 def compare_strategies(
     net: Network,
-    u1: SecurityStrategy | np.ndarray,
-    u2: SecurityStrategy | np.ndarray,
+    u1: SecurityStrategy | np.ndarray | None,
+    u2: SecurityStrategy | np.ndarray | None,
     M: int,
     params: CostParams,
     model: ModelTag,
 ) -> StrategyComparison:
-    """Solve both sub-games and order the strategies by induced loss."""
-    l1, l2 = (
-        solve_ad(net, u.u if isinstance(u, SecurityStrategy) else u, M, params, model).loss.total
-        for u in (u1, u2)
-    )
+    """Solve both sub-games and order the strategies by induced loss; each
+    side is one 0/1 security vector (None secures nothing), not rows of them."""
+    u1, u2 = (check_vectors(net, u.u if isinstance(u, SecurityStrategy) else u, name)
+              for u, name in ((u1, "u1"), (u2, "u2")))
+    l1, l2 = (solve_ad(net, u, M, params, model).loss.total for u in (u1, u2))
     return StrategyComparison(loss1=l1, loss2=l2)

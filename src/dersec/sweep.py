@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import _check_budget
 from .errors import DersecError, InvalidNetwork
 from .game import solve_ad
 from .loss import CostParams
-from .network import Network
+from .network import Network, check_budget
 from .powerflow import LPF, NPF, ModelTag, calibrate_epsilon, eps_lpf
 
 _MODELS = ("lpf", "eps-lpf", "npf")
@@ -61,7 +60,7 @@ class SweepConfig:
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {_MODELS}")
         for M in self.M_values:
-            _check_budget("M", M)
+            check_budget("M", M)
         if any(isinstance(v, bool) for v in itertools.chain(self.wc_ratios, self.gamma_lo_values)):
             raise ValueError("sweep axes take numbers, not true or false")
         if not all(isinstance(wc, numbers.Real) and math.isfinite(wc) and wc >= 0.0

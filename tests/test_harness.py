@@ -522,6 +522,19 @@ class TestCLI:
         assert cli_main(self._tree22_argv(tmp_path, tree22, "verify-bounds")) == 3
         assert json.loads(capsys.readouterr().out)["holds"] is False
 
+    def test_verify_bounds_nonconvergent_exit_code(self, tmp_path, capsys, tree22, monkeypatch):
+        bounds = dersec.cli.sandwich_bounds
+
+        def unconverged(*args, **kw):
+            report = bounds(*args, **kw)
+            npf = dataclasses.replace(report.results["npf"], converged=False)
+            return dataclasses.replace(report, results={**report.results, "npf": npf})
+
+        monkeypatch.setattr(dersec.cli, "sandwich_bounds", unconverged)
+        assert cli_main(self._tree22_argv(tmp_path, tree22, "verify-bounds")) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["holds"] is True and doc["converged"] is False
+
     def test_sweep_config_engine_key_ignored(self, tmp_path):
         net_path = tmp_path / "net.json"
         _cli("gen-case", "--kind", "balanced_tree", "--arity", "2", "--height", "2",

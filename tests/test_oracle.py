@@ -35,18 +35,21 @@ def _fixed_phi(net):
 
 class TestBFAttack:
     def test_budget_zero(self, fig2):
-        delta, _ = bf_attack_fixed_response(fig2, _fixed_phi(fig2), 0, zeros_u(fig2))
+        delta, _ = bf_attack_fixed_response(fig2, _fixed_phi(fig2), 0, zeros_u(fig2),
+                                            CostParams.from_network(fig2))
         assert delta.sum() == 0
 
     def test_fig2_cluster(self, fig2):
-        delta, _ = bf_attack_fixed_response(fig2, _fixed_phi(fig2), 2, zeros_u(fig2))
+        delta, _ = bf_attack_fixed_response(fig2, _fixed_phi(fig2), 2, zeros_u(fig2),
+                                            CostParams.from_network(fig2))
         assert {fig2.label_of(i) for i in np.flatnonzero(delta)} == {"i", "m"}
 
     def test_guard(self):
         net = chain_network(25, caps={i: 0.001 for i in range(1, 26)},
                             load=0.002 + 0.0006j)
         with pytest.raises(TooLargeToEnumerate):
-            bf_attack_fixed_response(net, _fixed_phi(net), 12, zeros_u(net))
+            bf_attack_fixed_response(net, _fixed_phi(net), 12, zeros_u(net),
+                                     CostParams.from_network(net))
 
     def test_agreement_with_greedy_on_random_instances(self):
         for seed in range(60):
@@ -239,6 +242,50 @@ class TestGridSpec:
         r = g.refined()
         assert r.gamma_step == pytest.approx(0.1)
         assert r.setpoint_angle_step == pytest.approx(0.2)
+
+
+def _broken(net, case):
+    """(budget, u, params, message) of a call whose input named by ``case``
+    is wrong: the weights, the budget (M or B) or the security vector."""
+    n1 = net.n + 1
+    budget, u, params = 2, np.zeros(n1, dtype=int), CostParams.from_ratio(net, 10.0)
+    what, how = case.split(" ", 1)
+    if what == "W,C":
+        size = n1 - 1 if how == "short" else n1 + 1
+        params = CostParams(W=np.full(size, 7e4), C=np.full(size, 7e3))
+        return budget, u, params, f"cost weights W and C need {n1} entries"
+    if what == "u":
+        return budget, np.zeros(1, dtype=int), params, "u must be one 0/1 vector"
+    budget = -1 if how == "negative" else 1.5
+    return budget, u, params, f"budget {what} must be a non-negative integer, got {budget}"
+
+
+_CASES = ["W,C short", "W,C long", "M negative", "M non-integer", "u length-1"]
+
+
+class TestOracleInputs:
+    """Each oracle entry checks its inputs before enumerating: a ValueError
+    naming the input, not a silent broadcast value or a failure deep inside."""
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_bf_attack_fixed_response(self, tree22, case):
+        M, u, params, message = _broken(tree22, case)
+        with pytest.raises(ValueError, match=message):
+            bf_attack_fixed_response(tree22, _fixed_phi(tree22), M, u, params)
+
+    @pytest.mark.parametrize("model", [LPF, NPF], ids=["lpf", "npf"])
+    @pytest.mark.parametrize("case", _CASES)
+    def test_bf_ad(self, tree22, case, model):
+        M, u, params, message = _broken(tree22, case)
+        with pytest.raises(ValueError, match=message):
+            bf_ad(tree22, u, M, params, model)
+
+    @pytest.mark.parametrize("case", _CASES[:-1] + ["B negative", "B non-integer"])
+    def test_bf_security(self, tree22, case):
+        budget, _, params, message = _broken(tree22, case)
+        B, M = (budget, 2) if case.startswith("B") else (2, budget)
+        with pytest.raises(ValueError, match=message):
+            bf_security(tree22, B, M, params, LPF)
 
 
 def _imports(module):

@@ -27,7 +27,7 @@ from dersec import (
 from dersec.errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import _rounded_properties, _subtree_signature, bf_security
-from dersec.security import StrategyComparison, _placement, _symmetric
+from dersec.security import SecurityStrategy, StrategyComparison, _placement, _symmetric
 from dersec.sweep import with_gamma_lo
 
 from conftest import params_for
@@ -499,6 +499,24 @@ class TestComparisons:
         cmp = compare_strategies(net, u1, u2, 2, params_for(net, 10.0), LPF)
         assert sorted((cmp.loss1, cmp.loss2)) == [0.0, pytest.approx(5.619094742784498, rel=1e-9)]
         assert cmp.relation == relation
+
+    @pytest.mark.parametrize("rows_first", [True, False])
+    def test_rows_of_security_vectors_rejected(self, tree22, rows_first):
+        # solve_ad would answer rows with the least row's loss: 103.457... for
+        # u={1} and u={2} alike
+        rows = np.zeros((2, tree22.n + 1), dtype=int)
+        rows[0, 1] = rows[1, 2] = 1
+        sides, name = ((rows, None), "u1") if rows_first else ((None, rows), "u2")
+        with pytest.raises(ValueError, match=f"{name} must be one 0/1 vector"):
+            compare_strategies(tree22, *sides, 2, params_for(tree22, 10.0), LPF)
+
+    def test_none_and_strategy_sides(self, tree22):
+        params = params_for(tree22, 10.0)
+        u = np.zeros(tree22.n + 1, dtype=int)
+        u[1] = 1
+        cmp = compare_strategies(tree22, None, SecurityStrategy(u=u, budget=1), 2, params, LPF)
+        assert cmp.loss1 == solve_ad(tree22, None, 2, params, LPF).loss.total
+        assert cmp.loss2 == solve_ad(tree22, u, 2, params, LPF).loss.total
 
     @pytest.mark.parametrize("loss1,loss2,relation", [
         (1.0, 1.0 + 5e-10, "equal"),
