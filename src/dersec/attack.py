@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, RootArgument
+from .errors import EnumerationCapExceeded
 from .loss import CostParams, check_weights
-from .network import Network, check_budget
+from .network import Network, check_budget, check_node, check_shape, check_vectors, vulnerable_nodes
 from .powerflow import LPF, ModelTag, injection, solve_lpf
 
 _TIE_RTOL = 1e-9
@@ -44,11 +44,11 @@ class AttackStrategy:
 def attack_strategy(net: Network, delta: np.ndarray) -> AttackStrategy:
     """AttackStrategy carrying the worst-case false set-points for a given
     vector: zero real power, full reactive withdrawal."""
-    delta = np.asarray(delta)
+    delta = check_vectors(net, delta, "delta").copy()      # the strategy owns its vector
     sp_a = np.zeros(net.n + 1, dtype=complex)
-    idx = delta.ravel().nonzero()[0]
+    idx = delta.nonzero()[0]
     sp_a[idx] = -1j * net.der_cap[idx]
-    return AttackStrategy(delta=delta.astype(int), sp_a=sp_a)
+    return AttackStrategy(delta=delta, sp_a=sp_a)
 
 
 def effective_setpoints(
@@ -60,19 +60,16 @@ def effective_setpoints(
     """Generation per node under the adversary model: a DER follows the false
     set-point iff ``delta`` takes it; otherwise the defender's. Security is
     decided where the attack is drawn: attacks take only vulnerable DERs."""
-    if sp_a is None:
-        sp_a = -1j * net.der_cap.astype(complex)
-    sg = np.where(np.asarray(delta) == 1, sp_a, np.asarray(sp_d, dtype=complex))
-    sg = np.where(net.der_cap > 0.0, sg, 0.0 + 0.0j)
-    sg[0] = 0.0
-    return sg
+    sp_a = -1j * net.der_cap.astype(complex) if sp_a is None else check_shape(net, sp_a, "sp_a")
+    delta = check_shape(net, delta, "delta")
+    sg = np.where(delta == 1, sp_a, check_shape(net, sp_d, "sp_d", complex))
+    return np.where(net.der_cap > 0.0, sg, 0.0 + 0.0j)
 
 
 def impact_matrix(net: Network, sp_d: np.ndarray, model: ModelTag) -> np.ndarray:
     """D[i, j] = drop of nu_i when the DER at j is compromised (0 where no DER)."""
-    w = np.asarray(sp_d, dtype=complex) + 1j * net.der_cap
+    w = check_shape(net, sp_d, "sp_d", complex) + 1j * net.der_cap
     w = np.where(net.der_cap > 0.0, w, 0.0)
-    w[0] = 0.0
     D = 2.0 * (net.Z.real * w.real[None, :] + net.Z.imag * w.imag[None, :])
     return model.load_scale * D
 
@@ -84,10 +81,6 @@ class PivotAttack:
     pivot: int
     delta: np.ndarray
     impact: float
-
-
-def _vulnerable_nodes(net: Network, u: np.ndarray) -> np.ndarray:
-    return ((net.der_cap > 0.0) & (np.asarray(u) == 0)).ravel().nonzero()[0]
 
 
 class PivotFamily(NamedTuple):
@@ -186,10 +179,9 @@ def pivot_optimal_attack(
     """Take whole equal-impact partitions in decreasing order until the budget
     cut, then fill from the boundary partition by lowest id; any other fill
     has the same impact at the pivot (LPF impacts)."""
-    if pivot == 0:
-        raise RootArgument("pivot must be a non-substation node")
+    check_node(net, pivot, "pivot")
     check_budget("M", M)
-    pool = _vulnerable_nodes(net, u)
+    pool = vulnerable_nodes(net, check_vectors(net, u, "u"))
     D = impact_matrix(net, sp_d, LPF)[pivot]
     (walk,) = _partition_walks(impact_ranking(D[None, :], pool), min(M, pool.size))
     delta = np.zeros(net.n + 1, dtype=int)
@@ -217,10 +209,10 @@ def optimal_attack_fixed_response(
     """
     check_budget("M", M)
     check_weights(net, params)
+    pool = vulnerable_nodes(net, check_vectors(net, u, "u"))
     sg0 = effective_setpoints(net, np.zeros(net.n + 1, dtype=int), phi.sp_d)
     base = solve_lpf(net, injection(net, phi.gamma, sg0))
 
-    pool = _vulnerable_nodes(net, u)
     budget = min(M, pool.size)
     D = impact_matrix(net, phi.sp_d, LPF)
     best_score = -np.inf
@@ -268,8 +260,9 @@ def candidate_attack_set(
     holds more than 10,000 distinct vectors.
     """
     check_budget("M", M)
+    u = check_vectors(net, u, "u")
     vectors: set[tuple[int, ...]] = set()
-    ranking = impact_ranking(impact_matrix(net, sp_d, LPF)[1:], _vulnerable_nodes(net, u))
+    ranking = impact_ranking(impact_matrix(net, sp_d, LPF)[1:], vulnerable_nodes(net, u))
     for family in ranked_families(ranking, M, u):
         for vector in family.members():
             vectors.add(vector)

@@ -21,7 +21,7 @@ from .game import sandwich_bounds, solve_ad
 from .loss import CostParams
 from .netio import load_network, save_network, sweep_rows_to_csv
 from .security import solve_dad
-from .sweep import _MODELS, SweepConfig, _delta_string, model_tag, run_sweep, with_gamma_lo
+from .sweep import MODELS, SweepConfig, delta_string, model_tag, run_sweep, with_gamma_lo
 
 _EXIT_VALIDATION = 2
 _EXIT_NONCONVERGENT = 3
@@ -30,7 +30,7 @@ _EXIT_NONCONVERGENT = 3
 def _result_doc(net, result) -> dict:
     return {
         "model": str(result.model),
-        "delta_star": _delta_string(net, result.delta_star),
+        "delta_star": delta_string(net, result.delta_star),
         "attacked_nodes": [int(i) for i in np.flatnonzero(result.delta_star)],
         "loss": {
             "lovr": result.loss.lovr,
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-ad", help="solve the attacker-defender sub-game")
     common(p)
-    p.add_argument("--model", choices=_MODELS, default="lpf")
+    p.add_argument("--model", choices=MODELS, default="lpf")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve_ad)
 

@@ -23,7 +23,6 @@ import numpy as np
 from .attack import (
     AttackStrategy,
     PivotFamily,
-    _vulnerable_nodes,
     attack_strategy,
     impact_matrix,
     impact_ranking,
@@ -32,7 +31,7 @@ from .attack import (
 )
 from .errors import EnumerationCapExceeded
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
-from .network import Network, check_budget, check_vectors
+from .network import Network, check_budget, check_vectors, vulnerable_nodes
 from .powerflow import LPF, ModelTag, NPF, calibrate_epsilon, eps_lpf
 from .response import (
     DefenderResponse,
@@ -417,7 +416,7 @@ def solve_ad_exhaustive(
         raise ValueError("exhaustive engine applies to linear models only")
     check_budget("M", M)
     secured = check_vectors(net, u, "u", rows=True)
-    pools = [_vulnerable_nodes(net, row).tolist() for row in secured]
+    pools = [vulnerable_nodes(net, row).tolist() for row in secured]
     counts = [math.comb(len(p), min(M, len(p))) for p in pools]
     if max(counts) > _EXHAUSTIVE_CAP or sum(counts) > _TABLE_CAP:
         raise EnumerationCapExceeded(f"{max(counts)} vectors in a row or {sum(counts)} in all exceed cap")
@@ -456,7 +455,7 @@ def solve_ad_iterative(
     check_budget("M", M)
     u = check_vectors(net, u, _NONLINEAR_U)
     delta = check_vectors(net, seed_attack, "seed_attack")
-    pool = _vulnerable_nodes(net, u)
+    pool = vulnerable_nodes(net, u)
     full = min(M, pool.size)
     if delta.any() and (delta.sum() != full or not np.isin(delta.nonzero()[0], pool).all()):
         raise ValueError(f"seed_attack must be empty or take exactly {full} DERs, none that u secures")

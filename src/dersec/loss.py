@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GammaOutOfRange
-from .network import Network
+from .network import Network, check_shape, is_per_node
 from .powerflow import State
 
 _GAMMA_TOL = 1e-9
@@ -55,7 +55,7 @@ class LossBreakdown:
 
 
 def check_weights(net: Network, params: CostParams) -> None:
-    if not params.W.shape == params.C.shape == (net.n + 1,):
+    if not (is_per_node(net, params.W) and is_per_node(net, params.C)):
         raise ValueError(f"cost weights W and C need {net.n + 1} entries (nodes 0..{net.n}), "
                          f"got shapes {params.W.shape} and {params.C.shape}")
 
@@ -78,10 +78,11 @@ def evaluate_loss(
     """
     net = state.net
     check_weights(net, params)
+    gamma = check_shape(net, gamma, "gamma")
     check_gamma(net, gamma)
 
     shortfall = np.maximum(net.nu_lo[1:] - state.nu[1:], 0.0)
-    lovr = float((params.W[1:] * shortfall).max()) if net.n else 0.0
+    lovr = float((params.W[1:] * shortfall).max())
     voll = float((params.C[1:] * (1.0 - gamma[1:]) * net.sc_nom.real[1:]).sum())
     ll = float((net.r[1:] * state.ell[1:]).sum()) if state.model.kind == "npf" else 0.0
     return LossBreakdown(lovr=lovr, voll=voll, ll=ll)

@@ -2,9 +2,11 @@
 
 Nodes are dense integers 0..N with 0 the substation; every per-node quantity
 is stored in a length-(N+1) array indexed by node id, and every per-edge
-quantity is keyed by the downstream node of the edge. All electrical values
-are per-unit. W and C are the file's default weights, read only through
-``CostParams.from_network`` and ``CostParams.from_ratio``.
+quantity is keyed by the downstream node of the edge. That is the shape rule
+of every per-node input too (``is_per_node``, checked by ``check_shape`` and
+``check_vectors``), and ``check_node`` is the one check of node ids. All
+electrical values are per-unit. W and C are the file's default weights, read
+only through ``CostParams.from_network`` and ``CostParams.from_ratio``.
 
 Some constants the solvers derive from a network alone are kept on it,
 built on first use through ``Network.derived`` and read-only: the uniform
@@ -211,7 +213,7 @@ def _build_tree_index(parent: np.ndarray) -> tuple[TreeIndex, np.ndarray]:
     return TreeIndex(
         parent=parent,
         depth=depth,
-        height=int(depth.max()) if n_total > 1 else 0,
+        height=int(depth.max()),
         order=np.array(order, dtype=int),
         children=tuple(tuple(c) for c in children),
         paths=tuple(paths),
@@ -321,10 +323,18 @@ def build_network(
     )
 
 
+def check_node(net: Network, i, name: str) -> None:
+    """Raise RootArgument for node 0 and ValueError for anything but a node id 1..N."""
+    if i == 0:
+        raise RootArgument(f"{name} must be a non-substation node")
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 1 <= i <= net.n:
+        raise ValueError(f"{name} must be a node id in 1..{net.n}, got {i!r}")
+
+
 def common_path_impedance(net: Network, i: NodeId, j: NodeId) -> complex:
     """Z_ij: impedance summed over the edges shared by the root paths of i and j."""
-    if i == 0 or j == 0:
-        raise RootArgument("common path impedance is defined for non-substation nodes")
+    check_node(net, i, "i")
+    check_node(net, j, "j")
     return complex(net.Z[i, j])
 
 
@@ -334,8 +344,8 @@ def precedence_compare(net: Network, pivot: NodeId, j: NodeId, k: NodeId) -> Pre
     On a tree the intersections P_pivot ∩ P_j and P_pivot ∩ P_k are both
     prefixes of P_pivot, so comparing their lengths is exhaustive.
     """
-    if pivot == 0 or j == 0 or k == 0:
-        raise RootArgument("precedence is defined for non-substation nodes")
+    for node, name in ((pivot, "pivot"), (j, "j"), (k, "k")):
+        check_node(net, node, name)
     dj = int(net.tree.shared_depth[pivot, j])
     dk = int(net.tree.shared_depth[pivot, k])
     if dj < dk:
@@ -351,6 +361,21 @@ def check_budget(name: str, value) -> None:
         raise ValueError(f"budget {name} must be a non-negative integer, got {value!r}")
 
 
+def is_per_node(net: Network, a: np.ndarray, rows: bool = False) -> bool:
+    """The shape rule of every per-node input: one vector over nodes 0..N or,
+    with ``rows``, one or more rows of them."""
+    return a.ndim == 1 + rows and a.shape[-1] == net.n + 1 and a.size > 0
+
+
+def check_shape(net: Network, v, name: str, dtype=None) -> np.ndarray:
+    """``v`` as an array (of ``dtype``, if given) that ``is_per_node``, else
+    ValueError naming ``name``; the values are not read."""
+    a = np.asarray(v, dtype=dtype)
+    if not is_per_node(net, a):
+        raise ValueError(f"{name} must be one vector over nodes 0..{net.n}, got shape {a.shape}")
+    return a
+
+
 def check_vectors(net: Network, v, name: str, rows: bool = False) -> np.ndarray:
     """``v`` as int 0/1 vectors over nodes 0..N, None being the zero vector:
     one vector, or with ``rows`` one or more rows of them (a vector is one
@@ -358,7 +383,12 @@ def check_vectors(net: Network, v, name: str, rows: bool = False) -> np.ndarray:
     a = np.zeros(net.n + 1, dtype=int) if v is None else np.asarray(v)
     if rows and a.ndim == 1:
         a = a[None]
-    if a.ndim != 1 + rows or a.shape[-1] != net.n + 1 or not a.size or not ((a == 0) | (a == 1)).all():
+    if not is_per_node(net, a, rows) or not ((a == 0) | (a == 1)).all():
         what = "a 0/1 vector or rows of them" if rows else "one 0/1 vector"
         raise ValueError(f"{name} must be {what} over nodes 0..{net.n}")
     return np.asarray(a, dtype=int)
+
+
+def vulnerable_nodes(net: Network, u: np.ndarray) -> np.ndarray:
+    """The pool of a checked security vector ``u``: the DERs it leaves open."""
+    return ((net.der_cap > 0.0) & (u == 0)).nonzero()[0]

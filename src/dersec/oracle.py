@@ -152,14 +152,12 @@ def _rounded_properties(net: Network, params: CostParams) -> list[tuple]:
     ]
 
 
-def _subtree_signature(net: Network, i: int, props: list[tuple], u: np.ndarray | None = None):
-    """Canonical recursive signature of the subtree rooted at i (``props`` from
-    ``_rounded_properties``); siblings are symmetric iff signatures match."""
-    mark = int(u[i]) if u is not None else 0
-    child_sigs = tuple(
-        sorted(_subtree_signature(net, c, props, u) for c in net.tree.children[i])
-    )
-    return (props[i], mark, child_sigs)
+def _subtree_signature(net: Network, i: int, props: list):
+    """Canonical recursive signature of the subtree rooted at i over one
+    hashable per node, ``props`` (``_rounded_properties``, paired with the
+    security marks in ``bf_security``); siblings are symmetric iff they match."""
+    child_sigs = tuple(sorted(_subtree_signature(net, c, props) for c in net.tree.children[i]))
+    return (props[i], child_sigs)
 
 
 def bf_security(
@@ -189,7 +187,7 @@ def bf_security(
         for combo in itertools.combinations(der, k):
             u = np.zeros(net.n + 1, dtype=int)
             u[list(combo)] = 1
-            key = _subtree_signature(net, 0, props, u)
+            key = _subtree_signature(net, 0, list(zip(props, u.tolist())))
             if key in seen:
                 value = seen[key]
             else:
@@ -197,7 +195,6 @@ def bf_security(
                 seen[key] = value
             if best is None or value < best[0] - 1e-15:
                 best = (value, u)
-    assert best is not None
     return best[1], best[0]
 
 
@@ -210,9 +207,8 @@ def _grid_min_response(
 ):
     """Best defender response on a product grid, evaluated by batch NPF."""
     n = net.n
-    compromised = (psi.delta == 1) & (np.asarray(u) == 0) & (net.der_cap > 0.0)
-    compromised[0] = False
-    free = [int(d) for d in np.flatnonzero((net.der_cap > 0.0) & ~compromised) if d > 0]
+    compromised = (psi.delta == 1) & (u == 0) & (net.der_cap > 0.0)
+    free = [int(d) for d in np.flatnonzero((net.der_cap > 0.0) & ~compromised)]
 
     gamma_axes = []
     gamma_nodes = [k for k in net.nodes if np.real(net.sc_nom[k]) > 0 or np.imag(net.sc_nom[k]) > 0]

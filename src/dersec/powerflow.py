@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeSquaredVoltage, NonConvergent
-from .network import Network
+from .network import Network, check_shape
 
 _NPF_TOL = 1e-10
 _NPF_MAX_ITER = 200
@@ -68,8 +68,8 @@ def injection(net: Network, gamma: np.ndarray, sg: np.ndarray) -> Injection:
     physical restriction (nonnegative real part, magnitude within capability).
     """
     tol = 1e-9
-    sg = np.asarray(sg, dtype=complex)
-    sc = gamma * net.sc_nom
+    sg = check_shape(net, sg, "sg", complex)
+    sc = check_shape(net, gamma, "gamma") * net.sc_nom
     if (sc.real > net.sc_nom.real + tol).any() or (sc.imag > net.sc_nom.imag + tol).any():
         raise ValueError("consumption above nominal demand")
     if (abs(sg) > net.der_cap + tol).any() or (sg.real < -tol).any():

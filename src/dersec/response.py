@@ -65,7 +65,7 @@ import scipy
 from .attack import AttackStrategy, effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
 from .loss import CostParams, check_weights, evaluate_loss
-from .network import Network
+from .network import Network, check_shape
 from .powerflow import NPF, ModelTag, injection, solve_eps_lpf, solve_lpf, solve_npf
 
 # facet count sets the inner-polygon radius deficit cap*(1-cos(pi/4/F)); 96
@@ -331,7 +331,7 @@ class GammaControlLP:
         self.net = net
         self.params = params
         self.model = model
-        self.sp_d = np.asarray(sp_d, dtype=complex)
+        self.sp_d = check_shape(net, sp_d, "sp_d", complex)
         kappa = model.load_scale
         self._lp, self.G, self._WG = net.derived(
             ("load_control_model", kappa, params.W.tobytes(), params.C.tobytes()),

@@ -37,11 +37,11 @@ from .loss import CostParams
 from .network import Network, check_budget
 from .powerflow import LPF, NPF, ModelTag, calibrate_epsilon, eps_lpf
 
-_MODELS = ("lpf", "eps-lpf", "npf")
+MODELS = ("lpf", "eps-lpf", "npf")
 
 
 def model_tag(name: str, net: Network) -> ModelTag:
-    """The model named ``name`` (one of ``_MODELS``); eps-LPF is calibrated on ``net``."""
+    """The model named ``name`` (one of ``MODELS``); eps-LPF is calibrated on ``net``."""
     if name == "eps-lpf":
         return eps_lpf(calibrate_epsilon(net).eps)
     return {"lpf": LPF, "npf": NPF}[name]
@@ -52,13 +52,13 @@ class SweepConfig:
     M_values: tuple[int, ...]
     wc_ratios: tuple[float, ...]
     gamma_lo_values: tuple[float, ...]
-    model: str = "lpf"               # one of _MODELS
+    model: str = "lpf"               # one of MODELS
 
     def __post_init__(self):
         if not (self.M_values and self.wc_ratios and self.gamma_lo_values):
             raise ValueError("sweep axes must be nonempty")
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {_MODELS}")
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         for M in self.M_values:
             check_budget("M", M)
         if any(isinstance(v, bool) for v in itertools.chain(self.wc_ratios, self.gamma_lo_values)):
@@ -97,7 +97,8 @@ def with_gamma_lo(net: Network, gamma_lo: float) -> Network:
     return dataclasses.replace(net, gamma_lo=arr)
 
 
-def _delta_string(net: Network, delta: np.ndarray) -> str:
+def delta_string(net: Network, delta: np.ndarray) -> str:
+    """An attack vector as one 0/1 digit per node 1..N."""
     return "".join(str(int(delta[i])) for i in net.nodes)
 
 
@@ -124,7 +125,7 @@ def run_sweep(net: Network, cfg: SweepConfig, workers: int | None = None) -> lis
                 total=result.loss.total,
                 iterations=result.iterations,
                 converged=result.converged,
-                delta_star=_delta_string(net, result.delta_star),
+                delta_star=delta_string(net, result.delta_star),
             )
         except DersecError as exc:
             solved = dict(error=f"{type(exc).__name__}: {exc}")

@@ -53,7 +53,7 @@ from dersec.cases import (
 from dersec.cli import main as cli_main
 from dersec.errors import InvalidNetwork, NonConvergent
 from dersec.netio import CSV_HEADER, sweep_rows_to_csv
-from dersec.sweep import SweepConfig, SweepRow, _delta_string, run_sweep, with_gamma_lo
+from dersec.sweep import SweepConfig, SweepRow, delta_string as _delta_string, run_sweep, with_gamma_lo
 
 
 class TestCases:

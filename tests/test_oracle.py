@@ -19,8 +19,8 @@ from dersec import (
     optimal_attack_fixed_response,
 )
 from dersec.attack import attack_strategy
-from dersec.cases import random_feasible_network
-from dersec.errors import TooLargeToEnumerate
+from dersec.cases import heterogeneous37, random_feasible_network
+from dersec.errors import HeterogeneousRxRatio, TooLargeToEnumerate
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import GridSpec, _grid_min_response
 from dersec.response import DefenderResponse, fixed_angle_setpoints
@@ -76,6 +76,11 @@ class TestBFAD:
         params = params_for(tree22)
         _, _, loss = bf_ad(tree22, zeros_u(tree22), 0, params, LPF)
         assert loss == pytest.approx(0.0, abs=1e-12)
+
+    def test_linear_oracle_needs_identical_rx(self):
+        net = heterogeneous37()
+        with pytest.raises(HeterogeneousRxRatio, match="identical r/x"):
+            bf_ad(net, zeros_u(net), 1, CostParams.from_network(net), LPF)
 
     def test_npf_grid_refinement_stabilizes(self):
         net = chain_network(2, z=0.02 + 0.024j, load=0.03 + 0.012j,
@@ -151,6 +156,12 @@ class TestBFSecurity:
         params = params_for(tree22)
         _, loss = bf_security(tree22, len(tree22.der_nodes), 3, params, LPF)
         assert loss == pytest.approx(0.0, abs=1e-12)
+
+    def test_guard(self, homog37):
+        # 14 DERs: 2,163,841 attack vectors of up to 4 nodes times as many
+        # security vectors exceed the 1,000,000 guard, which raises before any solve
+        with pytest.raises(TooLargeToEnumerate, match="security enumeration"):
+            bf_security(homog37, 4, 4, params_for(homog37), LPF)
 
 
 def _mixed_chain():
@@ -328,6 +339,13 @@ class TestOracleIndependence:
 
     def test_oracle_uses_no_private_engine_name(self):
         private = [(src, name) for src, name in _imports("oracle")
+                   if src.startswith("dersec") and name and name.startswith("_")]
+        assert private == []
+
+    @pytest.mark.parametrize("module", sorted(p.stem for p in Path(dersec.__file__).parent.glob("*.py")))
+    def test_no_module_imports_a_private_name(self, module):
+        # a name one module needs from another is public in its owner
+        private = [(src, name) for src, name in _imports(module)
                    if src.startswith("dersec") and name and name.startswith("_")]
         assert private == []
 

@@ -53,6 +53,13 @@ class TestLPF:
         assert np.allclose(st.nu, homog37.nu0)
         assert np.all(st.ell == 0)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_residuals_of_a_linear_state(self, homog37, eps):
+        # the lossless equations hold; the loss terms z*ell alone reach ~4e-3 here
+        st = solve_eps_lpf(homog37, nominal_injection(homog37), eps)
+        assert max(st.residuals()) < 1e-12
+        assert float(abs(homog37.z * st.ell).max()) > 1e-3
+
     def test_two_bus_hand_value(self):
         net = two_bus()
         st = solve_lpf(net, _inj(net, {1: 0.1 + 0.05j}))
@@ -227,6 +234,12 @@ class TestCalibration:
         cal = calibrate_epsilon(net)
         assert cal.eps0 == 0.0
         assert cal.eps == 0.0
+
+    def test_loss_ratio_of_one_raises(self):
+        # a purely reactive load: the real flow on its edge is the edge's own
+        # loss, so the loss ratio r*ell/P reaches 1
+        with pytest.raises(NegativeSquaredVoltage, match="eps0 = 1.000 >= 1"):
+            calibrate_epsilon(two_bus(load=0.0 + 0.1j))
 
     def test_homogeneous_case_range(self, homog37):
         cal = calibrate_epsilon(homog37)
