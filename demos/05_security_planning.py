@@ -24,7 +24,7 @@ M = 3
 print("14-bus binary tree, attacker budget M = 3")
 for B in (0, 2, 4, 6, 8):
     dad = solve_dad(tree, B, M, params, LPF)
-    print(f"  defender budget {B}: secure {list(dad.u_star.secured)!s:<28} "
+    print(f"  defender budget {B}: secure {np.flatnonzero(dad.ad.u).tolist()!s:<28} "
           f"loss {dad.loss:9.3f}")
 
 u1, u2 = fig4_strategies(tree)

@@ -7,9 +7,7 @@ between them, and ships exhaustive oracles for desk-scale verification.
 
 from . import errors
 from .attack import (
-    AttackStrategy,
     PivotAttack,
-    attack_strategy,
     candidate_attack_set,
     effective_setpoints,
     optimal_attack_fixed_response,
@@ -69,7 +67,6 @@ from .response import (
 )
 from .security import (
     DADResult,
-    SecurityStrategy,
     compare_strategies,
     is_symmetric,
     optimal_security_strategy,

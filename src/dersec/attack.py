@@ -1,11 +1,13 @@
-"""Attacker-side computations: optimal false set-points, voltage-impact
+"""Attacker-side computations: the generation an attack leaves, voltage-impact
 algebra, pivot-node greedy attacks, and their families (the candidate optimal
 attack sets).
 
-Compromising a DER moves its set-point from the defender's value to the
-worst-case false set-point 0 - j*cap, which lowers the squared voltage at a
-pivot node i by 2*Re(conj(Z_ij) * (sp_d_j + j*cap_j)) in the linear models;
-everything here is built on that formula.
+An attack is its 0/1 vector delta over nodes 0..N: the set of compromised
+DERs. Compromising a DER moves its set-point from the defender's value to the
+worst-case false set-point 0 - j*cap, written once, in
+``effective_setpoints``. That lowers the squared voltage at a pivot node i by
+2*Re(conj(Z_ij) * (sp_d_j + j*cap_j)) in the linear models; everything here
+is built on that formula.
 
 The one budget rule: every attack takes exactly min(M, pool) vulnerable DERs.
 Each impact is >= 0 under any feasible response: the common-path Z has
@@ -33,24 +35,6 @@ _TIE_RTOL = 1e-9
 _CANDIDATE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class AttackStrategy:
-    """Attack vector and false set-points (meaningful where delta = 1)."""
-
-    delta: np.ndarray
-    sp_a: np.ndarray
-
-
-def attack_strategy(net: Network, delta: np.ndarray) -> AttackStrategy:
-    """AttackStrategy carrying the worst-case false set-points for a given
-    vector: zero real power, full reactive withdrawal."""
-    delta = check_vectors(net, delta, "delta").copy()      # the strategy owns its vector
-    sp_a = np.zeros(net.n + 1, dtype=complex)
-    idx = delta.nonzero()[0]
-    sp_a[idx] = -1j * net.der_cap[idx]
-    return AttackStrategy(delta=delta, sp_a=sp_a)
-
-
 def effective_setpoints(
     net: Network,
     delta: np.ndarray,
@@ -58,8 +42,10 @@ def effective_setpoints(
     sp_a: np.ndarray | None = None,
 ) -> np.ndarray:
     """Generation per node under the adversary model: a DER follows the false
-    set-point iff ``delta`` takes it; otherwise the defender's. Security is
-    decided where the attack is drawn: attacks take only vulnerable DERs."""
+    set-point iff ``delta`` takes it; otherwise the defender's. The false
+    set-point is the worst case 0 - j*cap (zero real power, full reactive
+    withdrawal) unless ``sp_a`` gives others. Security is decided where the
+    attack is drawn: attacks take only vulnerable DERs."""
     sp_a = -1j * net.der_cap.astype(complex) if sp_a is None else check_shape(net, sp_a, "sp_a")
     delta = check_shape(net, delta, "delta")
     sg = np.where(delta == 1, sp_a, check_shape(net, sp_d, "sp_d", complex))
@@ -74,7 +60,7 @@ def impact_matrix(net: Network, sp_d: np.ndarray, model: ModelTag) -> np.ndarray
     return model.load_scale * D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PivotAttack:
     """Greedy attack maximizing the voltage drop at one pivot node."""
 

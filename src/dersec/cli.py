@@ -85,7 +85,7 @@ def _cmd_solve_dad(args) -> int:
     result = solve_dad(net, args.budget, args.M, params, model_tag(args.model, net))
     _emit({
         "budget": args.budget,
-        "secured_nodes": [int(i) for i in np.flatnonzero(result.u_star.u)],
+        "secured_nodes": [int(i) for i in np.flatnonzero(result.ad.u)],
         "loss": result.loss,
         "subgame": _result_doc(net, result.ad),
     }, args.out)

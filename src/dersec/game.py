@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import (
-    AttackStrategy,
     PivotFamily,
-    attack_strategy,
     impact_matrix,
     impact_ranking,
     optimal_attack_fixed_response,
@@ -55,7 +53,7 @@ class TraceEntry:
     loss: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ADResult:
     """Sub-game solution with one trace entry per evaluated attack.
 
@@ -75,8 +73,7 @@ class ADResult:
     the empty attack.
     """
 
-    delta_star: np.ndarray
-    psi_star: AttackStrategy
+    delta_star: np.ndarray       # the attack vector
     phi_star: DefenderResponse
     loss: LossBreakdown
     model: ModelTag
@@ -84,6 +81,11 @@ class ADResult:
     converged: bool
     u: np.ndarray                # the security vector the result belongs to
     iterations: int = 0
+
+    @property
+    def psi_star(self) -> np.ndarray:
+        """``delta_star``, under the name ``bench/workloads.py`` reads."""
+        return self.delta_star
 
 
 class _FamilyTable:
@@ -337,11 +339,9 @@ def _pooled_best_first(
     phi_star = table.solved.get(best, table.pool[table.arg[k_best]])
     delta_star = np.zeros(lp.net.n + 1, dtype=int)
     delta_star[list(best)] = 1
-    psi_star = attack_strategy(lp.net, delta_star)
-    state = response_state(lp.net, psi_star, phi_star, lp.model)
+    state = response_state(lp.net, delta_star, phi_star, lp.model)
     return ADResult(
         delta_star=delta_star,
-        psi_star=psi_star,
         phi_star=phi_star,
         loss=evaluate_loss(state, phi_star.gamma, lp.params),
         model=lp.model,
@@ -428,11 +428,8 @@ def solve_ad_exhaustive(
         for p in pools
     )
     lp = GammaControlLP(net, params, model, polygon_setpoints(net))
-
-    def respond(delta: np.ndarray) -> DefenderResponse:
-        return optimal_response(net, attack_strategy(net, delta), params, model)
-
-    return _pooled_best_first(lp, impact_matrix(net, lp.sp_d, model)[1:], secured, rows, respond)
+    return _pooled_best_first(lp, impact_matrix(net, lp.sp_d, model)[1:], secured, rows,
+                              lambda delta: optimal_response(net, delta, params, model))
 
 
 def solve_ad_iterative(
@@ -454,7 +451,7 @@ def solve_ad_iterative(
     """
     check_budget("M", M)
     u = check_vectors(net, u, _NONLINEAR_U)
-    delta = check_vectors(net, seed_attack, "seed_attack")
+    delta = check_vectors(net, seed_attack, "seed_attack").copy()     # the result owns its vector
     pool = vulnerable_nodes(net, u)
     full = min(M, pool.size)
     if delta.any() and (delta.sum() != full or not np.isin(delta.nonzero()[0], pool).all()):
@@ -470,19 +467,17 @@ def solve_ad_iterative(
             converged = True
             break
         visited.add(key)
-        psi = attack_strategy(net, delta)
-        phi = optimal_response(net, psi, params, NPF)
-        loss = evaluate_loss(response_state(net, psi, phi, NPF), phi.gamma, params)
+        phi = optimal_response(net, delta, params, NPF)
+        loss = evaluate_loss(response_state(net, delta, phi, NPF), phi.gamma, params)
         trace.append(TraceEntry(delta=key, loss=loss.total))
         if best is None or loss.total > best[2].total:
-            best = (psi, phi, loss)
+            best = (delta, phi, loss)
         if iterations < _ITERATIVE_MAX_ITER:
             delta = optimal_attack_fixed_response(net, phi, M, u, params)
 
-    psi_star, phi_star, loss_star = best
+    delta_star, phi_star, loss_star = best
     return ADResult(
-        delta_star=psi_star.delta,
-        psi_star=psi_star,
+        delta_star=delta_star,
         phi_star=phi_star,
         loss=loss_star,
         model=NPF,
@@ -511,7 +506,7 @@ def solve_ad(
     return engine(net, u, M, params, model)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsReport:
     l_lpf: float
     l_npf: float

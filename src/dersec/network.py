@@ -66,7 +66,7 @@ class NodeSpec:
     label: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeIndex:
     """Derived tree structure, computed once at build time.
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackStrategy, attack_strategy
 from .errors import HeterogeneousRxRatio, TooLargeToEnumerate
 from .loss import CostParams, check_weights, evaluate_loss
 from .network import Network, check_budget, check_vectors
@@ -86,7 +85,7 @@ def bf_attack_fixed_response(
     check_weights(net, params)
 
     def evaluate(delta):
-        state = response_state(net, attack_strategy(net, delta), phi, LPF)
+        state = response_state(net, delta, phi, LPF)
         return evaluate_loss(state, phi.gamma, params).total, delta
 
     loss, delta = _worst_attack(net, M, u, evaluate)
@@ -100,8 +99,9 @@ def bf_ad(
     params: CostParams,
     model: ModelTag,
     grid: GridSpec | None = None,
-) -> tuple[AttackStrategy, DefenderResponse, float]:
-    """Exact max-min sub-game value by attack enumeration.
+) -> tuple[np.ndarray, DefenderResponse, float]:
+    """Exact max-min sub-game value by attack enumeration: the worst attack
+    vector, its response and its loss.
 
     Linear models: defender set-points fixed in closed form (identical r/x
     required) and load control solved as an exact LP per attack. Nonlinear:
@@ -117,20 +117,18 @@ def bf_ad(
         load_control = GammaControlLP(net, params, model, sp_d)
 
         def evaluate(delta):
-            psi = attack_strategy(net, delta)
             phi = DefenderResponse(sp_d=sp_d, gamma=load_control.solve(delta))
-            state = response_state(net, psi, phi, model)
-            return evaluate_loss(state, phi.gamma, params).total, psi, phi
+            state = response_state(net, delta, phi, model)
+            return evaluate_loss(state, phi.gamma, params).total, delta, phi
     else:
         grid = grid or GridSpec()
 
         def evaluate(delta):
-            psi = attack_strategy(net, delta)
-            loss, phi = _grid_min_response(net, psi, u, params, grid)
-            return loss, psi, phi
+            loss, phi = _grid_min_response(net, delta, u, params, grid)
+            return loss, delta, phi
 
-    loss, psi, phi = _worst_attack(net, M, u, evaluate)
-    return psi, phi, loss
+    loss, delta, phi = _worst_attack(net, M, u, evaluate)
+    return delta, phi, loss
 
 
 def _rounded_properties(net: Network, params: CostParams) -> list[tuple]:
@@ -200,14 +198,15 @@ def bf_security(
 
 def _grid_min_response(
     net: Network,
-    psi: AttackStrategy,
+    delta: np.ndarray,
     u: np.ndarray,
     params: CostParams,
     grid: GridSpec,
 ):
-    """Best defender response on a product grid, evaluated by batch NPF."""
+    """Best defender response to the attack vector ``delta`` on a product
+    grid, evaluated by batch NPF."""
     n = net.n
-    compromised = (psi.delta == 1) & (u == 0) & (net.der_cap > 0.0)
+    compromised = (delta == 1) & (u == 0) & (net.der_cap > 0.0)
     free = [int(d) for d in np.flatnonzero((net.der_cap > 0.0) & ~compromised)]
 
     gamma_axes = []
@@ -235,11 +234,12 @@ def _grid_min_response(
     gammas = np.ones((n + 1, total))
     for k, values in zip(gamma_nodes, axes):
         gammas[k].reshape(shape)[...] = values
-    # generation: grid set-points on free DERs, false ones on compromised DERs
+    # generation: grid set-points on free DERs, the worst-case false
+    # set-point 0 - j*cap on compromised DERs
     sgs = np.zeros((n + 1, total), dtype=complex)
     for d, values in zip(free, axes[len(gamma_nodes):]):
         sgs[d].reshape(shape)[...] = values
-    sgs[compromised] = psi.sp_a[compromised, None]
+    sgs[compromised] = -1j * net.der_cap[compromised, None]
 
     s_batch = gammas * net.sc_nom[:, None] - sgs
     nu, ell, resid = _solve_npf_batch(net, s_batch)

@@ -49,7 +49,7 @@ def eps_lpf(eps: float) -> ModelTag:
     return ModelTag("eps_lpf", eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Injection:
     """Consumed and generated complex power per node (per-unit)."""
 
@@ -82,7 +82,7 @@ def nominal_injection(net: Network) -> Injection:
     return Injection(sc=net.sc_nom.copy(), sg=np.zeros(net.n + 1, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """A power-flow solution tagged with the model that produced it."""
 

@@ -62,10 +62,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .attack import AttackStrategy, effective_setpoints
+from .attack import effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
 from .loss import CostParams, check_weights, evaluate_loss
-from .network import Network, check_shape
+from .network import Network, check_shape, check_vectors
 from .powerflow import NPF, ModelTag, injection, solve_eps_lpf, solve_lpf, solve_npf
 
 # facet count sets the inner-polygon radius deficit cap*(1-cos(pi/4/F)); 96
@@ -116,7 +116,7 @@ _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
 _solver = threading.local()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefenderResponse:
     """Uncompromised-DER set-points and load-control fractions."""
 
@@ -381,26 +381,25 @@ def polygon_setpoints(net: Network) -> np.ndarray:
 
 def _model_for_attack(
     net: Network,
-    psi: AttackStrategy,
+    delta: np.ndarray,
     params: CostParams,
     kappa: float,
 ) -> tuple[_ResponseModel, np.ndarray]:
     """The model whose free DERs are those the attack does not take, and the
-    generation the attack fixes (its attacked DERs' set-points)."""
-    no_sp = np.zeros(net.n + 1, dtype=complex)
-    fixed = effective_setpoints(net, psi.delta, no_sp, psi.sp_a)
-    free = 1 + ((net.der_cap[1:] > 0.0) & (psi.delta[1:] != 1)).nonzero()[0]
+    generation the attack fixes (its attacked DERs' false set-points)."""
+    fixed = effective_setpoints(net, delta, np.zeros(net.n + 1, dtype=complex))
+    free = 1 + ((net.der_cap[1:] > 0.0) & (delta[1:] != 1)).nonzero()[0]
     return _ResponseModel(net, params, kappa, free), fixed
 
 
 def _optimal_response_npf(
     net: Network,
-    psi: AttackStrategy,
+    delta: np.ndarray,
     params: CostParams,
 ) -> DefenderResponse:
     par = net.tree.parent[1:]
     r = net.r[1:]
-    lp, fixed = _model_for_attack(net, psi, params, 1.0)
+    lp, fixed = _model_for_attack(net, delta, params, 1.0)
     # voltage rows of each edge's upstream node (zero at the substation)
     has_parent = par >= 1
     nu_up_mat = np.zeros(lp.nu_mat.shape)
@@ -408,7 +407,7 @@ def _optimal_response_npf(
 
     gamma = np.ones(net.n + 1)
     sp_d = _warm_setpoints(net)
-    state = response_state(net, psi, DefenderResponse(sp_d=sp_d, gamma=gamma), NPF)
+    state = response_state(net, delta, DefenderResponse(sp_d=sp_d, gamma=gamma), NPF)
     best_loss = evaluate_loss(state, gamma, params).total
     best = (best_loss, gamma, sp_d)
 
@@ -430,7 +429,7 @@ def _optimal_response_npf(
         x = lp.solve(lp.nu_offset(fixed, state.ell[1:]), c, lp.trust_box(x_curr, radius))
         gamma, sp_d = lp.unpack(x)
         try:
-            cand_state = response_state(net, psi, DefenderResponse(sp_d=sp_d, gamma=gamma), NPF)
+            cand_state = response_state(net, delta, DefenderResponse(sp_d=sp_d, gamma=gamma), NPF)
         except (NonConvergent, NegativeSquaredVoltage):
             radius *= 0.5
             continue
@@ -453,27 +452,28 @@ def _optimal_response_npf(
 
 def optimal_response(
     net: Network,
-    psi: AttackStrategy,
+    delta: np.ndarray,
     params: CostParams,
     model: ModelTag,
 ) -> DefenderResponse:
-    """Loss-minimizing (set-points, load control) for a fixed attack: one LP
-    for a linear model, sequential LP for NPF."""
+    """Loss-minimizing (set-points, load control) for a fixed attack vector
+    ``delta``: one LP for a linear model, sequential LP for NPF."""
+    delta = check_vectors(net, delta, "delta")
     if not model.is_linear:
-        return _optimal_response_npf(net, psi, params)
-    lp, fixed = _model_for_attack(net, psi, params, model.load_scale)
+        return _optimal_response_npf(net, delta, params)
+    lp, fixed = _model_for_attack(net, delta, params, model.load_scale)
     gamma, sp_d = lp.unpack(lp.solve(lp.nu_offset(fixed, np.zeros(net.n))))
     return DefenderResponse(sp_d=sp_d, gamma=gamma)
 
 
 def response_state(
     net: Network,
-    psi: AttackStrategy,
+    delta: np.ndarray,
     phi: DefenderResponse,
     model: ModelTag,
 ):
-    """Power-flow state realized by an attack/response pair under a model."""
-    sg = effective_setpoints(net, psi.delta, phi.sp_d, psi.sp_a)
+    """Power-flow state realized by an attack vector and a response under a model."""
+    sg = effective_setpoints(net, check_vectors(net, delta, "delta"), phi.sp_d)
     inj = injection(net, phi.gamma, sg)
     if model.kind == "lpf":
         return solve_lpf(net, inj)

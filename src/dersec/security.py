@@ -45,19 +45,11 @@ from .powerflow import ModelTag
 _U_ENUM_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class SecurityStrategy:
-    u: np.ndarray
-    budget: int
-
-    @property
-    def secured(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.u))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DADResult:
-    u_star: SecurityStrategy
+    """Trilevel solution: the sub-game of the optimal security vector, whose
+    u* is ``ad.u``, and its loss (``ad.loss.total``)."""
+
     ad: ADResult
     loss: float
 
@@ -98,19 +90,21 @@ def _symmetric(net: Network, params: CostParams) -> bool:
     return net.derived(("is_symmetric", params.W.tobytes(), params.C.tobytes()), build)
 
 
-def optimal_security_strategy(net: Network, B: int) -> SecurityStrategy:
-    """The first B DERs sorted by (-depth, rank among the DERs that share
-    their parent, parent id, id): whole levels deepest first, and the partial
-    top-most level dealt round-robin over its sibling groups, which realizes
-    the uniform choice deterministically. Requires a network symmetric under
-    the solve's weights, here its own, with identical r/x ratio and a
-    non-negative integer B."""
+def optimal_security_strategy(net: Network, B: int, params: CostParams) -> np.ndarray:
+    """The optimal budget-B security vector: the first B DERs sorted by
+    (-depth, rank among the DERs that share their parent, parent id, id).
+    That is whole levels deepest first, and the partial top-most level dealt
+    round-robin over its sibling groups, which realizes the uniform choice
+    deterministically. Requires an identical r/x ratio, a network symmetric
+    under the weights W and C of ``params`` (the test ``solve_dad`` makes),
+    and a non-negative integer B."""
     check_budget("B", B)
+    check_weights(net, params)
     if net.uniform_rx_ratio() is None:
         raise HeterogeneousRxRatio("optimal placement requires identical r/x")
-    if not is_symmetric(net):
+    if not _symmetric(net, params):
         raise AsymmetricNetwork("optimal placement requires a symmetric network")
-    return SecurityStrategy(u=_placement(net, B), budget=B)
+    return _placement(net, B)
 
 
 def _placement(net: Network, B: int) -> np.ndarray:
@@ -159,7 +153,7 @@ def solve_dad(
         secured = np.zeros((count, net.n + 1), dtype=int)
         secured[np.arange(count)[:, None], combos] = 1
     ad = solve_ad(net, secured, M, params, model)
-    return DADResult(u_star=SecurityStrategy(u=ad.u, budget=B), ad=ad, loss=ad.loss.total)
+    return DADResult(ad=ad, loss=ad.loss.total)
 
 
 @dataclass(frozen=True)
@@ -177,15 +171,14 @@ class StrategyComparison:
 
 def compare_strategies(
     net: Network,
-    u1: SecurityStrategy | np.ndarray | None,
-    u2: SecurityStrategy | np.ndarray | None,
+    u1: np.ndarray | None,
+    u2: np.ndarray | None,
     M: int,
     params: CostParams,
     model: ModelTag,
 ) -> StrategyComparison:
     """Solve both sub-games and order the strategies by induced loss; each
     side is one 0/1 security vector (None secures nothing), not rows of them."""
-    u1, u2 = (check_vectors(net, u.u if isinstance(u, SecurityStrategy) else u, name)
-              for u, name in ((u1, "u1"), (u2, "u2")))
+    u1, u2 = (check_vectors(net, u, name) for u, name in ((u1, "u1"), (u2, "u2")))
     l1, l2 = (solve_ad(net, u, M, params, model).loss.total for u in (u1, u2))
     return StrategyComparison(loss1=l1, loss2=l2)

@@ -54,7 +54,7 @@ from dersec import (
     solve_npf,
     validate_assumptions,
 )
-from dersec.attack import attack_strategy, candidate_attack_set, impact_matrix
+from dersec.attack import candidate_attack_set, impact_matrix
 from dersec.cases import random_feasible_network
 from dersec.response import DefenderResponse, GammaControlLP
 from dersec.sweep import with_gamma_lo
@@ -67,7 +67,7 @@ M_VALUES = tuple(range(15))
 
 
 def _random_action_profile(net, rng):
-    """A feasible (psi, phi) pair with worst-case false set-points."""
+    """A feasible (attack vector, response) pair."""
     gamma = rng.uniform(net.gamma_lo, 1.0)
     gamma[0] = 1.0
     theta = rng.uniform(0.0, math.pi / 2.0, net.n + 1)
@@ -78,8 +78,7 @@ def _random_action_profile(net, rng):
     if pool:
         take = rng.choice(pool, size=rng.integers(0, len(pool) + 1), replace=False)
         delta[take] = 1
-    psi = attack_strategy(net, delta)
-    return psi, DefenderResponse(sp_d=sp_d, gamma=gamma)
+    return delta, DefenderResponse(sp_d=sp_d, gamma=gamma)
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +141,8 @@ class TestCriterion2ModelOrdering:
         for seed in range(100):
             net = random_feasible_network(seed)
             rng = np.random.default_rng(seed + 5_000)
-            psi, phi = _random_action_profile(net, rng)
-            sg = np.where((psi.delta == 1), psi.sp_a, phi.sp_d)
+            delta, phi = _random_action_profile(net, rng)
+            sg = np.where((delta == 1), -1j * net.der_cap, phi.sp_d)
             sg = np.where(net.der_cap > 0, sg, 0)
             inj = injection(net, phi.gamma, sg)
             eps = calibrate_epsilon(net).eps
@@ -166,8 +165,8 @@ class TestCriterion3ScalingIdentities:
         for seed in range(100):
             net = random_feasible_network(seed)
             rng = np.random.default_rng(seed + 9_000)
-            psi, phi = _random_action_profile(net, rng)
-            sg = np.where((psi.delta == 1), psi.sp_a, phi.sp_d)
+            delta, phi = _random_action_profile(net, rng)
+            sg = np.where((delta == 1), -1j * net.der_cap, phi.sp_d)
             sg = np.where(net.der_cap > 0, sg, 0)
             inj = injection(net, phi.gamma, sg)
             eps = 0.21
@@ -194,8 +193,7 @@ class TestCriterion4GreedyExactness:
             params = CostParams.from_network(net)
             M = int(np.random.default_rng(seed).integers(1, 4))
             greedy = optimal_attack_fixed_response(net, phi, M, u, params)
-            psi = attack_strategy(net, greedy)
-            st = response_state(net, psi, phi, LPF)
+            st = response_state(net, greedy, phi, LPF)
             mine = evaluate_loss(st, phi.gamma, params).total
             _, bf_loss = bf_attack_fixed_response(net, phi, M, u, params=params)
             assert mine == pytest.approx(bf_loss, abs=1e-9), (seed, M)
@@ -267,14 +265,13 @@ class TestCriterion7DefenderAngle:
         params = CostParams.from_ratio(net, 2.0)
         delta = np.zeros(5, dtype=int)
         delta[4] = 1
-        psi = attack_strategy(net, delta)
         gamma = np.ones(5)
         thetas = np.radians(np.arange(0.0, 90.0 + 0.25, 0.5))
         lovr = []
         for t in thetas:
             sp = np.where(net.der_cap > 0, net.der_cap * np.exp(1j * t), 0)
             sp[4] = 0.0
-            st = response_state(net, psi, DefenderResponse(sp, gamma), LPF)
+            st = response_state(net, delta, DefenderResponse(sp, gamma), LPF)
             lovr.append(evaluate_loss(st, gamma, params).lovr)
         best = thetas[int(np.argmin(lovr))]
         target = math.atan2(1.0, float(net.uniform_rx_ratio()))
@@ -315,10 +312,7 @@ class TestCriterion8AttackSetEquivalence:
                 # is robust to ties inside the optimal set)
                 lp = GammaControlLP(net, params, LPF, sp)
                 gamma = lp.solve(hi.delta_star)
-                st = response_state(
-                    net, attack_strategy(net, hi.delta_star),
-                    DefenderResponse(sp, gamma), LPF,
-                )
+                st = response_state(net, hi.delta_star, DefenderResponse(sp, gamma), LPF)
                 crossed = evaluate_loss(st, gamma, params).total
                 assert crossed == pytest.approx(lo.loss.total, abs=1e-9), seed
                 optima_checked += 1
@@ -426,7 +420,7 @@ class TestCriterion11SolverHealth:
             for wc in WC_RATIOS:
                 for M in (3, 9, 14):
                     _, mid, _ = results[(gl, wc, M)]
-                    st = response_state(net, mid.psi_star, mid.phi_star, NPF)
+                    st = response_state(net, mid.delta_star, mid.phi_star, NPF)
                     worst_pf = max(worst_pf, max(st.residuals()))
                     cone = np.max(
                         np.abs(st.ell[1:] * st.nu[par[1:]] - np.abs(st.S[1:]) ** 2)

@@ -20,7 +20,6 @@ from dersec.attack import (
     ImpactRanking,
     PivotFamily,
     _partition_walks,
-    attack_strategy,
     effective_setpoints,
     impact_matrix,
     impact_ranking,
@@ -29,7 +28,7 @@ from dersec.attack import (
 from dersec.cases import random_feasible_network
 from dersec.errors import EnumerationCapExceeded, RootArgument
 from dersec.network import NodeSpec, build_network
-from dersec.response import DefenderResponse, fixed_angle_setpoints
+from dersec.response import DefenderResponse, fixed_angle_setpoints, response_state
 
 from conftest import chain_network, zeros_u
 
@@ -48,20 +47,21 @@ def _fig2_fixed_response(fig2):
 class TestAttackerSetpoints:
     def test_capability_value(self, fig2):
         delta = _to_delta(fig2, [2])
-        got = attack_strategy(fig2, delta).sp_a
+        got = effective_setpoints(fig2, delta, np.zeros(fig2.n + 1, dtype=complex))
         assert got[2] == -1j * fig2.der_cap[2]
         assert not np.delete(got, 2).any()
 
     def test_empty_when_no_targets(self, fig2):
-        assert not attack_strategy(fig2, zeros_u(fig2)).sp_a.any()
+        sp_d = fixed_angle_setpoints(fig2)
+        assert np.array_equal(effective_setpoints(fig2, zeros_u(fig2), sp_d), sp_d)
 
     def test_on_disk_boundary(self, fig2):
         delta = np.zeros(fig2.n + 1, dtype=int)
         delta[[2, 5]] = 1
-        psi = attack_strategy(fig2, delta)
+        sg = effective_setpoints(fig2, delta, fixed_angle_setpoints(fig2))
         for i in np.flatnonzero(delta):
-            assert np.real(psi.sp_a[i]) == 0.0
-            assert abs(psi.sp_a[i]) == pytest.approx(fig2.der_cap[i])
+            assert np.real(sg[i]) == 0.0
+            assert abs(sg[i]) == pytest.approx(fig2.der_cap[i])
 
 
     def test_lists_match_arrays(self, fig2):
@@ -69,10 +69,10 @@ class TestAttackerSetpoints:
         # ndarray gives, of the same dtype
         delta = _to_delta(fig2, [2, 5])
         sp_d = fixed_angle_setpoints(fig2)
-        sp_a = attack_strategy(fig2, delta).sp_a
-        from_list = attack_strategy(fig2, delta.tolist())
-        for got, want in zip((from_list.delta, from_list.sp_a), (delta, sp_a)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        sp_a = effective_setpoints(fig2, delta, np.zeros(fig2.n + 1, dtype=complex))
+        phi = _fig2_fixed_response(fig2)
+        from_list = response_state(fig2, delta.tolist(), phi, LPF)
+        assert np.array_equal(from_list.nu, response_state(fig2, delta, phi, LPF).nu)
         for args in ((), (sp_a,)):
             want = effective_setpoints(fig2, delta, sp_d, *args)
             got = effective_setpoints(fig2, delta.tolist(), sp_d.tolist(), *(a.tolist() for a in args))
@@ -303,7 +303,6 @@ class TestCandidateSet:
         # the candidate set is computed without gamma; the substance is that
         # it contains a loss-maximizing attack for ANY fixed load control
         from dersec import evaluate_loss, response_state
-        from dersec.attack import attack_strategy
         from dersec.oracle import bf_attack_fixed_response
         from dersec.response import DefenderResponse
 
@@ -323,12 +322,7 @@ class TestCandidateSet:
                 _, best = bf_attack_fixed_response(net, phi, 2, u, params=params)
                 achieved = max(
                     evaluate_loss(
-                        response_state(
-                            net,
-                            attack_strategy(net, _to_delta(net, nodes)),
-                            phi,
-                            LPF,
-                        ),
+                        response_state(net, _to_delta(net, nodes), phi, LPF),
                         gamma,
                         params,
                     ).total

@@ -27,7 +27,6 @@ from dersec import (
 )
 from dersec.attack import (
     PivotFamily,
-    attack_strategy,
     candidate_attack_set,
     impact_matrix,
     impact_ranking,
@@ -128,7 +127,7 @@ def _per_candidate_losses(net, M, params, model):
         delta[list(nodes)] = 1
         gamma = lp.solve(delta)
         phi = DefenderResponse(sp_d=sp, gamma=gamma)
-        state = response_state(net, attack_strategy(net, delta), phi, model)
+        state = response_state(net, delta, phi, model)
         losses[nodes] = evaluate_loss(state, gamma, params).total
     return losses
 
@@ -224,7 +223,7 @@ class TestFamilyBound:
                     for nodes in family.members():
                         delta = zeros_u(net)
                         delta[list(nodes)] = 1
-                        state = response_state(net, attack_strategy(net, delta), phi, model)
+                        state = response_state(net, delta, phi, model)
                         losses.append(evaluate_loss(state, gamma, params).total)
                     assert value == pytest.approx(max(losses), abs=1e-9)
 
@@ -301,9 +300,8 @@ def _per_vector_value(net, M, params, model):
         for combo in itertools.combinations(ders, k):
             delta = zeros_u(net)
             delta[list(combo)] = 1
-            psi = attack_strategy(net, delta)
-            phi = optimal_response(net, psi, params, model)
-            state = response_state(net, psi, phi, model)
+            phi = optimal_response(net, delta, params, model)
+            state = response_state(net, delta, phi, model)
             best = max(best, evaluate_loss(state, phi.gamma, params).total)
             count += 1
     return best, count
@@ -371,8 +369,8 @@ class TestExhaustivePool:
         net = build_network(specs)
         params = params_for(net, 10.0)
         seed = DefenderResponse(polygon_setpoints(net), np.ones(net.n + 1))
-        psi = attack_strategy(net, np.eye(net.n + 1, dtype=int)[3])
-        assert evaluate_loss(response_state(net, psi, seed, LPF), seed.gamma, params).total > 1.0
+        delta = np.eye(net.n + 1, dtype=int)[3]
+        assert evaluate_loss(response_state(net, delta, seed, LPF), seed.gamma, params).total > 1.0
         assert _per_vector_value(net, 1, params, LPF)[0] == pytest.approx(0.0, abs=1e-9)
         calls = _count_lps(monkeypatch)
         res = solve_ad_exhaustive(net, None, 1, params, LPF)
@@ -669,7 +667,7 @@ class TestIterative:
             solve_ad_iterative(homog37, None, 9, params),
         ):
             state = response_state(
-                homog37, result.psi_star, result.phi_star, result.model
+                homog37, result.delta_star, result.phi_star, result.model
             )
             again = evaluate_loss(state, result.phi_star.gamma, params)
             assert again.total == pytest.approx(result.loss.total, abs=1e-10)

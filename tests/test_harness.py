@@ -20,10 +20,14 @@ from dersec import (
     NPF,
     CostParams,
     balanced_tree,
+    bf_security,
+    calibrate_epsilon,
     compare_strategies,
     gen_case,
     heterogeneous37,
     homogeneous37,
+    is_symmetric,
+    line_loss_cap,
     load_network,
     network_from_json,
     network_to_json,
@@ -683,21 +687,49 @@ def test_bench_call_shapes_stay_valid():
     # cases and call these entry points positionally; a signature change
     # there breaks the bench run, not this suite's own calls
     assert list(inspect.signature(optimal_response).parameters)[3] == "model"
-    net, params, psi, phi, delta = (object() for _ in range(5))
+    net, params, phi, delta = (object() for _ in range(4))
     calls = (
         (solve_ad_oneshot, (net, None, 3, params, LPF), {}),
         (solve_ad_iterative, (net, None, 3, params), {"seed_attack": delta}),
         (solve_dad, (net, 1, 2, params, LPF), {}),
-        (response_state, (net, psi, phi, NPF), {}),
+        (response_state, (net, delta, phi, NPF), {}),
         (homogeneous37, (), {}),
         (balanced_tree, (2, 3), {}),
         (random_feasible_network, (0,), {"identical_k": True}),
         (with_gamma_lo, (net, 0.5), {}),
         (CostParams.from_ratio, (net, 10.0), {}),
         (save_network, (net, "feeder.json"), {}),
+        # the reference regenerator, bench/make_reference.py
+        (is_symmetric, (net,), {}),
+        (solve_ad_iterative, (net, None, 3, params), {}),
+        (bf_security, (net, 1, 2, params, LPF), {}),
+        (calibrate_epsilon, (net,), {}),
+        (line_loss_cap, (net,), {}),
     )
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
+    # and the result fields the workloads read
+    net = balanced_tree(2, 2)
+    params = CostParams.from_ratio(net, 10.0)
+    res = solve_ad_oneshot(net, None, 2, params, LPF)
+    assert res.psi_star is res.delta_star and res.phi_star.converged
+    dad = solve_dad(net, 1, 2, params, LPF)
+    assert dad.loss == dad.ad.loss.total and dad.ad.converged and dad.ad.phi_star.converged
+
+
+def test_a_solve_owns_its_seed_attack():
+    # iterative-npf passes one seed array to every solve of a point; the
+    # result must not change when the caller's array does
+    net = balanced_tree(2, 2)
+    params = CostParams.from_ratio(net, 10.0)
+    seed = np.zeros(net.n + 1, dtype=int)
+    seed[[1, 3]] = 1        # the LPF attack, which the NPF solve keeps
+    res = solve_ad_iterative(net, None, 2, params, seed_attack=seed)
+    kept = res.delta_star.copy()
+    assert kept.tolist() == seed.tolist()
+    seed[:] = 0
+    seed[[5, 6]] = 1
+    assert np.array_equal(res.delta_star, kept)
 
 
 def test_bench_seed_attacks_stay_valid(monkeypatch):

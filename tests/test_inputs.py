@@ -8,7 +8,6 @@ import pytest
 
 from dersec import CostParams, LPF, evaluate_loss, homogeneous37, injection, solve_lpf
 from dersec.attack import (
-    attack_strategy,
     candidate_attack_set,
     effective_setpoints,
     impact_matrix,
@@ -17,7 +16,13 @@ from dersec.attack import (
 )
 from dersec.errors import RootArgument
 from dersec.network import check_shape, common_path_impedance, is_per_node, precedence_compare
-from dersec.response import DefenderResponse, GammaControlLP, fixed_angle_setpoints
+from dersec.response import (
+    DefenderResponse,
+    GammaControlLP,
+    fixed_angle_setpoints,
+    optimal_response,
+    response_state,
+)
 
 from conftest import zeros_u
 
@@ -39,7 +44,7 @@ def _shape_calls(net, sp, phi, params):
         ("gamma", lambda bad: injection(net, bad, sg)),
         ("sg", lambda bad: injection(net, phi.gamma, bad)),
         ("gamma", lambda bad: evaluate_loss(state, bad, params)),
-        ("delta", lambda bad: attack_strategy(net, bad)),
+        ("delta", lambda bad: response_state(net, bad, phi, LPF)),
         ("delta", lambda bad: effective_setpoints(net, bad, sp)),
         ("sp_d", lambda bad: effective_setpoints(net, delta, bad)),
         ("sp_a", lambda bad: effective_setpoints(net, delta, sp, bad)),
@@ -48,16 +53,17 @@ def _shape_calls(net, sp, phi, params):
         ("u", lambda bad: pivot_optimal_attack(net, 5, sp, 2, bad)),
         ("u", lambda bad: optimal_attack_fixed_response(net, phi, 2, bad, params)),
         ("u", lambda bad: candidate_attack_set(net, sp, 2, bad)),
+        ("delta", lambda bad: optimal_response(net, bad, params, LPF)),
     ]
 
 
 class TestPerNodeShape:
-    @pytest.mark.parametrize("case", range(12))
+    @pytest.mark.parametrize("case", range(13))
     @pytest.mark.parametrize("form", ["one entry", "two entries", "one entry short", "a row", "a scalar"])
     def test_a_wrong_shape_is_rejected_by_name(self, feeder, case, form):
         # unchecked, a short array broadcast: injection(net, [0.5], sg) halved
         # every load, evaluate_loss priced gamma [1.0, 0.5] as a voll of 1102.5,
-        # attack_strategy(net, [1]) attacked every DER, the attack entries
+        # an attack vector [1] attacked every DER, the attack entries
         # returned the empty attack and a one-entry sp_d spread over every node
         net = feeder[0]
         name, call = _shape_calls(*feeder)[case]
@@ -68,7 +74,7 @@ class TestPerNodeShape:
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             call(bad)
 
-    @pytest.mark.parametrize("case", range(12))
+    @pytest.mark.parametrize("case", range(13))
     def test_the_right_shape_is_taken_as_a_list(self, feeder, case):
         net = feeder[0]
         name, call = _shape_calls(*feeder)[case]
@@ -83,7 +89,8 @@ class TestPerNodeShape:
             lambda: pivot_optimal_attack(net, 5, sp, 2, bad),
             lambda: optimal_attack_fixed_response(net, phi, 2, bad, params),
             lambda: candidate_attack_set(net, sp, 2, bad),
-            lambda: attack_strategy(net, bad),
+            lambda: response_state(net, bad, phi, LPF),
+            lambda: optimal_response(net, bad, params, LPF),
         )
         for call in calls:
             with pytest.raises(ValueError, match=r"^(u|delta) must be one 0/1 vector over nodes 0\.\.36$"):

@@ -12,12 +12,13 @@ from dersec import (
     nominal_injection,
     optimal_attack_fixed_response,
     optimal_response,
+    pivot_optimal_attack,
     response_state,
+    sandwich_bounds,
     solve_ad,
     solve_dad,
     solve_npf,
 )
-from dersec.attack import attack_strategy
 from dersec.errors import GammaOutOfRange
 from dersec.cases import random_feasible_network
 from dersec.network import NodeSpec, build_network
@@ -133,7 +134,7 @@ def _solve_case(case, weights):
         ad, u = solve_ad(net, None, 4, params, NPF), None
     else:
         dad = solve_dad(net, 1, 1, params, LPF)
-        ad, u = dad.ad, dad.u_star.u.tolist()
+        ad, u = dad.ad, dad.ad.u.tolist()
     return repr((u, ad.loss, ad.u.tolist(), ad.delta_star.tolist(), ad.phi_star.gamma.tolist(),
                  ad.phi_star.sp_d.tolist(), ad.iterations, ad.converged))
 
@@ -160,17 +161,17 @@ def test_weight_length_is_checked_against_the_network(length):
     # "operands could not be broadcast together"
     net = homogeneous37()
     params = CostParams(W=np.full(length, 7e4), C=np.full(length, 7e3))
-    psi = attack_strategy(net, np.zeros(net.n + 1, dtype=int))
+    delta = np.zeros(net.n + 1, dtype=int)
     phi = DefenderResponse(sp_d=fixed_angle_setpoints(net), gamma=np.ones(net.n + 1))
-    state = response_state(net, psi, phi, LPF)
+    state = response_state(net, delta, phi, LPF)
     calls = (
         lambda: solve_ad(net, None, 2, params, LPF),
         lambda: solve_ad(net, None, 2, params, NPF),
         lambda: solve_dad(net, 1, 2, params, LPF),
-        lambda: optimal_response(net, psi, params, LPF),
-        lambda: optimal_response(net, psi, params, NPF),
+        lambda: optimal_response(net, delta, params, LPF),
+        lambda: optimal_response(net, delta, params, NPF),
         lambda: evaluate_loss(state, phi.gamma, params),
-        lambda: optimal_attack_fixed_response(net, phi, 2, psi.delta, params),
+        lambda: optimal_attack_fixed_response(net, phi, 2, delta, params),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"weights W and C need 37 entries"):
@@ -184,3 +185,32 @@ def test_networks_and_weights_compare_by_identity():
     for a, b in (nets, params):
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+
+def _equal_records(kind):
+    """Two equal-valued records of ``kind`` that hold arrays, built apart."""
+    net = balanced_tree(2, 2)
+    params = CostParams.from_ratio(net, 10.0)
+    sp = fixed_angle_setpoints(net)
+    make = {
+        "ADResult": lambda: solve_ad(net, None, 2, params, LPF),
+        "DADResult": lambda: solve_dad(net, 1, 2, params, LPF),
+        "DefenderResponse": lambda: solve_ad(net, None, 2, params, LPF).phi_star,
+        "PivotAttack": lambda: pivot_optimal_attack(net, 3, sp, 2, np.zeros(net.n + 1, dtype=int)),
+        "BoundsReport": lambda: sandwich_bounds(net, None, 1, params),
+        "State": lambda: solve_lpf(net, nominal_injection(net)),
+        "Injection": lambda: nominal_injection(net),
+        "TreeIndex": lambda: balanced_tree(2, 2).tree,
+    }[kind]
+    return make(), make()
+
+
+@pytest.mark.parametrize("kind", ["ADResult", "DADResult", "DefenderResponse", "PivotAttack",
+                                  "BoundsReport", "State", "Injection", "TreeIndex"])
+def test_records_that_hold_arrays_compare_by_identity(kind):
+    # field-wise == on their arrays once raised "truth value of an array is
+    # ambiguous", and hash raised "unhashable type"
+    a, b = _equal_records(kind)
+    assert type(a).__name__ == kind
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -18,7 +18,6 @@ from dersec import (
     bf_security,
     optimal_attack_fixed_response,
 )
-from dersec.attack import attack_strategy
 from dersec.cases import heterogeneous37, random_feasible_network
 from dersec.errors import HeterogeneousRxRatio, TooLargeToEnumerate
 from dersec.network import NodeSpec, build_network
@@ -60,10 +59,9 @@ class TestBFAttack:
             params = CostParams.from_network(net)
             for M in (1, 2, 3):
                 greedy = optimal_attack_fixed_response(net, phi, M, zeros_u(net), params)
-                psi = attack_strategy(net, greedy)
                 from dersec import evaluate_loss, response_state
 
-                st = response_state(net, psi, phi, LPF)
+                st = response_state(net, greedy, phi, LPF)
                 g_loss = evaluate_loss(st, phi.gamma, params).total
                 _, bf_loss = bf_attack_fixed_response(
                     net, phi, M, zeros_u(net), params=params
@@ -195,16 +193,16 @@ class TestPinnedAnswers:
         delta, u = np.zeros(5, dtype=int), np.zeros(5, dtype=int)
         delta[attacked] = 1
         u[secured] = 1
-        value, phi = _grid_min_response(net, attack_strategy(net, delta), u, params, _GRID)
+        value, phi = _grid_min_response(net, delta, u, params, _GRID)
         assert repr(value) == loss
         assert phi.gamma.tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
         assert phi.sp_d.tolist() == sp_d
 
     def test_bf_ad_npf(self):
         net, params = _mixed_chain()
-        psi, phi, loss = bf_ad(net, np.array([0, 0, 0, 0, 1]), 2, params, NPF, grid=_GRID)
+        delta, phi, loss = bf_ad(net, np.array([0, 0, 0, 0, 1]), 2, params, NPF, grid=_GRID)
         assert repr(loss) == "0.051911942417531866"
-        assert psi.delta.tolist() == [0, 0, 1, 1, 0]
+        assert delta.tolist() == [0, 0, 1, 1, 0]
         assert phi.gamma.tolist() == [1.0, 1.0, 1.0, 0.5, 0.5]
         assert phi.sp_d.tolist() == [0j, 0j, 0j, 0j, _SP]
 
@@ -212,9 +210,9 @@ class TestPinnedAnswers:
         tree = balanced_tree(3, 2)
         u = np.zeros(tree.n + 1, dtype=int)
         u[[1, 5]] = 1
-        psi, phi, loss = bf_ad(tree, u, 2, params_for(tree, 30.0), LPF)
+        delta, phi, loss = bf_ad(tree, u, 2, params_for(tree, 30.0), LPF)
         assert repr(loss) == "85.25424965173099"
-        assert np.flatnonzero(psi.delta).tolist() == [4, 6]
+        assert np.flatnonzero(delta).tolist() == [4, 6]
         gamma = [1.0] * 13
         gamma[4], gamma[6] = 0.5940273826108048, 0.5940273826108049
         assert phi.gamma.tolist() == gamma
@@ -231,11 +229,11 @@ class TestPinnedAnswers:
         # 14 gamma values on each of 3 loaded nodes x 11 set-points on each of
         # 3 free DERs: 3.65M points, above the 2M guard
         grid = GridSpec(gamma_step=0.04, setpoint_angle_step=math.pi / 8, setpoint_mag_step=0.5)
-        psi = attack_strategy(net, np.zeros(5, dtype=int))
+        delta = np.zeros(5, dtype=int)
         tracemalloc.start()
         try:
             with pytest.raises(TooLargeToEnumerate):
-                _grid_min_response(net, psi, np.zeros(5, dtype=int), params, grid)
+                _grid_min_response(net, delta, np.zeros(5, dtype=int), params, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -322,8 +320,6 @@ class TestOracleIndependence:
     # every name oracle.py takes from an engine module; a new one is a
     # deliberate edit here
     _ENGINE_NAMES = {
-        ("dersec.attack", "AttackStrategy"),
-        ("dersec.attack", "attack_strategy"),
         ("dersec.response", "DefenderResponse"),
         ("dersec.response", "GammaControlLP"),
         ("dersec.response", "fixed_angle_setpoints"),

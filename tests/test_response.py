@@ -22,7 +22,7 @@ from dersec import (
     optimal_response,
     response_state,
 )
-from dersec.attack import attack_strategy, effective_setpoints
+from dersec.attack import effective_setpoints
 from dersec.cases import random_feasible_network
 from dersec.errors import HeterogeneousRxRatio, InfeasibleLP, NonConvergent
 from dersec.game import solve_ad_oneshot
@@ -82,7 +82,6 @@ class TestFixedAngleSetpoints:
         params = params_for(net, 2.0)
         delta = np.zeros(5, dtype=int)
         delta[4] = 1
-        psi = attack_strategy(net, delta)
         gamma = np.ones(5)
 
         def lovr_at(theta):
@@ -90,7 +89,7 @@ class TestFixedAngleSetpoints:
             sp[4] = 0.0
             from dersec.response import DefenderResponse
 
-            state = response_state(net, psi, DefenderResponse(sp, gamma), LPF)
+            state = response_state(net, delta, DefenderResponse(sp, gamma), LPF)
             return evaluate_loss(state, gamma, params).lovr
 
         thetas = np.radians(np.arange(0.0, 90.0 + 0.25, 0.5))
@@ -135,12 +134,11 @@ class TestOptimalLoadControl:
         delta = np.zeros(3, dtype=int)
         delta[2] = 1
         sp = fixed_angle_setpoints(net)
-        psi = attack_strategy(net, delta)
         gamma = GammaControlLP(net, params, LPF, sp).solve(delta)
 
         def total(g1, g2):
             g = np.array([1.0, g1, g2])
-            st = response_state(net, psi, DefenderResponse(sp, g), LPF)
+            st = response_state(net, delta, DefenderResponse(sp, g), LPF)
             return evaluate_loss(st, g, params).total
 
         lp_val = total(gamma[1], gamma[2])
@@ -169,16 +167,15 @@ class TestOptimalResponse:
         params = params_for(tree22, 10.0)
         delta = np.zeros(tree22.n + 1, dtype=int)
         delta[[3, 4]] = 1
-        psi = attack_strategy(tree22, delta)
-        phi = optimal_response(tree22, psi, params, LPF)
-        st = response_state(tree22, psi, phi, LPF)
+        phi = optimal_response(tree22, delta, params, LPF)
+        st = response_state(tree22, delta, phi, LPF)
         joint = evaluate_loss(st, phi.gamma, params).total
 
         sp = fixed_angle_setpoints(tree22)
         gamma = GammaControlLP(tree22, params, LPF, sp).solve(delta)
         from dersec.response import DefenderResponse
 
-        st2 = response_state(tree22, psi, DefenderResponse(sp, gamma), LPF)
+        st2 = response_state(tree22, delta, DefenderResponse(sp, gamma), LPF)
         fixed = evaluate_loss(st2, gamma, params).total
         # the closed form is exactly optimal; the joint LP works on an inner
         # polygon of the disk, so it can only lose the facet granularity
@@ -191,10 +188,9 @@ class TestOptimalResponse:
         params = params_for(homog37, 10.0)
         delta = np.zeros(37, dtype=int)
         delta[homog37.der_nodes[-4:]] = 1
-        psi = attack_strategy(homog37, delta)
         real = dersec.response.response_state
         start = DefenderResponse(sp_d=dersec.response._warm_setpoints(homog37), gamma=np.ones(37))
-        start_loss = evaluate_loss(real(homog37, psi, start, NPF), start.gamma, params).total
+        start_loss = evaluate_loss(real(homog37, delta, start, NPF), start.gamma, params).total
         calls, radii = [], []
 
         def flaky(*args):
@@ -207,24 +203,24 @@ class TestOptimalResponse:
         monkeypatch.setattr(dersec.response, "response_state", flaky)
         monkeypatch.setattr(dersec.response._ResponseModel, "trust_box",
                             lambda lp, x, radius: radii.append(radius) or trust_box(lp, x, radius))
-        phi = optimal_response(homog37, psi, params, NPF)
+        phi = optimal_response(homog37, delta, params, NPF)
         assert radii[:2] == [1.0, 0.5]
-        assert evaluate_loss(real(homog37, psi, phi, NPF), phi.gamma, params).total <= start_loss
+        assert evaluate_loss(real(homog37, delta, phi, NPF), phi.gamma, params).total <= start_loss
 
     def test_npf_no_attack_prefers_active_power(self, homog37):
         params = params_for(homog37, 10.0)
-        psi = attack_strategy(homog37, np.zeros(37, dtype=int))
-        phi = optimal_response(homog37, psi, params, NPF)
+        delta = np.zeros(37, dtype=int)
+        phi = optimal_response(homog37, delta, params, NPF)
         sp = phi.sp_d[homog37.der_nodes]
         assert np.all(sp.real >= sp.imag - 1e-12)
-        st = response_state(homog37, psi, phi, NPF)
+        st = response_state(homog37, delta, phi, NPF)
         base = evaluate_loss(st, phi.gamma, params).total
         # beats the naive fixed-angle dispatch on line losses
         sp_fixed = fixed_angle_setpoints(homog37)
         from dersec.response import DefenderResponse
 
         st_fixed = response_state(
-            homog37, psi, DefenderResponse(sp_fixed, np.ones(37)), NPF
+            homog37, delta, DefenderResponse(sp_fixed, np.ones(37)), NPF
         )
         assert base <= evaluate_loss(st_fixed, np.ones(37), params).total + 1e-12
 
@@ -232,8 +228,7 @@ class TestOptimalResponse:
         params = params_for(homog37, 2.0)  # no shedding: violation stays active
         delta = np.zeros(37, dtype=int)
         delta[list(homog37.der_nodes[:10])] = 1
-        psi = attack_strategy(homog37, delta)
-        phi = optimal_response(homog37, psi, params, NPF)
+        phi = optimal_response(homog37, delta, params, NPF)
         free = [d for d in homog37.der_nodes if delta[d] == 0]
         angles = np.degrees(np.angle(phi.sp_d[free]))
         target = math.degrees(math.atan2(1.0, 0.33 / 0.38))
@@ -246,12 +241,11 @@ class TestOptimalResponse:
         params = CostParams(W=net.W * (10.0 / 7000.0 / 10.0), C=net.C / 7000.0)
         delta = np.zeros(4, dtype=int)
         delta[3] = 1
-        psi = attack_strategy(net, delta)
-        phi = optimal_response(net, psi, params, NPF)
-        st = response_state(net, psi, phi, NPF)
+        phi = optimal_response(net, delta, params, NPF)
+        st = response_state(net, delta, phi, NPF)
         mine = evaluate_loss(st, phi.gamma, params).total
         grid_loss, _ = _grid_min_response(
-            net, psi, np.zeros(4, dtype=int), params,
+            net, delta, np.zeros(4, dtype=int), params,
             GridSpec(gamma_step=0.05, setpoint_angle_step=math.radians(2.0),
                      setpoint_mag_step=0.1),
         )
@@ -261,9 +255,8 @@ class TestOptimalResponse:
         params = params_for(homog37, 10.0)
         delta = np.zeros(37, dtype=int)
         delta[list(homog37.der_nodes[:6])] = 1
-        psi = attack_strategy(homog37, delta)
-        phi = optimal_response(homog37, psi, params, NPF)
-        st = response_state(homog37, psi, phi, NPF)
+        phi = optimal_response(homog37, delta, params, NPF)
+        st = response_state(homog37, delta, phi, NPF)
         par = homog37.tree.parent
         resid = np.abs(st.ell[1:] * st.nu[par[1:]] - np.abs(st.S[1:]) ** 2)
         assert resid.max() < 1e-6
@@ -272,9 +265,8 @@ class TestOptimalResponse:
         params = params_for(homog37, 18.0)
         delta = np.zeros(37, dtype=int)
         delta[list(homog37.der_nodes[:8])] = 1
-        psi = attack_strategy(homog37, delta)
         for model in (LPF, NPF):
-            phi = optimal_response(homog37, psi, params, model)
+            phi = optimal_response(homog37, delta, params, model)
             assert np.all(phi.gamma[1:] >= homog37.gamma_lo[1:] - 1e-12)
             assert np.all(phi.gamma[1:] <= 1.0 + 1e-12)
             assert np.all(np.abs(phi.sp_d) <= homog37.der_cap + 1e-12)
@@ -296,8 +288,7 @@ class TestOptimalResponse:
         params = CostParams.from_network(net)
         delta = np.zeros(7, dtype=int)
         delta[6] = 1
-        psi = attack_strategy(net, delta)
-        phi = optimal_response(net, psi, params, LPF)
+        phi = optimal_response(net, delta, params, LPF)
         K = net.r[1:] / net.x[1:]
         lo_ang = math.atan2(1.0, K.max())
         hi_ang = math.atan2(1.0, K.min())
@@ -320,14 +311,13 @@ class TestOneModel:
         net = random_feasible_network(seed, identical_k=identical_k)
         params = params_for(net, 10.0)
         delta = (net.der_cap > 0.0).astype(int)
-        psi = attack_strategy(net, delta)
         no_sp = np.zeros(net.n + 1, dtype=complex)
         losses = []
         for model in (LPF, eps_lpf(calibrate_epsilon(net).eps)):
-            phi = optimal_response(net, psi, params, model)
-            joint = evaluate_loss(response_state(net, psi, phi, model), phi.gamma, params).total
+            phi = optimal_response(net, delta, params, model)
+            joint = evaluate_loss(response_state(net, delta, phi, model), phi.gamma, params).total
             gamma = GammaControlLP(net, params, model, no_sp).solve(delta)
-            st = response_state(net, psi, DefenderResponse(no_sp, gamma), model)
+            st = response_state(net, delta, DefenderResponse(no_sp, gamma), model)
             assert evaluate_loss(st, gamma, params).total == pytest.approx(joint, abs=1e-9)
             losses.append(joint)
         assert max(losses) > 0.0
@@ -386,8 +376,8 @@ class TestLinprog:
     def test_slp_rounds_match_scipy(self, homog37, monkeypatch):
         net = with_gamma_lo(homog37, 0.5)
         params = params_for(net, 10.0)
-        psi = attack_strategy(net, solve_ad_oneshot(net, None, 8, params, LPF).delta_star)
-        lps = _captured_lps(monkeypatch, lambda: optimal_response(net, psi, params, NPF))
+        delta = solve_ad_oneshot(net, None, 8, params, LPF).delta_star
+        lps = _captured_lps(monkeypatch, lambda: optimal_response(net, delta, params, NPF))
         assert len(lps) > 1
         for args in lps:
             assert np.array_equal(linprog(*args), _scipy_x(*args))

@@ -27,7 +27,7 @@ from dersec import (
 from dersec.errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import _rounded_properties, _subtree_signature, bf_security
-from dersec.security import SecurityStrategy, StrategyComparison, _placement, _symmetric
+from dersec.security import StrategyComparison, _placement, _symmetric
 from dersec.sweep import with_gamma_lo
 
 from conftest import params_for
@@ -57,18 +57,23 @@ def _moved(net, name, step):
     return dataclasses.replace(net, **{name: values})
 
 
+def _secured(u):
+    """The node ids a security vector secures."""
+    return tuple(np.flatnonzero(u).tolist())
+
+
 class TestPlacement:
     def test_budget_slack_secures_all(self, tree22):
-        s = optimal_security_strategy(tree22, 99)
-        assert set(s.secured) == {int(i) for i in tree22.der_nodes}
+        u = optimal_security_strategy(tree22, 99, params_for(tree22))
+        assert set(_secured(u)) == {int(i) for i in tree22.der_nodes}
 
     def test_budget_zero(self, tree22):
-        s = optimal_security_strategy(tree22, 0)
-        assert s.u.sum() == 0
+        u = optimal_security_strategy(tree22, 0, params_for(tree22))
+        assert u.sum() == 0
 
     def test_binary_height3_budget10(self, tree23):
-        s = optimal_security_strategy(tree23, 10)
-        secured = set(s.secured)
+        u = optimal_security_strategy(tree23, 10, params_for(tree23))
+        secured = set(_secured(u))
         level3 = set(tree23.tree.level(3))
         assert level3 <= secured
         partial = secured - level3
@@ -76,18 +81,17 @@ class TestPlacement:
         assert partial == {3, 5}
 
     def test_uniform_partial_level(self, tree23):
-        s = optimal_security_strategy(tree23, 6)
+        u = optimal_security_strategy(tree23, 6, params_for(tree23))
         counts = {}
-        for i in s.secured:
+        for i in _secured(u):
             counts.setdefault(int(tree23.tree.parent[i]), 0)
             counts[int(tree23.tree.parent[i])] += 1
         assert set(counts.values()) <= {1, 2}
-        assert s.u.sum() == 6
+        assert u.sum() == 6
 
     def test_structural_properties(self, tree23):
         for B in range(0, 15):
-            s = optimal_security_strategy(tree23, B)
-            u = s.u
+            u = optimal_security_strategy(tree23, B, params_for(tree23))
             assert u.sum() == min(B, len(tree23.der_nodes))
             for i in np.flatnonzero(u):
                 for j in tree23.tree.subtree(int(i)):
@@ -116,14 +120,14 @@ class TestPlacement:
         net = balanced_tree(*shape)
         want = self._SECURED[shape]
         assert len(want) == len(net.der_nodes) + 1
+        params = CostParams.from_ratio(net, 10.0)
         for B, secured in enumerate(want):
-            s = optimal_security_strategy(net, B)
-            assert s.secured == secured and s.budget == B
+            assert _secured(optimal_security_strategy(net, B, params)) == secured
 
     @pytest.mark.parametrize("B", [-1, 2.5, True])
     def test_rejects_bad_budget(self, tree22, B):
         with pytest.raises(ValueError, match="budget B"):
-            optimal_security_strategy(tree22, B)
+            optimal_security_strategy(tree22, B, params_for(tree22))
 
     def test_preconditions(self):
         specs = [
@@ -135,12 +139,24 @@ class TestPlacement:
         ]
         net = build_network(specs)
         with pytest.raises(AsymmetricNetwork):
-            optimal_security_strategy(net, 1)
+            optimal_security_strategy(net, 1, params_for(net))
         specs[2] = NodeSpec(id=2, parent=0, r_pu=0.01, x_pu=0.02, pc_nom=0.01,
                             qc_nom=0.003, der_cap=0.005)
         net = build_network(specs)
         with pytest.raises(HeterogeneousRxRatio):
-            optimal_security_strategy(net, 1)
+            optimal_security_strategy(net, 1, params_for(net))
+
+    def test_symmetry_is_asked_under_the_solve_weights(self, tree22):
+        # asked under the network's own weights, the placement secured node 3
+        # and lost 361.3291072388088 where solve_dad secures node 6 and loses
+        # 103.45727680970418
+        weighted = _weighted(tree22, [6])
+        with pytest.raises(AsymmetricNetwork):
+            optimal_security_strategy(tree22, 1, weighted)
+        assert _secured(solve_dad(tree22, 1, 2, weighted, LPF).ad.u) == (6,)
+        u = optimal_security_strategy(tree22, 1, params_for(tree22))
+        assert _secured(u) == (3,)
+        assert repr(solve_ad(tree22, u, 2, weighted, LPF).loss.total) == "361.3291072388088"
 
     def test_symmetry_detector(self, tree32, homog37):
         assert is_symmetric(tree32)
@@ -277,7 +293,7 @@ class TestStage1Weights:
         dad = solve_dad(net, B, 2, params, LPF)
         pooled = _pooled(net, B, 2, params)
         assert repr(dad.loss) == loss and dad.loss == pooled.loss.total
-        assert list(dad.u_star.secured) == secured[B] == pooled.u.nonzero()[0].tolist()
+        assert list(_secured(dad.ad.u)) == secured[B] == pooled.u.nonzero()[0].tolist()
         _, bf_loss = bf_security(net, B, 2, params, LPF)
         assert bf_loss == pytest.approx(dad.loss, abs=1e-9)
         assert is_symmetric(net) and not _symmetric(net, params)
@@ -288,7 +304,7 @@ class TestStage1Weights:
         params = _weighted(net, net.tree.depth == net.tree.height)
         # the pooled min-max ties, and would keep the first row, u = [1, ...]
         dad = solve_dad(net, B, 2, params, LPF)
-        assert dad.u_star.u.tolist() == _placement(net, B).tolist()
+        assert dad.ad.u.tolist() == _placement(net, B).tolist()
         assert repr(dad.loss) == "85.25424965173099"
         assert dad.loss == pytest.approx(_pooled(net, B, 2, params).loss.total, abs=1e-9)
 
@@ -302,7 +318,7 @@ class TestStage1Weights:
         for case in (net, dataclasses.replace(net, W=W)):
             dad = solve_dad(case, 1, 2, params, LPF)
             answers.append((
-                repr(dad.u_star.u.tolist()), repr(dad.loss), _answer(dad.ad),
+                repr(dad.ad.u.tolist()), repr(dad.loss), _answer(dad.ad),
                 _answer(solve_ad(case, None, 2, params, LPF)),
                 _answer(solve_ad(case, None, 2, params, NPF)),
                 repr(sandwich_bounds(case, None, 2, params)),
@@ -348,7 +364,7 @@ class TestDADLiterals:
         calls = _count_lps(monkeypatch)
         dad = solve_dad(net, B, M, params_for(net, 10.0), LPF)
         assert repr(dad.loss) == loss
-        assert dad.u_star.secured == secured
+        assert _secured(dad.ad.u) == secured
         assert tuple(np.flatnonzero(dad.ad.delta_star).tolist()) == attacked
         assert len(calls) == lps
 
@@ -388,7 +404,7 @@ class TestStage1Pool:
 
         monkeypatch.setattr(dersec.game, "ranked_families", counted)
         dad = solve_dad(net, 5, 12, params, LPF)
-        assert dad.loss == 0.0 and dad.u_star.secured == (9, 10, 11, 12, 13)
+        assert dad.loss == 0.0 and _secured(dad.ad.u) == (9, 10, 11, 12, 13)
         assert len(calls) == 1
         # rows count toward the table cap as they enter, so the rows never
         # built cannot exceed it
@@ -405,10 +421,9 @@ class TestStage1Pool:
         net, params, per_u, _, dad, _ = het_stage1
         assert min(per_u) > 0.0
         assert dad.loss == pytest.approx(min(per_u), abs=1e-9)
-        assert len(dad.u_star.secured) == 1
-        direct = solve_ad_exhaustive(net, dad.u_star.u, 7, params, LPF)
+        assert len(_secured(dad.ad.u)) == 1
+        direct = solve_ad_exhaustive(net, dad.ad.u, 7, params, LPF)
         assert dad.ad.loss.total == direct.loss.total
-        assert np.array_equal(dad.ad.u, dad.u_star.u)
 
     def test_fewer_lps_than_per_u_loop(self, het_stage1):
         *_, loop_lps, _, dad_lps = het_stage1
@@ -419,17 +434,17 @@ class TestStage1Pool:
         for net in (random_feasible_network(4), random_feasible_network(9, identical_k=False)):
             assert not is_symmetric(net)
             dad = solve_dad(net, B, 2, params_for(net, 10.0), LPF)
-            assert len(dad.u_star.secured) == min(B, len(net.der_nodes))
-            assert set(dad.u_star.secured) <= {int(i) for i in net.der_nodes}
+            assert len(_secured(dad.ad.u)) == min(B, len(net.der_nodes))
+            assert set(_secured(dad.ad.u)) <= {int(i) for i in net.der_nodes}
 
     def test_many_rows_with_small_pools_solve(self):
         # 3,432 security vectors, each leaving 7 DERs with 128 attack vectors
         net = heterogeneous37(0)
         params = params_for(net, 10.0)
         dad = solve_dad(net, 7, 7, params, LPF)
-        assert len(dad.u_star.secured) == 7
+        assert len(_secured(dad.ad.u)) == 7
         assert dad.loss == 0.0
-        assert solve_ad_exhaustive(net, dad.u_star.u, 7, params, LPF).loss.total == 0.0
+        assert solve_ad_exhaustive(net, dad.ad.u, 7, params, LPF).loss.total == 0.0
 
     def test_table_cap_raises_before_allocating(self):
         # 253 security vectors x 54,264 attack vectors each (23 DERs, B=2, M=6)
@@ -514,7 +529,7 @@ class TestComparisons:
         params = params_for(tree22, 10.0)
         u = np.zeros(tree22.n + 1, dtype=int)
         u[1] = 1
-        cmp = compare_strategies(tree22, None, SecurityStrategy(u=u, budget=1), 2, params, LPF)
+        cmp = compare_strategies(tree22, None, u, 2, params, LPF)
         assert cmp.loss1 == solve_ad(tree22, None, 2, params, LPF).loss.total
         assert cmp.loss2 == solve_ad(tree22, u, 2, params, LPF).loss.total
 
