@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import EnumerationCapExceeded
 from .loss import CostParams, check_weights
-from .network import Network, check_budget, check_node, check_shape, check_vectors, vulnerable_nodes
+from .network import (Network, check_budget, check_node, check_shape, check_vectors, node_vector,
+                      vulnerable_nodes)
 from .powerflow import LPF, ModelTag, injection, solve_lpf
 
 _TIE_RTOL = 1e-9
@@ -170,8 +171,7 @@ def pivot_optimal_attack(
     pool = vulnerable_nodes(net, check_vectors(net, u, "u"))
     D = impact_matrix(net, sp_d, LPF)[pivot]
     (walk,) = _partition_walks(impact_ranking(D[None, :], pool), min(M, pool.size))
-    delta = np.zeros(net.n + 1, dtype=int)
-    delta[list(walk.first())] = 1
+    delta = node_vector(net, walk.first())
     return PivotAttack(
         pivot=pivot,
         delta=delta,
@@ -196,7 +196,7 @@ def optimal_attack_fixed_response(
     check_budget("M", M)
     check_weights(net, params)
     pool = vulnerable_nodes(net, check_vectors(net, u, "u"))
-    sg0 = effective_setpoints(net, np.zeros(net.n + 1, dtype=int), phi.sp_d)
+    sg0 = effective_setpoints(net, node_vector(net), phi.sp_d)
     base = solve_lpf(net, injection(net, phi.gamma, sg0))
 
     budget = min(M, pool.size)
@@ -210,9 +210,7 @@ def optimal_attack_fixed_response(
         if score > best_score + 1e-15:
             best_score = score
             best_nodes = nodes
-    best_delta = np.zeros(net.n + 1, dtype=int)
-    best_delta[best_nodes] = 1
-    return best_delta
+    return node_vector(net, best_nodes)
 
 
 def ranked_families(ranking: ImpactRanking, M: int, u: np.ndarray) -> tuple[PivotFamily, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import Network, NodeSpec, build_network
+from .network import Network, NodeSpec, build_network, node_vector
 from .powerflow import nominal_injection, solve_npf
 
 S_BASE_MVA = 1.0
@@ -149,11 +149,7 @@ def fig4_strategies(net: Network) -> tuple[np.ndarray, np.ndarray]:
     other, making the secured set more spread out. Returns (u1, u2)."""
     if net.n != 14:
         raise ValueError("the comparison is defined on the 14-node binary tree")
-    u1 = np.zeros(net.n + 1, dtype=int)
-    u1[[2, 4, 5, 6, 9, 10]] = 1
-    u2 = np.zeros(net.n + 1, dtype=int)
-    u2[[1, 3, 4, 5, 11, 13]] = 1
-    return u1, u2
+    return node_vector(net, [2, 4, 5, 6, 9, 10]), node_vector(net, [1, 3, 4, 5, 11, 13])
 
 
 def gen_case(kind: str, seed: int = 0, arity: int = 2, height: int = 3) -> Network:

@@ -96,7 +96,12 @@ def _cmd_sweep(args) -> int:
     cfg_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(cfg_doc, dict):
         raise ValueError("sweep config must be a JSON object")
-    for axis in ("M_values", "wc_ratios", "gamma_lo_values"):
+    axes = ("M_values", "wc_ratios", "gamma_lo_values")
+    # "engine" is accepted and ignored: sweep picks the engine per solve
+    unknown = sorted(set(cfg_doc) - {*axes, "model", "network", "engine"})
+    if unknown:
+        raise ValueError(f"unknown sweep config fields {unknown}")
+    for axis in axes:
         if not isinstance(cfg_doc.get(axis), list):
             raise ValueError(f"sweep config field {axis} must be a list")
     network_path = args.network or cfg_doc.get("network")

@@ -29,7 +29,7 @@ from .attack import (
 )
 from .errors import EnumerationCapExceeded
 from .loss import CostParams, LossBreakdown, evaluate_loss, line_loss_cap
-from .network import Network, check_budget, check_vectors, vulnerable_nodes
+from .network import Network, check_budget, check_vectors, node_vector, vulnerable_nodes
 from .powerflow import LPF, ModelTag, NPF, calibrate_epsilon, eps_lpf
 from .response import (
     DefenderResponse,
@@ -117,7 +117,7 @@ class _FamilyTable:
         self.voll_rate = lp.params.C[1:] * net.sc_nom.real[1:]
         self.seed_D = seed_D
         self.seed_nu = net.derived(("no_attack_nu", lp.sp_d.tobytes(), lp.model.load_scale),
-                                   lambda: lp.nu_intercept(np.zeros(net.n + 1, dtype=int)))
+                                   lambda: lp.nu_intercept(node_vector(net)))
         self.pool = [DefenderResponse(sp_d=lp.sp_d, gamma=np.ones(net.n + 1))]
         self.fams: list[PivotFamily] = []
         self.index: dict[PivotFamily, int] = {}          # family -> its index in fams
@@ -156,8 +156,7 @@ class _FamilyTable:
         lp = self.lp
         if self._seed(sp_d):
             return self.seed_D, self.seed_nu
-        no_attack = np.zeros(lp.net.n + 1, dtype=int)
-        return impact_matrix(lp.net, sp_d, lp.model)[1:], lp.nu_intercept(no_attack, sp_d=sp_d)
+        return impact_matrix(lp.net, sp_d, lp.model)[1:], lp.nu_intercept(node_vector(lp.net), sp_d=sp_d)
 
     def intercept(self, sp_d: np.ndarray, ks=slice(None)) -> np.ndarray:
         """Voltages at gamma = 0 under ``sp_d`` at the per-node worst members
@@ -319,9 +318,7 @@ def _pooled_best_first(
         (single,) = table.add([PivotFamily(vector)])
         # a member whose own bound is closed, or exact, is not worth an LP
         if not table.exact[single] and table.bound[single] > top[u_row]:
-            delta = np.zeros(lp.net.n + 1, dtype=int)
-            delta[list(vector)] = 1
-            table.settle(single, respond(delta))
+            table.settle(single, respond(node_vector(lp.net, vector)))
             # every row that holds the vector in a family now holds it exact
             holders = {j for j in table.wide.nonzero()[0].tolist() if fams[j].holds(vector)}
             if holders:
@@ -337,8 +334,7 @@ def _pooled_best_first(
     k_best = int(mine[np.where(exact[mine], bound[mine], -np.inf).argmax()])
     best = fams[k_best].first()
     phi_star = table.solved.get(best, table.pool[table.arg[k_best]])
-    delta_star = np.zeros(lp.net.n + 1, dtype=int)
-    delta_star[list(best)] = 1
+    delta_star = node_vector(lp.net, best)
     state = response_state(lp.net, delta_star, phi_star, lp.model)
     return ADResult(
         delta_star=delta_star,

@@ -7,18 +7,17 @@ and node level, node values are per-unit floats, and the base declarations
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 from .errors import InvalidNetwork
-from .network import Network, NodeSpec, build_network
+from .network import Network, NodeSpec, build_network, node_specs
 
 _DOC_FIELDS = {"s_base_mva", "v_base_kv", "mu_lo", "mu_hi", "nu0", "nodes"}
-_NODE_FIELDS = {
-    "id", "parent", "r_pu", "x_pu", "pc_nom", "qc_nom",
-    "der_cap", "nu_lo", "nu_hi", "W", "C", "gamma_lo",
-}
+# a node row is a NodeSpec without its label: labels are not stored
+_NODE_FIELDS = {f.name for f in dataclasses.fields(NodeSpec)} - {"label"}
 
 
 def network_to_json(net: Network) -> str:
@@ -29,23 +28,7 @@ def network_to_json(net: Network) -> str:
         "mu_lo": net.mu_lo,
         "mu_hi": net.mu_hi,
         "nu0": net.nu0,
-        "nodes": [
-            {
-                "id": i,
-                "parent": None if i == 0 else int(net.tree.parent[i]),
-                "r_pu": float(net.r[i]),
-                "x_pu": float(net.x[i]),
-                "pc_nom": float(net.sc_nom[i].real),
-                "qc_nom": float(net.sc_nom[i].imag),
-                "der_cap": float(net.der_cap[i]),
-                "nu_lo": float(net.nu_lo[i]),
-                "nu_hi": float(net.nu_hi[i]),
-                "W": float(net.W[i]),
-                "C": float(net.C[i]),
-                "gamma_lo": float(net.gamma_lo[i]),
-            }
-            for i in range(net.n + 1)
-        ],
+        "nodes": [{f: getattr(spec, f) for f in _NODE_FIELDS} for spec in node_specs(net)],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -4,7 +4,10 @@ Nodes are dense integers 0..N with 0 the substation; every per-node quantity
 is stored in a length-(N+1) array indexed by node id, and every per-edge
 quantity is keyed by the downstream node of the edge. That is the shape rule
 of every per-node input too (``is_per_node``, checked by ``check_shape`` and
-``check_vectors``), and ``check_node`` is the one check of node ids. All
+``check_vectors``), and ``check_node`` is the one check of node ids. The
+node rows and the 0/1 node vectors are built here alone: ``build_network``
+makes a network from its rows and ``node_specs`` gives them back, and
+``node_vector`` makes every attack and security vector. All
 electrical values are per-unit. W and C are the file's default weights, read
 only through ``CostParams.from_network`` and ``CostParams.from_ratio``.
 
@@ -323,6 +326,16 @@ def build_network(
     )
 
 
+def node_specs(net: Network) -> list[NodeSpec]:
+    """The rows ``build_network`` makes ``net`` from, in id order: float
+    values, int parents and the labels."""
+    # NodeSpec's value fields in their order, r_pu to gamma_lo
+    columns = (net.r, net.x, net.sc_nom.real, net.sc_nom.imag, net.der_cap,
+               net.nu_lo, net.nu_hi, net.W, net.C, net.gamma_lo)
+    rows = zip([None, *net.tree.parent[1:].tolist()], *(c.tolist() for c in columns), net.labels)
+    return [NodeSpec(i, *row) for i, row in enumerate(rows)]
+
+
 def check_node(net: Network, i, name: str) -> None:
     """Raise RootArgument for node 0 and ValueError for anything but a node id 1..N."""
     if i == 0:
@@ -380,13 +393,20 @@ def check_vectors(net: Network, v, name: str, rows: bool = False) -> np.ndarray:
     """``v`` as int 0/1 vectors over nodes 0..N, None being the zero vector:
     one vector, or with ``rows`` one or more rows of them (a vector is one
     row). Raises ValueError on any other shape or value."""
-    a = np.zeros(net.n + 1, dtype=int) if v is None else np.asarray(v)
+    a = node_vector(net) if v is None else np.asarray(v)
     if rows and a.ndim == 1:
         a = a[None]
     if not is_per_node(net, a, rows) or not ((a == 0) | (a == 1)).all():
         what = "a 0/1 vector or rows of them" if rows else "one 0/1 vector"
         raise ValueError(f"{name} must be {what} over nodes 0..{net.n}")
     return np.asarray(a, dtype=int)
+
+
+def node_vector(net: Network, nodes=()) -> np.ndarray:
+    """The int 0/1 vector over nodes 0..N that is 1 at ``nodes`` alone."""
+    v = np.zeros(net.n + 1, dtype=int)
+    v[list(nodes)] = 1
+    return v
 
 
 def vulnerable_nodes(net: Network, u: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HeterogeneousRxRatio, TooLargeToEnumerate
 from .loss import CostParams, check_weights, evaluate_loss
-from .network import Network, check_budget, check_vectors
+from .network import Network, check_budget, check_vectors, node_vector
 from .powerflow import LPF, ModelTag
 from .response import DefenderResponse, GammaControlLP, fixed_angle_setpoints, response_state
 
@@ -59,9 +59,7 @@ def _worst_attack(net: Network, M: int, u: np.ndarray, evaluate):
     best: tuple | None = None
     for k in range(min(M, len(pool)) + 1):
         for combo in itertools.combinations(pool, k):
-            delta = np.zeros(net.n + 1, dtype=int)
-            delta[list(combo)] = 1
-            value = evaluate(delta)
+            value = evaluate(node_vector(net, combo))
             if best is None or value[0] > best[0] + 1e-15:
                 best = value
     return best
@@ -183,8 +181,7 @@ def bf_security(
     best: tuple[float, np.ndarray] | None = None
     for k in range(min(B, len(der)) + 1):
         for combo in itertools.combinations(der, k):
-            u = np.zeros(net.n + 1, dtype=int)
-            u[list(combo)] = 1
+            u = node_vector(net, combo)
             key = _subtree_signature(net, 0, list(zip(props, u.tolist())))
             if key in seen:
                 value = seen[key]

@@ -39,7 +39,7 @@ from .errors import AsymmetricNetwork, EnumerationCapExceeded, HeterogeneousRxRa
 from .game import ADResult, solve_ad
 from .game import solve_ad_exhaustive  # noqa: F401  (public as dersec.security.solve_ad_exhaustive)
 from .loss import CostParams, check_weights
-from .network import Network, check_budget, check_vectors
+from .network import Network, check_budget, check_vectors, node_vector
 from .powerflow import ModelTag
 
 _U_ENUM_CAP = 20_000
@@ -116,9 +116,7 @@ def _placement(net: Network, B: int) -> np.ndarray:
         p = int(parent[i])
         rank[p] = rank.get(p, -1) + 1
         keys.append((-depth[i], rank[p], p, i))
-    u = np.zeros(net.n + 1, dtype=int)
-    u[[key[-1] for key in sorted(keys)[:B]]] = 1
-    return u
+    return node_vector(net, [key[-1] for key in sorted(keys)[:B]])
 
 
 def solve_dad(

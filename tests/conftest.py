@@ -1,4 +1,5 @@
-import numpy as np
+import dataclasses
+
 import pytest
 
 from dersec import (
@@ -8,7 +9,7 @@ from dersec import (
     homogeneous37,
     precedence_example,
 )
-from dersec.network import NodeSpec
+from dersec.network import NodeSpec, node_specs, node_vector
 
 
 def chain_network(
@@ -45,6 +46,16 @@ def chain_network(
     return build_network(specs)
 
 
+def relabel(net, perm):
+    """``net`` with node i renamed ``perm[i]``, its values, weights and label
+    carried along; ``perm`` permutes 0..N and keeps the substation at 0."""
+    perm = [int(p) for p in perm]
+    assert perm[0] == 0 and sorted(perm) == list(range(net.n + 1))
+    specs = [dataclasses.replace(s, id=perm[s.id], parent=None if s.parent is None else perm[s.parent])
+             for s in node_specs(net)]
+    return build_network(specs, nu0=net.nu0, mu_lo=net.mu_lo, mu_hi=net.mu_hi)
+
+
 def two_bus(z=0.01 + 0.01j, load=0.1 + 0.05j):
     return chain_network(1, z=z, load=load)
 
@@ -79,4 +90,4 @@ def params_for(net, ratio=10.0):
 
 
 def zeros_u(net):
-    return np.zeros(net.n + 1, dtype=int)
+    return node_vector(net)

@@ -27,16 +27,10 @@ from dersec.attack import (
 )
 from dersec.cases import random_feasible_network
 from dersec.errors import EnumerationCapExceeded, RootArgument
-from dersec.network import NodeSpec, build_network
+from dersec.network import NodeSpec, build_network, node_vector
 from dersec.response import DefenderResponse, fixed_angle_setpoints, response_state
 
 from conftest import chain_network, zeros_u
-
-
-def _to_delta(net, nodes):
-    d = np.zeros(net.n + 1, dtype=int)
-    d[list(nodes)] = 1
-    return d
 
 
 def _fig2_fixed_response(fig2):
@@ -46,7 +40,7 @@ def _fig2_fixed_response(fig2):
 
 class TestAttackerSetpoints:
     def test_capability_value(self, fig2):
-        delta = _to_delta(fig2, [2])
+        delta = node_vector(fig2, [2])
         got = effective_setpoints(fig2, delta, np.zeros(fig2.n + 1, dtype=complex))
         assert got[2] == -1j * fig2.der_cap[2]
         assert not np.delete(got, 2).any()
@@ -67,7 +61,7 @@ class TestAttackerSetpoints:
     def test_lists_match_arrays(self, fig2):
         # the public edges take array-likes: a list gives the arrays an
         # ndarray gives, of the same dtype
-        delta = _to_delta(fig2, [2, 5])
+        delta = node_vector(fig2, [2, 5])
         sp_d = fixed_angle_setpoints(fig2)
         sp_a = effective_setpoints(fig2, delta, np.zeros(fig2.n + 1, dtype=complex))
         phi = _fig2_fixed_response(fig2)
@@ -322,7 +316,7 @@ class TestCandidateSet:
                 _, best = bf_attack_fixed_response(net, phi, 2, u, params=params)
                 achieved = max(
                     evaluate_loss(
-                        response_state(net, _to_delta(net, nodes), phi, LPF),
+                        response_state(net, node_vector(net, nodes), phi, LPF),
                         gamma,
                         params,
                     ).total
@@ -420,7 +414,7 @@ class TestSecuredDERsAreNeverAttacked:
                 for pivot in net.nodes:
                     vectors.append(pivot_optimal_attack(net, pivot, sp, M, u).delta)
                 for nodes in candidate_attack_set(net, sp, M, u):
-                    vectors.append(_to_delta(net, nodes))
+                    vectors.append(node_vector(net, nodes))
                 for delta in vectors:
                     assert not u[delta == 1].any(), (seed, M, np.flatnonzero(delta))
 

@@ -13,6 +13,7 @@ import dersec.response
 from dersec import (
     CostParams,
     LPF,
+    balanced_tree,
     calibrate_epsilon,
     eps_lpf,
     evaluate_loss,
@@ -42,9 +43,10 @@ from dersec.response import (
     fixed_angle_setpoints,
     polygon_setpoints,
 )
+from dersec.security import solve_dad
 from dersec.sweep import with_gamma_lo
 
-from conftest import params_for, zeros_u
+from conftest import params_for, relabel, zeros_u
 
 
 class TestOneShot:
@@ -796,3 +798,24 @@ class TestSandwich:
             rep = sandwich_bounds(net, None, 2, params)
             assert rep.holds, (seed, rep)
             assert rep.l_lpf == solve_ad_exhaustive(net, None, 2, params, LPF).loss.total
+
+
+class TestRelabel:
+    def test_lpf_loss_ignores_node_numbering(self):
+        # renaming the nodes, their values and weights carried along, must not
+        # move a linear loss. At W/C 10 the random trees mostly lose nothing at
+        # these budgets, so the balanced trees, which lose, come too. Each case
+        # carries the attack budgets of its solve_dad calls.
+        cases = [(random_feasible_network(seed, identical_k=ik), (1,))
+                 for ik in (True, False) for seed in range(30)]
+        cases += [(balanced_tree(a, h), (1, 2, 3)) for a, h in ((2, 2), (3, 2), (2, 3))]
+        rng = np.random.default_rng(0)
+        for k, (net, dad_budgets) in enumerate(cases):
+            moved = relabel(net, [0, *rng.permutation(np.arange(1, net.n + 1))])
+            p, q = params_for(net, 10.0), params_for(moved, 10.0)
+            answers = [(("solve_ad", M), solve_ad(net, None, M, p, LPF).loss.total,
+                        solve_ad(moved, None, M, q, LPF).loss.total) for M in (1, 2, 3)]
+            answers += [(("solve_dad", B, M), solve_dad(net, B, M, p, LPF).loss,
+                         solve_dad(moved, B, M, q, LPF).loss) for B in (1, 2) for M in dad_budgets]
+            for what, base, got in answers:
+                assert abs(got - base) <= 1e-9 * abs(base), (k, what, base, got)

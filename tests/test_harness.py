@@ -56,6 +56,7 @@ from dersec.cases import (
 )
 from dersec.cli import main as cli_main
 from dersec.errors import InvalidNetwork, NonConvergent
+from dersec.network import build_network, node_specs
 from dersec.netio import CSV_HEADER, sweep_rows_to_csv
 from dersec.sweep import SweepConfig, SweepRow, delta_string as _delta_string, run_sweep, with_gamma_lo
 
@@ -112,6 +113,26 @@ class TestCases:
             digest.update(network_to_json(net).encode())
             digest.update(repr(net.labels).encode())
         assert digest.hexdigest() == "2142ca0668cb4e0fdb032226b87783097d582bc1"
+
+    def test_node_specs_rebuild_the_pinned_networks(self):
+        # node_specs inverts build_network on the networks pinned above
+        nets = [
+            homogeneous37(),
+            *(heterogeneous37(seed) for seed in range(4)),
+            precedence_example(),
+            *(balanced_tree(a, h) for a, h in ((2, 2), (3, 2), (2, 3))),
+            *(random_feasible_network(seed, identical_k=ik) for ik in (True, False) for seed in range(50)),
+        ]
+        for net in nets:
+            back = build_network(node_specs(net), nu0=net.nu0, mu_lo=net.mu_lo, mu_hi=net.mu_hi)
+            assert back.labels == net.labels
+            for a, b in (
+                *((getattr(back, f), getattr(net, f))
+                  for f in ("r", "x", "sc_nom", "der_cap", "nu_lo", "nu_hi", "W", "C", "gamma_lo", "Z")),
+                (back.tree.parent, net.tree.parent),
+                (back.tree.order, net.tree.order),
+            ):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_gen_case_dispatch(self):
         assert gen_case("fig2").n == 10
@@ -557,6 +578,20 @@ class TestCLI:
             tables.append([[c for k, c in enumerate(r.split(",")) if k != skip] for r in rows])
         assert tables[0] == tables[1]
         assert all(row[-1] == "" and row[3] == "npf" for row in tables[0])
+
+    def test_sweep_config_unknown_key_rejected(self, tmp_path):
+        # a misspelt "model" once ran the default LPF sweep and exited 0
+        net_path = tmp_path / "net.json"
+        _cli("gen-case", "--kind", "balanced_tree", "--arity", "2", "--height", "2",
+             "--out", str(net_path))
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"M_values": [1], "wc_ratios": [10.0], "gamma_lo_values": [0.5],
+                                        "modle": "npf"}))
+        csv_path = tmp_path / "rows.csv"
+        out = _cli("sweep", "--config", str(cfg_path), "--network", str(net_path), "--out", str(csv_path))
+        assert out.returncode == 2
+        assert "modle" in out.stderr
+        assert not csv_path.exists()
 
 
 def test_solvers_write_nothing_and_solve_ad_prints_one_document(capfd, tmp_path, tree22):

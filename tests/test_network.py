@@ -32,7 +32,7 @@ from dersec.errors import (
     NonPositiveImpedance,
     RootArgument,
 )
-from dersec.network import NodeSpec
+from dersec.network import NodeSpec, node_vector
 from dersec.response import GammaControlLP, fixed_angle_setpoints, polygon_setpoints
 from dersec.security import is_symmetric, solve_dad
 from dersec.sweep import with_gamma_lo
@@ -142,6 +142,18 @@ class TestBuild:
                  for i, p in ids_parents]
         with pytest.raises(error, match=match):
             build_network(specs)
+
+
+class TestNodeVector:
+    def test_ones_at_the_nodes_alone(self, fig2):
+        v = node_vector(fig2, (2, 5))
+        assert v.dtype == int and v.shape == (fig2.n + 1,)
+        assert v.nonzero()[0].tolist() == [2, 5]
+
+    def test_empty_call_is_the_zero_vector(self, fig2):
+        v = node_vector(fig2)
+        assert v.dtype == int and v.shape == (fig2.n + 1,)
+        assert not v.any()
 
 
 class TestCommonPathImpedance:

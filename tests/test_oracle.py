@@ -24,7 +24,7 @@ from dersec.network import NodeSpec, build_network
 from dersec.oracle import GridSpec, _grid_min_response
 from dersec.response import DefenderResponse, fixed_angle_setpoints
 
-from conftest import chain_network, params_for, zeros_u
+from conftest import chain_network, params_for, relabel, zeros_u
 
 
 def _fixed_phi(net):
@@ -119,26 +119,8 @@ class TestBFAD:
             rng.shuffle(shuffled)
             for a, b in zip(nodes, shuffled):
                 mapping[a] = new_id[b]
-        # mapping may break parent<child id ordering; rebuild via specs
-        specs = [NodeSpec(id=0, parent=None)]
-        rows = sorted(
-            (mapping[i], mapping[int(net.tree.parent[i])]) for i in net.nodes
-        )
-        for new, parent in rows:
-            old = next(k for k, v in mapping.items() if v == new)
-            specs.append(
-                NodeSpec(
-                    id=new, parent=parent,
-                    r_pu=float(net.r[old]), x_pu=float(net.x[old]),
-                    pc_nom=float(net.sc_nom[old].real),
-                    qc_nom=float(net.sc_nom[old].imag),
-                    der_cap=float(net.der_cap[old]),
-                    nu_lo=float(net.nu_lo[old]), nu_hi=float(net.nu_hi[old]),
-                    W=float(net.W[old]), C=float(net.C[old]),
-                    gamma_lo=float(net.gamma_lo[old]),
-                )
-            )
-        relabeled = build_network(specs, nu0=net.nu0, mu_lo=net.mu_lo, mu_hi=net.mu_hi)
+        # mapping may break parent<child id ordering, which build_network allows
+        relabeled = relabel(net, [mapping[i] for i in range(net.n + 1)])
         params2 = CostParams.from_network(relabeled)
         _, _, permuted = bf_ad(relabeled, zeros_u(relabeled), 2, params2, LPF)
         assert permuted == pytest.approx(base, abs=1e-9)
