@@ -17,7 +17,7 @@ cfg = SweepConfig(
     gamma_lo_values=(0.5,),
     model="lpf",
 )
-rows = run_sweep(net, cfg, workers=4)
+rows = run_sweep(net, cfg)
 
 print(f"{'M':>3} {'W/C':>5} {'lovr':>10} {'voll':>10} {'total':>10} {'attack':>16}")
 for r in rows:

@@ -9,6 +9,7 @@ chain does not hold.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,12 +33,7 @@ def _result_doc(net, result) -> dict:
         "model": str(result.model),
         "delta_star": delta_string(net, result.delta_star),
         "attacked_nodes": [int(i) for i in np.flatnonzero(result.delta_star)],
-        "loss": {
-            "lovr": result.loss.lovr,
-            "voll": result.loss.voll,
-            "ll": result.loss.ll,
-            "total": result.loss.total,
-        },
+        "loss": {**dataclasses.asdict(result.loss), "total": result.loss.total},
         "gamma": [float(g) for g in result.phi_star.gamma],
         "sp_d": [[float(c.real), float(c.imag)] for c in result.phi_star.sp_d],
         "iterations": result.iterations,
@@ -125,15 +121,8 @@ def _cmd_verify_bounds(args) -> int:
     net, params = _prepared(args)
     report = sandwich_bounds(net, None, args.M, params, eps=args.eps)
     converged = bool(report.results["npf"].converged)
-    _emit({
-        "l_lpf": report.l_lpf,
-        "l_npf": report.l_npf,
-        "l_eps": report.l_eps,
-        "eps": report.eps,
-        "slack_term": report.slack_term,
-        "holds": bool(report.holds),
-        "converged": converged,
-    }, None)
+    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "results"}
+    _emit({**doc, "converged": converged}, None)
     return 0 if report.holds and converged else _EXIT_NONCONVERGENT
 
 

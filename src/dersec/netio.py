@@ -3,17 +3,26 @@
 The JSON layout is strict: unknown fields are rejected at both the document
 and node level, node values are per-unit floats, and the base declarations
 (s_base_mva, v_base_kv) travel with the file for SI conversion bookkeeping.
+
+The CSV columns are ``SweepRow``'s fields in their declared order, each
+formatted by its declared type (floats at 9 significant digits, booleans in
+lower case). An error row leaves the fields a solve fills blank, and a field
+that holds a comma or a quote is quoted.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
+import typing
 from pathlib import Path
 
 from .errors import InvalidNetwork
 from .network import Network, NodeSpec, build_network, node_specs
+from .sweep import SOLVED_FIELDS, SweepRow
 
 _DOC_FIELDS = {"s_base_mva", "v_base_kv", "mu_lo", "mu_hi", "nu0", "nodes"}
 # a node row is a NodeSpec without its label: labels are not stored
@@ -97,34 +106,19 @@ def load_network(path: str | Path) -> Network:
     return network_from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
-# (column, formatter, blank on error rows), in SweepRow field order
-_CSV_COLUMNS = (
-    ("M", str, False),
-    ("wc_ratio", _fmt, False),
-    ("gamma_lo", _fmt, False),
-    ("model", str, False),
-    ("lovr", _fmt, True),
-    ("voll", _fmt, True),
-    ("ll", _fmt, True),
-    ("total", _fmt, True),
-    ("iterations", str, True),
-    ("converged", lambda v: str(v).lower(), True),
-    ("delta_star", str, False),
-    ("runtime_ms", _fmt, False),
-    ("error", str, False),
-)
-CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
+# one formatter per declared SweepRow field type
+_FORMATS = {float: "{:.9g}".format, bool: lambda v: str(v).lower(), int: str, str: str}
+_COLUMNS = tuple((name, _FORMATS[kind]) for name, kind in typing.get_type_hints(SweepRow).items())
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def sweep_rows_to_csv(rows) -> str:
-    """Render sweep rows with the fixed header and 9-significant-digit floats."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(
-            "" if blank and row.error else fmt(getattr(row, name)) for name, fmt, blank in _CSV_COLUMNS
-        ))
-    return "\n".join(lines) + "\n"
+    """Render sweep rows under ``CSV_HEADER``, one line per row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(name for name, _ in _COLUMNS)
+    writer.writerows(
+        ["" if row.error and name in SOLVED_FIELDS else fmt(getattr(row, name)) for name, fmt in _COLUMNS]
+        for row in rows
+    )
+    return out.getvalue()

@@ -89,6 +89,10 @@ class SweepRow:
     error: str = ""
 
 
+# the SweepRow fields a solve fills, blank in the CSV on an error row
+SOLVED_FIELDS = ("lovr", "voll", "ll", "total", "iterations", "converged", "delta_star")
+
+
 def with_gamma_lo(net: Network, gamma_lo: float) -> Network:
     """Copy of the network with a uniform load-control floor."""
     if not 0.0 <= gamma_lo <= 1.0:
@@ -121,9 +125,7 @@ def run_sweep(net: Network, cfg: SweepConfig, workers: int | None = None) -> lis
         try:
             result = solve_ad(nets[gl], None, M, params[(gl, wc)], model)
             solved = dict(
-                lovr=result.loss.lovr,
-                voll=result.loss.voll,
-                ll=result.loss.ll,
+                **dataclasses.asdict(result.loss),
                 total=result.loss.total,
                 iterations=result.iterations,
                 converged=result.converged,

@@ -33,7 +33,7 @@ from dersec.attack import (
     impact_ranking,
     ranked_families,
 )
-from dersec.cases import heterogeneous37, random_feasible_network
+from dersec.cases import heterogeneous37, homogeneous37, random_feasible_network
 from dersec.errors import EnumerationCapExceeded, HeterogeneousRxRatio
 from dersec.network import NodeSpec, build_network
 from dersec.oracle import bf_ad
@@ -819,3 +819,40 @@ class TestRelabel:
                          solve_dad(moved, B, M, q, LPF).loss) for B in (1, 2) for M in dad_budgets]
             for what, base, got in answers:
                 assert abs(got - base) <= 1e-9 * abs(base), (k, what, base, got)
+
+
+_JOINT_SCALE = 3.7
+
+
+@pytest.fixture(scope="class")
+def weighted_lpf_losses():
+    """LPF losses at each attack budget of three inputs that lose something,
+    each under three per-node weightings of x U(0.25, 4) around W/C 10, and
+    under the same weights times ``_JOINT_SCALE``: (case, budgets, losses,
+    scaled losses) per weighting."""
+    rng = np.random.default_rng(0)
+    inputs = [(with_gamma_lo(homogeneous37(), 0.5), range(1, 15)),
+              (balanced_tree(2, 3), range(1, 6)), (balanced_tree(3, 2), range(1, 6))]
+    out = []
+    for k, (net, budgets) in enumerate(inputs):
+        ratio = params_for(net, 10.0)
+        for w in range(3):
+            p = CostParams(W=ratio.W * rng.uniform(0.25, 4.0, net.n + 1),
+                           C=ratio.C * rng.uniform(0.25, 4.0, net.n + 1))
+            scaled = CostParams(W=_JOINT_SCALE * p.W, C=_JOINT_SCALE * p.C)
+            out.append(((k, w), budgets, [solve_ad(net, None, M, p, LPF).loss.total for M in budgets],
+                        [solve_ad(net, None, M, scaled, LPF).loss.total for M in budgets]))
+    return out
+
+
+class TestWeightedRelations:
+    def test_joint_weight_scaling_scales_the_lpf_loss(self, weighted_lpf_losses):
+        # the LPF loss is linear in (W, C) together: no line losses to price
+        for case, budgets, losses, scaled in weighted_lpf_losses:
+            for M, base, got in zip(budgets, losses, scaled):
+                want = _JOINT_SCALE * base
+                assert abs(got - want) <= 1e-9 * abs(want), (case, M, base, got)
+
+    def test_lpf_loss_never_falls_as_the_budget_grows(self, weighted_lpf_losses):
+        for case, budgets, losses, _ in weighted_lpf_losses:
+            assert all(a <= b for a, b in zip(losses, losses[1:])), (case, list(budgets), losses)

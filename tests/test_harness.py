@@ -1,8 +1,10 @@
+import csv
 import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -59,6 +61,8 @@ from dersec.errors import InvalidNetwork, NonConvergent
 from dersec.network import build_network, node_specs
 from dersec.netio import CSV_HEADER, sweep_rows_to_csv
 from dersec.sweep import SweepConfig, SweepRow, delta_string as _delta_string, run_sweep, with_gamma_lo
+
+from conftest import chain_network
 
 
 class TestCases:
@@ -205,6 +209,18 @@ class TestCSV:
         assert lines[0] == CSV_HEADER
         assert lines[1] == "3,10,0.5,lpf,1.23456789,2,0,3.23456789,1,true,0101,12.5,"
         assert lines[2] == "4,2,0.7,npf,,,,,,,,1,NonConvergent: boom"
+
+    def test_error_text_with_commas_stays_one_field(self):
+        # the NPF power flow fails on this heavily loaded chain, and its
+        # message lists the failing nodes with commas
+        net = chain_network(6, z=0.05 + 0.05j, load=0.3 + 0.09j, caps={3: 0.05, 5: 0.05})
+        cfg = SweepConfig(M_values=(1,), wc_ratios=(10.0,), gamma_lo_values=(0.5,), model="npf")
+        rows = run_sweep(net, cfg)
+        assert "," in rows[0].error
+        header, *read = csv.reader(io.StringIO(sweep_rows_to_csv(rows)))
+        assert header == CSV_HEADER.split(",")
+        assert [len(r) for r in read] == [len(header)]
+        assert read[0][header.index("error")] == rows[0].error
 
 
 class TestSweep:
@@ -524,6 +540,24 @@ class TestCLI:
         net_path = tmp_path / "net.json"
         save_network(tree22, net_path)
         return [command, "--network", str(net_path), "-M", "2", "--wc-ratio", "10"]
+
+    def test_solve_ad_document_key_order(self, tmp_path, capsys, tree22):
+        assert cli_main(self._tree22_argv(tmp_path, tree22)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["model", "delta_star", "attacked_nodes", "loss", "gamma", "sp_d",
+                             "iterations", "converged"]
+        assert list(doc["loss"]) == ["lovr", "voll", "ll", "total"]
+
+    def test_solve_dad_document_key_order(self, tmp_path, capsys, tree22):
+        assert cli_main([*self._tree22_argv(tmp_path, tree22, "solve-dad"), "-B", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["budget", "secured_nodes", "loss", "subgame"]
+        assert list(doc["subgame"]["loss"]) == ["lovr", "voll", "ll", "total"]
+
+    def test_verify_bounds_document_key_order(self, tmp_path, capsys, tree22):
+        assert cli_main(self._tree22_argv(tmp_path, tree22, "verify-bounds")) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["l_lpf", "l_npf", "l_eps", "eps", "slack_term", "holds", "converged"]
 
     def test_solve_ad_nonconvergent_exit_code(self, tmp_path, capsys, tree22, monkeypatch):
         def diverge(*args):
