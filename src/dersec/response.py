@@ -28,12 +28,21 @@ right-hand side, plus the objective and the box:
 
 Each LP goes straight to HiGHS through ``scipy.optimize._highspy._core``, a
 private scipy module (scipy >= 1.15), with the column-wise matrix, bounds,
-rows and options that ``scipy.optimize.linprog(method="highs")`` would pass,
-so it returns the same solution bit for bit. The public wrapper would redo
-its input cleaning, the dense-to-CSC conversion of a matrix that never
-changes and its option validation on every call, which costs about as much
-as the solve itself on these LPs. The model converts its matrix once, on its
-first solve, with numpy rather than ``scipy.sparse``.
+rows and options that ``scipy.optimize.linprog(method="highs",
+options={"presolve": ...})`` would pass, so it returns the same solution bit
+for bit. The public wrapper would redo its input cleaning, the dense-to-CSC
+conversion of a matrix that never changes and its option validation on every
+call, which costs about as much as the solve itself on these LPs. The model
+converts its matrix once, on its first solve, with numpy rather than
+``scipy.sparse``.
+
+The LPs of the linear models (the load-control LP and the joint linear
+response) run with HiGHS presolve off: they have tens to a few hundred rows,
+where presolve took about 70% of an LP's time (0.54 against 0.15 ms per
+load-control LP, 2 vCPUs) and the dual simplex solves them directly. The SLP
+rounds of the nonlinear response keep presolve on, because turning it off
+moves the pinned NPF reference values, which are to be regenerated once with
+the SLP's other changes.
 
 The extension file is loaded directly from ``scipy/optimize/_highspy/``
 instead of being imported: an import would first run the ``scipy.optimize``
@@ -102,17 +111,24 @@ def _load_highs():
 
 _highs = _load_highs()
 
-# the options ``linprog(method="highs")`` sets: presolve on, dual simplex,
-# no debug checks, no output
-_HIGHS_OPTIONS = _highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-_HIGHS_OPTIONS.output_flag = False
-_HIGHS_OPTIONS.log_to_console = False
+def _highs_options(presolve: bool):
+    """The options ``linprog(method="highs")`` sets (dual simplex, no debug
+    checks, no output), with presolve on or off."""
+    options = _highs.HighsOptions()
+    options.presolve = "on" if presolve else "off"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+# keyed by the ``presolve`` flag of ``linprog``
+_HIGHS_OPTIONS = {presolve: _highs_options(presolve) for presolve in (False, True)}
 # linprog's feasibility check on the returned solution, at its default tol 1e-9
 _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
-# one solver per thread, options set once; passModel resets it, so LPs start cold
+# one solver per thread and option set, options set once; passModel resets
+# it, so LPs start cold
 _solver = threading.local()
 
 
@@ -152,13 +168,14 @@ def _columnwise(A: np.ndarray) -> tuple[list, list, list]:
     return start.tolist(), rows.tolist(), A[rows, cols].tolist()
 
 
-def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
+def linprog(c, A_ub, b_ub, lb, ub, *, presolve: bool = False) -> np.ndarray:
     """Minimize c @ x subject to A_ub @ x <= b_ub and lb <= x <= ub.
 
     ``A_ub`` is the column-wise (start, index, value) of ``_columnwise``.
-    HiGHS gets the model and options ``scipy.optimize.linprog(method="highs")``
-    would give it and returns the same x; linprog's checks on the objective,
-    the right-hand side and the returned solution are kept.
+    HiGHS gets the model and options ``scipy.optimize.linprog(method="highs",
+    options={"presolve": presolve})`` would give it and returns the same x;
+    linprog's checks on the objective, the right-hand side and the returned
+    solution are kept.
     """
     if not (np.isfinite(c).all() and np.isfinite(b_ub).all()):
         raise ValueError("LP objective and right-hand side must be finite")
@@ -172,10 +189,13 @@ def linprog(c, A_ub, b_ub, lb, ub) -> np.ndarray:
     lp.col_upper_ = ub.tolist()
     lp.row_lower_ = [-math.inf] * b_ub.size
     lp.row_upper_ = b_ub.tolist()
-    highs = getattr(_solver, "highs", None)
+    solvers = getattr(_solver, "highs", None)
+    if solvers is None:
+        solvers = _solver.highs = {}
+    highs = solvers.get(presolve)
     if highs is None:
-        highs = _solver.highs = _highs._Highs()
-        highs.passOptions(_HIGHS_OPTIONS)
+        highs = solvers[presolve] = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS[presolve])
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise InfeasibleLP("LP solver rejected the model")
     highs.run()
@@ -255,13 +275,15 @@ class _ResponseModel:
         return self.net.nu0 - 2.0 * (M.T @ (r * P) + M.T @ (x * Q)) + M.T @ ((r**2 + x**2) * ell)
 
     def solve(
-        self, nu_offset: np.ndarray, c: np.ndarray | None = None, box: tuple | None = None
+        self, nu_offset: np.ndarray, c: np.ndarray | None = None, box: tuple | None = None,
+        *, presolve: bool = False,
     ) -> np.ndarray:
         """The LP's x at the voltage offset ``nu_offset``, under the objective
-        ``c`` and the bounds ``box`` = (lb, ub), by default the model's own."""
+        ``c`` and the bounds ``box`` = (lb, ub), by default the model's own;
+        ``presolve`` as in ``linprog``."""
         b = np.concatenate([self._W * (nu_offset - self.net.nu_lo[1:]), self._b_facet])
         lb, ub = (self._lb, self._ub) if box is None else box
-        return linprog(self.c if c is None else c, self._A, b, lb, ub)
+        return linprog(self.c if c is None else c, self._A, b, lb, ub, presolve=presolve)
 
     def pack(self, gamma: np.ndarray, sp_d: np.ndarray) -> np.ndarray:
         x = np.zeros(self.nu_mat.shape[1])
@@ -426,7 +448,10 @@ def _optimal_response_npf(
         c = c + (r * fnu) @ nu_up_mat
 
         x_curr = lp.pack(best[1], best[2])
-        x = lp.solve(lp.nu_offset(fixed, state.ell[1:]), c, lp.trust_box(x_curr, radius))
+        # presolve stays on here until the one regeneration of the NPF
+        # reference values (ROADMAP item 5b): turning it off moves them
+        x = lp.solve(lp.nu_offset(fixed, state.ell[1:]), c, lp.trust_box(x_curr, radius),
+                     presolve=True)
         gamma, sp_d = lp.unpack(x)
         try:
             cand_state = response_state(net, delta, DefenderResponse(sp_d=sp_d, gamma=gamma), NPF)

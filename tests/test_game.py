@@ -110,9 +110,9 @@ def _count_lps(monkeypatch):
     calls = []
     solve_lp = dersec.response.linprog
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return solve_lp(*args)
+        return solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(dersec.response, "linprog", counted)
     return calls
@@ -824,12 +824,11 @@ class TestRelabel:
 _JOINT_SCALE = 3.7
 
 
-@pytest.fixture(scope="class")
-def weighted_lpf_losses():
-    """LPF losses at each attack budget of three inputs that lose something,
-    each under three per-node weightings of x U(0.25, 4) around W/C 10, and
-    under the same weights times ``_JOINT_SCALE``: (case, budgets, losses,
-    scaled losses) per weighting."""
+@pytest.fixture(scope="module")
+def weighted_inputs():
+    """Three inputs that lose something, each under three per-node
+    weightings of x U(0.25, 4) around W/C 10: (case, network, attack
+    budgets, weights) per weighting."""
     rng = np.random.default_rng(0)
     inputs = [(with_gamma_lo(homogeneous37(), 0.5), range(1, 15)),
               (balanced_tree(2, 3), range(1, 6)), (balanced_tree(3, 2), range(1, 6))]
@@ -839,9 +838,20 @@ def weighted_lpf_losses():
         for w in range(3):
             p = CostParams(W=ratio.W * rng.uniform(0.25, 4.0, net.n + 1),
                            C=ratio.C * rng.uniform(0.25, 4.0, net.n + 1))
-            scaled = CostParams(W=_JOINT_SCALE * p.W, C=_JOINT_SCALE * p.C)
-            out.append(((k, w), budgets, [solve_ad(net, None, M, p, LPF).loss.total for M in budgets],
-                        [solve_ad(net, None, M, scaled, LPF).loss.total for M in budgets]))
+            out.append(((k, w), net, budgets, p))
+    return out
+
+
+@pytest.fixture(scope="class")
+def weighted_lpf_losses(weighted_inputs):
+    """LPF losses at each attack budget of ``weighted_inputs``, under their
+    weights and under the same weights times ``_JOINT_SCALE``: (case,
+    budgets, losses, scaled losses) per weighting."""
+    out = []
+    for case, net, budgets, p in weighted_inputs:
+        scaled = CostParams(W=_JOINT_SCALE * p.W, C=_JOINT_SCALE * p.C)
+        out.append((case, budgets, [solve_ad(net, None, M, p, LPF).loss.total for M in budgets],
+                    [solve_ad(net, None, M, scaled, LPF).loss.total for M in budgets]))
     return out
 
 
@@ -856,3 +866,19 @@ class TestWeightedRelations:
     def test_lpf_loss_never_falls_as_the_budget_grows(self, weighted_lpf_losses):
         for case, budgets, losses, _ in weighted_lpf_losses:
             assert all(a <= b for a, b in zip(losses, losses[1:])), (case, list(budgets), losses)
+
+    def test_securing_a_der_never_raises_the_lpf_loss(self, weighted_inputs):
+        # each step secures one DER of the last worst attack, so that every
+        # step can lower the loss
+        rng = np.random.default_rng(1)
+        for case, net, budgets, p in weighted_inputs:
+            for M in budgets:
+                u = zeros_u(net)
+                res = solve_ad(net, u, M, p, LPF)
+                for _ in range(8):
+                    u[rng.choice(res.delta_star.nonzero()[0])] = 1
+                    base, res = res.loss.total, solve_ad(net, u, M, p, LPF)
+                    got = res.loss.total
+                    assert got <= base + 1e-9 * abs(base), (case, M, u.nonzero()[0], base, got)
+                    if not res.delta_star.any():
+                        break

@@ -256,9 +256,9 @@ class TestTreeIndexAgainstNaive:
             assert net.Z[i, j] == pytest.approx(z_sum, abs=1e-15)
 
 
-def _counted(calls, name, original, *args):
+def _counted(calls, name, original, *args, **kwargs):
     calls.append(name)
-    return original(*args)
+    return original(*args, **kwargs)
 
 
 def _answer(ad) -> str:

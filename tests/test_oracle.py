@@ -196,7 +196,7 @@ class TestPinnedAnswers:
         assert repr(loss) == "85.25424965173099"
         assert np.flatnonzero(delta).tolist() == [4, 6]
         gamma = [1.0] * 13
-        gamma[4], gamma[6] = 0.5940273826108048, 0.5940273826108049
+        gamma[4] = gamma[6] = 0.5940273826108048
         assert phi.gamma.tolist() == gamma
         assert phi.sp_d.tolist() == [0j] + [0.0039223227027636795 + 0.0196116135138184j] * 12
 

@@ -106,6 +106,24 @@ class TestOptimalLoadControl:
         gamma = GammaControlLP(homog37, params, LPF, sp).solve(np.zeros(37, dtype=int))
         assert np.all(gamma == 1.0)
 
+    def test_no_violation_returns_ones_without_an_lp(self, homog37, monkeypatch):
+        # gamma = 1 is returned without an LP when it produces no violation;
+        # a violating attack costs exactly one LP
+        net = with_gamma_lo(homog37, 0.5)
+        lp = GammaControlLP(net, params_for(net, 10.0), LPF, fixed_angle_setpoints(net))
+        calm, violating = zeros_u(net), zeros_u(net)
+        violating[list(net.der_nodes[:12])] = 1
+
+        def solved(delta):
+            out = []
+            lps = _captured_lps(monkeypatch, lambda: out.append(lp.solve(delta)))
+            return out[0], len(lps)
+
+        gamma, lps = solved(calm)
+        assert gamma.tolist() == [1.0] * (net.n + 1) and lps == 0
+        gamma, lps = solved(violating)
+        assert lps == 1 and gamma.min() < 1.0
+
     def test_high_ratio_reaches_floor(self):
         # every loaded node shares >= 2 path edges with the violated area and
         # the violation outlasts the full control capability
@@ -341,9 +359,9 @@ def _captured_lps(monkeypatch, run) -> list[tuple]:
     """The arguments of every LP the response module solves inside ``run()``."""
     lps = []
 
-    def capture(c, A_ub, b_ub, lb, ub):
-        lps.append((c.copy(), A_ub, b_ub.copy(), lb.copy(), ub.copy()))
-        return linprog(c, A_ub, b_ub, lb, ub)
+    def capture(c, A_ub, b_ub, lb, ub, *, presolve=False):
+        lps.append((c.copy(), A_ub, b_ub.copy(), lb.copy(), ub.copy(), presolve))
+        return linprog(c, A_ub, b_ub, lb, ub, presolve=presolve)
 
     with monkeypatch.context() as mp:
         mp.setattr(dersec.response, "linprog", capture)
@@ -351,17 +369,23 @@ def _captured_lps(monkeypatch, run) -> list[tuple]:
     return lps
 
 
-def _scipy_x(c, A_ub, b_ub, lb, ub) -> np.ndarray:
+def _scipy_x(c, A_ub, b_ub, lb, ub, presolve) -> np.ndarray:
     start, index, value = A_ub
     A = csc_array((value, index, start), shape=(b_ub.size, c.size)).toarray()
     res = scipy.optimize.linprog(c, A_ub=A, b_ub=b_ub, bounds=np.column_stack([lb, ub]),
-                                 method="highs")
+                                 method="highs", options={"presolve": presolve})
     assert res.success, res.message
     return res.x
 
 
+def _own_x(c, A_ub, b_ub, lb, ub, presolve) -> np.ndarray:
+    return linprog(c, A_ub, b_ub, lb, ub, presolve=presolve)
+
+
 class TestLinprog:
-    """The direct HiGHS call returns scipy's ``linprog`` solution bit for bit."""
+    """The direct HiGHS call returns scipy's ``linprog`` solution bit for bit,
+    under the presolve setting of each model class: off for the linear
+    models' LPs, on for the SLP rounds."""
 
     def test_gamma_lp_matches_scipy(self, homog37, monkeypatch):
         net = with_gamma_lo(homog37, 0.5)
@@ -371,7 +395,18 @@ class TestLinprog:
         lp = GammaControlLP(net, params, LPF, fixed_angle_setpoints(net))
         lps = _captured_lps(monkeypatch, lambda: lp.solve(delta))
         assert len(lps) == 1
-        assert np.array_equal(linprog(*lps[0]), _scipy_x(*lps[0]))
+        assert lps[0][-1] is False
+        assert np.array_equal(_own_x(*lps[0]), _scipy_x(*lps[0]))
+
+    def test_linear_response_matches_scipy(self, monkeypatch):
+        net = with_gamma_lo(heterogeneous37(0), 0.5)
+        params = params_for(net, 10.0)
+        delta = zeros_u(net)
+        delta[list(net.der_nodes[::2])] = 1
+        lps = _captured_lps(monkeypatch, lambda: optimal_response(net, delta, params, LPF))
+        assert len(lps) == 1
+        assert lps[0][-1] is False
+        assert np.array_equal(_own_x(*lps[0]), _scipy_x(*lps[0]))
 
     def test_slp_rounds_match_scipy(self, homog37, monkeypatch):
         net = with_gamma_lo(homog37, 0.5)
@@ -380,7 +415,8 @@ class TestLinprog:
         lps = _captured_lps(monkeypatch, lambda: optimal_response(net, delta, params, NPF))
         assert len(lps) > 1
         for args in lps:
-            assert np.array_equal(linprog(*args), _scipy_x(*args))
+            assert args[-1] is True
+            assert np.array_equal(_own_x(*args), _scipy_x(*args))
 
     def test_infeasible_raises(self):
         # x <= -1 with 0 <= x <= 1
