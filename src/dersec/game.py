@@ -17,6 +17,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +89,16 @@ class ADResult:
         return self.delta_star
 
 
+class _Seeded(NamedTuple):
+    """A ``_FamilyTable``'s families and the arrays of them that read the
+    seed alone: their taken rows, wide flags and seed intercepts."""
+
+    fams: tuple[PivotFamily, ...]
+    taken: np.ndarray
+    wide: np.ndarray
+    seed_c0: np.ndarray
+
+
 class _FamilyTable:
     """Attack families with their bounds over a pool of linear responses.
 
@@ -101,7 +112,9 @@ class _FamilyTable:
     (``lp.sp_d``, gamma = 1) with model impacts ``seed_D`` on nodes 1..N; its
     no-attack voltages read the network, the set-points and the load scale
     alone, and are kept on the network under those. Families enter through
-    ``add`` alone, numbered in first-seen order.
+    ``add`` alone, numbered in first-seen order, or come with ``start``: a
+    table's ``seeded`` parts, which read the seed alone, so only their bounds
+    under the seed are computed.
 
     The per-family arrays ``taken``, ``wide``, ``seed_c0``, ``bound``,
     ``exact`` and ``arg`` are views of the filled rows of buffers that grow in
@@ -109,7 +122,7 @@ class _FamilyTable:
     ``settle`` updates the bounds in place.
     """
 
-    def __init__(self, lp: GammaControlLP, seed_D: np.ndarray):
+    def __init__(self, lp: GammaControlLP, seed_D: np.ndarray, start: _Seeded | None = None):
         net = lp.net
         self.lp = lp
         self.W = lp.params.W[1:]
@@ -132,6 +145,18 @@ class _FamilyTable:
             np.zeros(64, dtype=np.intp),                 # arg: pool response that sets each bound
         ]
         self._fill(0)
+        if start is not None:
+            self.fams = list(start.fams)
+            self.index = dict(zip(start.fams, range(len(start.fams))))
+            self._fill(len(self.fams))
+            self.taken[:], self.wide[:], self.seed_c0[:] = start.taken, start.wide, start.seed_c0
+            self.bound[:] = self.value(self.pool[0])
+            self.exact[:] = self.bound <= 0.0
+
+    def seeded(self) -> _Seeded:
+        """The families and their parts that read the seed alone, copied out
+        of the buffers."""
+        return _Seeded(tuple(self.fams), self.taken.copy(), self.wide.copy(), self.seed_c0.copy())
 
     def _fill(self, size: int) -> None:
         """Point the per-family arrays at the first ``size`` rows of their
@@ -246,27 +271,32 @@ def _pooled_best_first(
     secured: np.ndarray,
     row_families: Iterable[Sequence[PivotFamily]],
     respond: Callable[[np.ndarray], DefenderResponse],
+    start: _Seeded | None = None,
 ) -> ADResult:
     """Min over the rows u of ``secured`` of the exact linear sub-game maximum
     over each row's own attack families, by best-first branch-and-bound.
-    ``seed_D`` holds the seed's model impacts (``_FamilyTable``).
+    ``seed_D`` holds the seed's model impacts (``_FamilyTable``), and
+    ``start``, when given, the first row's families as a seeded table.
 
     No response reads u; each row's attacks skip its secured DERs, so one
     ``_FamilyTable`` serves every row. Every family enters it through its
-    ``add``: the first row's alone, the other rows' in one batch only if the
-    seed leaves a family of the first row above 0, since a first row that
-    loses 0 wins outright (ties go to the first row), and then each solved
-    vector and each split's children. Each round takes the row whose lower
-    bound, its largest exact loss or 0 while it has none (no loss is
-    negative), is smallest (ties to the first row) and its open family with
-    the largest bound, and that family's attaining member (ties to the first
-    vector in sorted order). If the member's own bound is still open, its
+    ``add`` or ``start``: the first row's alone, the other rows' in one batch
+    only if the seed leaves a family of the first row above 0, since a first
+    row that loses 0 wins outright, and then each solved vector and each
+    split's children. Each round takes the row whose lower bound, its
+    largest exact loss or 0 while it has none (no loss is negative), is
+    smallest and its open family with the largest bound, and that family's
+    attaining member (the least in sorted order). Ties in a row's lower
+    bound or a family's bound go to the first row or family only when the
+    computed floats are equal; values a few ulps apart are not ties, so the
+    last bits of the LPs can pick between two rows or vectors whose exact
+    values agree. If the member's own bound is still open, its
     response is solved through ``respond`` and joins the pool, and the
     vector joins every row that holds it as an exact single-vector family.
     If the member is exact, or its own bound is closed, the open family is
     split on a boundary node of that member instead. The row wins once none
-    of its open bounds exceeds its largest exact loss (ties to its first
-    vector), with the winner's own response if solved, else the pooled
+    of its open bounds exceeds its largest exact loss (equal floats to its
+    first vector), with the winner's own response if solved, else the pooled
     response that sets its bound (a zero bound may be another vector's).
     Rows count toward the cap as they are drawn: raises
     EnumerationCapExceeded once the drawn rows hold over 5,000,000 families.
@@ -274,7 +304,7 @@ def _pooled_best_first(
     members: list[np.ndarray] = []
     cells = 0
     rows = iter(row_families)
-    table = _FamilyTable(lp, seed_D)
+    table = _FamilyTable(lp, seed_D, start)
     for batch in (itertools.islice(rows, 1), rows):
         drawn = []
         for families in batch:
@@ -362,12 +392,16 @@ def solve_ad_oneshot(
     row's attacks are its ``ranked_families``, at most one per pivot, read
     from one ranking of every DER by LPF impact at each pivot. Every solve
     computes the impact matrix, which also seeds the bounds; it is that of
-    the network's own set-points, so the ranking, and per M the families of
-    a row that secures nothing, are kept on the network (rows that secure
-    a node are ranked per solve: Stage 1 draws up to millions of them). They
-    are bounded as families, so no candidate vector is listed and no
-    candidate cap applies. A 2-D ``u`` holds rows of alternative security
-    vectors; the result is the least row's (``_pooled_best_first``).
+    the network's own set-points, so the ranking, per M the families of a
+    row that secures nothing, and per M and load scale their seeded table
+    (``_Seeded``: taken rows, wide flags and seed intercepts) are kept on
+    the network. A first row that secures nothing starts from a copy of
+    that table, and a solve computes only its bounds under its own weights.
+    Rows that secure a node are ranked per solve: Stage 1 draws up to
+    millions of them. Families are bounded as families, so no candidate
+    vector is listed and no candidate cap applies. A 2-D ``u`` holds rows
+    of alternative security vectors; the result is the least row's
+    (``_pooled_best_first``).
     """
     if not model.is_linear:
         raise ValueError("one-shot engine applies to linear models only")
@@ -377,13 +411,22 @@ def solve_ad_oneshot(
     lp = GammaControlLP(net, params, model, sp_d)
     D = impact_matrix(net, sp_d, LPF)[1:]
     ranking = net.derived("impact_ranking", lambda: impact_ranking(D, net.der_nodes))
-    rows = (ranked_families(ranking, M, row) if row.any() else
-            net.derived(("unsecured_families", M), lambda: ranked_families(ranking, M, row))
-            for row in secured)
     # the model's impacts are the LPF ones scaled by its load scale, as
     # impact_matrix scales them
-    return _pooled_best_first(lp, model.load_scale * D, secured, rows,
-                              lambda d: DefenderResponse(sp_d, lp.solve(d)))
+    seed_D = model.load_scale * D
+
+    def unsecured() -> _Seeded:
+        def build() -> _Seeded:
+            table = _FamilyTable(lp, seed_D)
+            table.add(net.derived(("unsecured_families", M),
+                                  lambda: ranked_families(ranking, M, node_vector(net))))
+            return table.seeded()
+
+        return net.derived(("unsecured_table", M, model.load_scale), build)
+
+    rows = (ranked_families(ranking, M, row) if row.any() else unsecured().fams for row in secured)
+    return _pooled_best_first(lp, seed_D, secured, rows, lambda d: DefenderResponse(sp_d, lp.solve(d)),
+                              None if secured[0].any() else unsecured())
 
 
 def solve_ad_exhaustive(

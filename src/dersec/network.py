@@ -17,8 +17,9 @@ r/x ratio, the symmetry answer and the load-control model (LP rows,
 objective, bounds, per load scale) per bytes of the solve's weights, the exact
 engines' no-attack voltages at their seed set-points per load scale, the
 power-flow sweep's edge terms z, conj(z) and |z|^2, and the one-shot
-engine's impact ranking and the pivot families of a row that secures
-nothing, per budget. None stands in for an impact matrix, a power flow or
+engine's impact ranking, the pivot families of a row that secures
+nothing per budget, and their seeded table (taken rows, wide flags and
+seed intercepts) per budget and load scale. None stands in for an impact matrix, a power flow or
 an LP, so a solve on a used network makes those calls as often as on a
 fresh one and saves only the work beside them. Nothing is built with the network, and a
 copy made with ``dataclasses.replace`` (``with_gamma_lo``, for one) starts

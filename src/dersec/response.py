@@ -47,7 +47,9 @@ the SLP's other changes.
 The extension file is loaded directly from ``scipy/optimize/_highspy/``
 instead of being imported: an import would first run the ``scipy.optimize``
 package initialiser, which took about two thirds of ``import dersec`` and
-loads nothing the solves use. The module goes into ``sys.modules`` under its
+loads nothing the solves use. The folder is found from scipy's import spec,
+so not even the ``scipy`` package initialiser runs (it took 8-13 ms and
+loaded 23 modules). The module goes into ``sys.modules`` under its
 canonical name, and one already there is reused, because pybind11 registers
 each of its types once per process: a second copy under another name makes a
 later ``import scipy.optimize`` fail with "type ... is already registered".
@@ -69,7 +71,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .attack import effective_setpoints
 from .errors import HeterogeneousRxRatio, InfeasibleLP, NegativeSquaredVoltage, NonConvergent
@@ -95,7 +96,10 @@ def _load_highs():
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("dersec needs scipy (>= 1.15) for its HiGHS extension")
+    folder = Path(scipy.submodule_search_locations[0]) / "optimize" / "_highspy"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"_core{suffix}"
         if path.is_file():
@@ -127,6 +131,8 @@ def _highs_options(presolve: bool):
 _HIGHS_OPTIONS = {presolve: _highs_options(presolve) for presolve in (False, True)}
 # linprog's feasibility check on the returned solution, at its default tol 1e-9
 _FEASIBILITY_TOL = math.sqrt(1e-9) * 10
+# no (rows, columns, values) entries
+_NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 # one solver per thread and option set, options set once; passModel resets
 # it, so LPs start cold
 _solver = threading.local()
@@ -157,15 +163,22 @@ def fixed_angle_setpoints(net: Network) -> np.ndarray:
     return _warm_setpoints(net)
 
 
-def _columnwise(A: np.ndarray) -> tuple[list, list, list]:
-    """CSC (start, index, value) lists of a dense constraint matrix; Python
-    lists because HiGHS copies them faster than numpy arrays."""
-    if not np.isfinite(A).all():
+def _columnwise(A: np.ndarray, below: tuple = _NO_ENTRIES) -> tuple[list, list, list]:
+    """CSC (start, index, value) lists of a dense constraint matrix, over the
+    rows that follow it given by their nonzeros ``below`` = (rows, columns,
+    values), rows ascending within each column; Python lists because HiGHS
+    copies them faster than numpy arrays."""
+    extra_rows, extra_cols, extra_values = below
+    if not (np.isfinite(A).all() and np.isfinite(extra_values).all()):
         raise ValueError("LP constraint matrix must be finite")
-    # the nonzeros column by column, rows ascending within a column
+    # the nonzeros column by column, rows ascending within a column; the
+    # stable sort puts the rows below after A's
     cols, rows = A.T.nonzero()
-    start = cols.searchsorted(np.arange(A.shape[1] + 1))
-    return start.tolist(), rows.tolist(), A[rows, cols].tolist()
+    values = np.concatenate([A[rows, cols], extra_values])
+    cols, rows = np.concatenate([cols, extra_cols]), np.concatenate([rows, extra_rows])
+    order = cols.argsort(kind="stable")
+    start = cols[order].searchsorted(np.arange(A.shape[1] + 1))
+    return start.tolist(), rows[order].tolist(), values[order].tolist()
 
 
 def linprog(c, A_ub, b_ub, lb, ub, *, presolve: bool = False) -> np.ndarray:
@@ -247,12 +260,12 @@ class _ResponseModel:
         # facet rows of its inner polygon
         epigraph = -(self._W[:, None] * self.nu_mat)
         epigraph[:, -1] = -1.0
-        rows = np.arange(free.size * _DISK_FACETS)
-        der, facet = divmod(rows, _DISK_FACETS)
-        facets = np.zeros((rows.size, epigraph.shape[1]))
-        facets[rows, self._p_cols[der]] = _FACET_P[facet]
-        facets[rows, self._p_cols[der] + 1] = _FACET_Q[facet]
-        self._A = tuple(map(tuple, _columnwise(np.concatenate([epigraph, facets]))))
+        # a facet row has two nonzeros, at its DER's pg and qg columns
+        der, facet = divmod(np.arange(free.size * _DISK_FACETS), _DISK_FACETS)
+        rows = net.n + np.arange(der.size)
+        below = (rows.repeat(2), np.stack([self._p_cols[der], self._p_cols[der] + 1], axis=1).ravel(),
+                 np.stack([_FACET_P[facet], _FACET_Q[facet]], axis=1).ravel())
+        self._A = tuple(map(tuple, _columnwise(epigraph, below)))
         self._b_facet = (net.der_cap[free] * _FACET_SUPPORT)[der]
         # the base objective: the cost of the shed load, plus t
         self.c = np.zeros(self.nu_mat.shape[1])

@@ -9,7 +9,10 @@ DERs of one fixed ordering (deepest first, then by rank within the sibling
 group) attain the optimum.
 
 Elsewhere Stage 1 is one pooled min-max over the full-budget security vectors
-(securing more never raises the loss); ties go to the first in enumeration order.
+(securing more never raises the loss). Ties go to the first in enumeration
+order only when the computed losses are equal floats: on ``heterogeneous37(0)``
+at gamma_lo 0.5, W/C 10, B=2, M=12, LPF, the placements (9, 11) and (10, 11)
+differ by 1.4e-13, and the last bits of the LPs choose between them.
 
 Stage 1 itself costs little next to its sub-game: the symmetry check is one
 bottom-up pass over the tree, the security rows are one scatter of the
@@ -21,10 +24,12 @@ attacks are drawn and no LP is built or solved.
 
 Repeated solves on one network (every budget B, both strategies of
 ``compare_strategies``) build some of its constants once: the r/x check,
-the symmetry check per weights, the load-control model and the seed's
-no-attack voltages are kept on the network (see ``dersec.network``), and a
-copy of the network starts without them. The impact matrices and rankings
-are built per solve.
+the symmetry check per weights, the load-control model, the seed's
+no-attack voltages, the one-shot impact ranking, and the families of a row
+that secures nothing with their seeded table are kept on the network (see
+``dersec.network``), and a copy of the network starts without them. The
+impact matrices, and the families of the rows that secure a node, are built
+per solve.
 """
 
 from __future__ import annotations
@@ -130,7 +135,8 @@ def solve_dad(
     preconditions hold, symmetric under the solve's weights ``params``, else
     one pooled Stage-1 min-max whose rows are the full-budget vectors in
     ``itertools.combinations`` order (at most 20,000); u* is the first of
-    them with the least sub-game value.
+    them with the least computed sub-game value, so of two rows whose exact
+    values tie, rounding in the last bits can pick either.
 
     The preconditions are checked once, here; the placement is then that of
     ``optimal_security_strategy``.

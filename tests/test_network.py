@@ -15,6 +15,7 @@ from dersec import (
     Precedence,
     balanced_tree,
     build_network,
+    calibrate_epsilon,
     common_path_impedance,
     eps_lpf,
     homogeneous37,
@@ -388,6 +389,54 @@ class TestDerivedConstants:
                 for u in (None, secured):
                     dersec.game.solve_ad_oneshot(net, u, 12, params_for(net, wc), model)
         assert len(calls) == 1 + 4
+
+    @pytest.mark.parametrize("gamma_lo", [0.5, 0.7])
+    def test_unsecured_tables_solve_as_fresh_copies(self, gamma_lo):
+        # the seeded table of a row that secures nothing is kept per budget
+        # and load scale; a solve that starts from it answers as one that
+        # builds it, on a first and on a repeated solve
+        net = with_gamma_lo(homogeneous37(), gamma_lo)
+        eps = eps_lpf(calibrate_epsilon(net).eps)
+        for _ in range(2):
+            for wc in (2.0, 10.0, 18.0):
+                params = params_for(net, wc)
+                for model in (LPF, eps):
+                    for M in range(15):
+                        shared = dersec.game.solve_ad_oneshot(net, None, M, params, model)
+                        fresh = dersec.game.solve_ad_oneshot(dataclasses.replace(net), None, M, params, model)
+                        assert _answer(shared) == _answer(fresh)
+        kept = {key[1:] for key in net._derived if isinstance(key, tuple) and key[0] == "unsecured_table"}
+        assert kept == {(M, scale) for M in range(15) for scale in (1.0, eps.load_scale)}
+
+    def test_secured_rows_after_unsecured_solves(self):
+        # once the table of a row that secures nothing is kept, rows that
+        # secure a node, an unsecured row after them (which reads only the
+        # kept families) and Stage 1 answer as on a fresh copy
+        net = with_gamma_lo(homogeneous37(), 0.5)
+        params = params_for(net, 10.0)
+        secured = np.zeros((2, net.n + 1), dtype=int)
+        secured[1, net.der_nodes[-1]] = 1
+        for M in (9, 12):
+            dersec.game.solve_ad_oneshot(net, None, M, params, LPF)
+            for u in (secured[1], secured[::-1], secured):
+                shared = dersec.game.solve_ad_oneshot(net, u, M, params, LPF)
+                fresh = dersec.game.solve_ad_oneshot(dataclasses.replace(net), u, M, params, LPF)
+                assert _answer(shared) == _answer(fresh)
+            for B in (0, 2):
+                shared = solve_dad(net, B, M, params, LPF).ad
+                fresh = solve_dad(dataclasses.replace(net), B, M, params, LPF).ad
+                assert _answer(shared) == _answer(fresh)
+
+    def test_unsecured_table_is_read_only(self):
+        net = with_gamma_lo(homogeneous37(), 0.5)
+        dersec.game.solve_ad_oneshot(net, None, 12, params_for(net, 10.0), LPF)
+        table = net._derived[("unsecured_table", 12, 1.0)]
+        assert table.fams == net._derived[("unsecured_families", 12)]
+        assert table.wide.any()
+        for part in (table.taken, table.wide, table.seed_c0):
+            assert len(part) == len(table.fams)
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
 
     def test_copies_start_empty(self):
         net = balanced_tree(2, 2)

@@ -340,6 +340,37 @@ class TestOneModel:
             losses.append(joint)
         assert max(losses) > 0.0
 
+    @pytest.mark.parametrize("case", ["heterogeneous37-0", "heterogeneous37-2", "homogeneous37",
+                                      "random-3", "random-8"])
+    def test_rows_match_a_dense_build(self, case, homog37):
+        # the LP rows, emitted column by column, equal the CSC form of the
+        # dense matrix of epigraph rows over 96 facet rows per free DER
+        kind, _, seed = case.partition("-")
+        net = {"heterogeneous37": heterogeneous37, "random": random_feasible_network}.get(
+            kind, lambda _: homog37)(int(seed or 0))
+        params = params_for(net, 10.0)
+        rng = np.random.default_rng(len(case))
+        for kappa in (1.0, 1.0123):
+            for size in (0, 1, net.der_nodes.size // 2, net.der_nodes.size):
+                free = np.sort(rng.choice(net.der_nodes, size=size, replace=False))
+                model = dersec.response._ResponseModel(net, params, kappa, free)
+                epigraph = -(params.W[1:, None] * model.nu_mat)
+                epigraph[:, -1] = -1.0
+                facets = np.zeros((96 * size, epigraph.shape[1]))
+                b_facet = np.zeros(96 * size)
+                angles = (np.arange(96) + 0.5) * ((math.pi / 2.0) / 96)
+                for d, node in enumerate(free.tolist()):
+                    rows = slice(96 * d, 96 * (d + 1))
+                    facets[rows, model.loaded.size + 2 * d] = np.cos(angles)
+                    facets[rows, model.loaded.size + 2 * d + 1] = np.sin(angles)
+                    b_facet[rows] = net.der_cap[node] * math.cos((math.pi / 2.0) / 96 / 2.0)
+                csc = csc_array(np.concatenate([epigraph, facets]))
+                start, index, value = model._A
+                assert list(start) == csc.indptr.tolist()
+                assert list(index) == csc.indices.tolist()
+                assert list(value) == csc.data.tolist()
+                assert model._b_facet.tolist() == b_facet.tolist()
+
     @pytest.mark.parametrize("case", ["homogeneous37", "heterogeneous37"])
     def test_gamma_block_is_common_path_form(self, case, homog37):
         net = homog37 if case == "homogeneous37" else heterogeneous37(0)
@@ -484,6 +515,19 @@ class TestHighsLoading:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["dersec", "dersec.cli"])
+    def test_import_runs_no_scipy_initialiser(self, module):
+        # the extension's folder comes from scipy's import spec, so the
+        # scipy package itself is never imported
+        out = _fresh_python(f"import sys, {module}\nprint('scipy' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_missing_scipy_is_an_import_error(self):
+        out = _fresh_python("import sys\nsys.modules['scipy'] = None\nimport dersec")
+        assert out.returncode != 0
+        assert "ImportError: dersec needs scipy" in out.stderr
 
     @pytest.mark.parametrize("first, second", [("dersec.response", "scipy.optimize"),
                                                ("scipy.optimize", "dersec.response")])
